@@ -30,7 +30,7 @@ main()
         uint64_t elems = 0;
         for (const GirNode &n : g.nodes()) {
             if (n.op == GirOp::MatMul)
-                elems += n.weight.rows() * n.weight.cols();
+                elems += n.weight->rows() * n.weight->cols();
         }
         t.addRow({"GRU h=" + std::to_string(h),
                   fmtF(static_cast<double>(elems) / 1e6, 1),

@@ -8,6 +8,7 @@
 #ifndef BW_COMPILER_COMPILED_MODEL_H
 #define BW_COMPILER_COMPILED_MODEL_H
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -20,7 +21,11 @@
 
 namespace bw {
 
-/** One MatMul weight placed in the MRF as a tiled, padded matrix. */
+/**
+ * One MatMul weight placed in the MRF as a grid of native tiles. The
+ * matrix is the graph's own unpadded payload, shared rather than copied;
+ * install() zero-pads the tail tiles as it builds them.
+ */
 struct WeightPlacement
 {
     NodeId node = 0;       //!< the MatMul node
@@ -31,7 +36,8 @@ struct WeightPlacement
      *  their real elements of MRF capacity and stream in fewer beats. */
     uint32_t logicalRows = 0;
     uint32_t logicalCols = 0;
-    FMat padded;           //!< zero-padded to (rowTiles*N) x (colTiles*N)
+    /** logicalRows x logicalCols, shared with the GirNode. */
+    std::shared_ptr<const FMat> weight;
 };
 
 /** A constant vector preloaded into a VRF before serving. */

@@ -211,20 +211,7 @@ runConvLayerFunctional(FuncMachine &m, const ConvSpec &spec,
     uint32_t col_tiles = ceilDiv(spec.patchLen(), n);
 
     // Pin the quantized weight tiles.
-    FMat padded = padTo(weights, static_cast<size_t>(row_tiles) * n,
-                        static_cast<size_t>(col_tiles) * n);
-    for (uint32_t r = 0; r < row_tiles; ++r) {
-        for (uint32_t c = 0; c < col_tiles; ++c) {
-            FMat tile(n, n);
-            for (unsigned i = 0; i < n; ++i) {
-                auto src = padded.row(static_cast<size_t>(r) * n + i);
-                std::copy(src.begin() + static_cast<size_t>(c) * n,
-                          src.begin() + static_cast<size_t>(c + 1) * n,
-                          tile.row(i).begin());
-            }
-            m.loadMrfTile(r * col_tiles + c, tile);
-        }
-    }
+    m.loadMrfMatrix(0, weights);
     m.loadVrf(MemId::AddSubVrf, 0,
               padTo(bias, static_cast<size_t>(row_tiles) * n));
 

@@ -385,8 +385,8 @@ Lowering::allocate(CompiledModel &model)
         const GirNode &n = g.node(id);
         WeightPlacement w;
         w.node = id;
-        w.logicalRows = static_cast<unsigned>(n.weight.rows());
-        w.logicalCols = static_cast<unsigned>(n.weight.cols());
+        w.logicalRows = static_cast<unsigned>(n.weight->rows());
+        w.logicalCols = static_cast<unsigned>(n.weight->cols());
         w.rowTiles = tiles(w.logicalRows);
         w.colTiles = tiles(w.logicalCols);
         w.mrfAddr = mrf_next;
@@ -413,9 +413,7 @@ Lowering::allocate(CompiledModel &model)
             }
         }
         mrf_next += count;
-        w.padded = padTo(n.weight,
-                         static_cast<size_t>(w.rowTiles) * cfg.nativeDim,
-                         static_cast<size_t>(w.colTiles) * cfg.nativeDim);
+        w.weight = n.weight;
         model.weights.push_back(std::move(w));
     }
     model.mrfTilesUsed =
@@ -724,21 +722,8 @@ compileGir(const GirGraph &graph, const NpuConfig &cfg,
 void
 CompiledModel::install(FuncMachine &m) const
 {
-    unsigned n = cfg.nativeDim;
-    for (const WeightPlacement &w : weights) {
-        for (uint32_t r = 0; r < w.rowTiles; ++r) {
-            for (uint32_t c = 0; c < w.colTiles; ++c) {
-                FMat tile(n, n);
-                for (unsigned i = 0; i < n; ++i) {
-                    auto src = w.padded.row(static_cast<size_t>(r) * n + i);
-                    std::copy(src.begin() + static_cast<size_t>(c) * n,
-                              src.begin() + static_cast<size_t>(c + 1) * n,
-                              tile.row(i).begin());
-                }
-                m.loadMrfTile(w.mrfAddr + r * w.colTiles + c, tile);
-            }
-        }
-    }
+    for (const WeightPlacement &w : weights)
+        m.loadMrfMatrix(w.mrfAddr, *w.weight);
     for (const VrfPreload &p : preloads)
         m.loadVrf(p.space, p.addr, p.data);
 }

@@ -21,7 +21,7 @@ nodeLatency(const GirNode &n)
         return 0;
       case GirOp::MatMul: {
         // One multiply plus a binary reduction tree over the dot length.
-        uint64_t len = n.weight.cols();
+        uint64_t len = n.weight->cols();
         return 1 + (len > 1 ? ceilLog2(len) : 0);
       }
       default:

@@ -1,8 +1,10 @@
 #include "func/machine.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "bfp/float16.h"
+#include "common/bits.h"
 #include "isa/validate.h"
 
 namespace bw {
@@ -44,6 +46,27 @@ FuncMachine::loadMrfTile(uint32_t addr, const FMat &tile)
                  cfg_.nativeDim, tile.rows(), tile.cols());
     }
     mrf_.write(addr, QuantTile(tile, cfg_.precision));
+}
+
+void
+FuncMachine::loadMrfMatrix(uint32_t addr, const FMat &w)
+{
+    size_t n = cfg_.nativeDim;
+    size_t row_tiles = ceilDiv(w.rows(), n);
+    size_t col_tiles = ceilDiv(w.cols(), n);
+    for (size_t r = 0; r < row_tiles; ++r) {
+        size_t rows = std::min(n, w.rows() - r * n);
+        for (size_t c = 0; c < col_tiles; ++c) {
+            size_t cols = std::min(n, w.cols() - c * n);
+            FMat tile(n, n);
+            for (size_t i = 0; i < rows; ++i) {
+                auto src = w.row(r * n + i).subspan(c * n, cols);
+                std::copy(src.begin(), src.end(), tile.row(i).begin());
+            }
+            loadMrfTile(static_cast<uint32_t>(addr + r * col_tiles + c),
+                        tile);
+        }
+    }
 }
 
 void

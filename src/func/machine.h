@@ -37,6 +37,13 @@ class FuncMachine
      */
     void loadMrfTile(uint32_t addr, const FMat &tile);
 
+    /**
+     * Pin a whole matrix as a row-major grid of native tiles: tile
+     * (r, c) goes to MRF entry @p addr + r * ceil(cols/N) + c. Tail tiles
+     * are zero-padded as they are built; @p w itself is never padded.
+     */
+    void loadMrfMatrix(uint32_t addr, const FMat &w);
+
     /** Write a host vector (multiple of N elements) into a VRF. */
     void loadVrf(MemId vrf, uint32_t addr, std::span<const float> data);
 

@@ -18,8 +18,7 @@ FVec
 randomVec(size_t n, Rng &rng)
 {
     FVec v(n);
-    for (auto &x : v)
-        x = rng.uniformF(-0.1f, 0.1f);
+    rng.fillUniformF(v, -0.1f, 0.1f);
     return v;
 }
 
@@ -77,7 +76,7 @@ randomMlpWeights(const std::vector<unsigned> &dims, Rng &rng)
 }
 
 GirGraph
-makeLstm(const LstmWeights &w)
+makeLstm(LstmWeights w)
 {
     GirGraph g("lstm_h" + std::to_string(w.hidden));
     NodeId x = g.input(w.inputDim, "xt");
@@ -85,28 +84,28 @@ makeLstm(const LstmWeights &w)
     NodeId c = g.state(w.hidden, "c_prev");
 
     // x-side projections with fused bias, as in the paper's kernel.
-    NodeId xWf = g.add(g.matmul(w.Wf, x, "Wf"), g.constVec(w.bf, "bf"),
-                       "xWf");
-    NodeId xWi = g.add(g.matmul(w.Wi, x, "Wi"), g.constVec(w.bi, "bi"),
-                       "xWi");
-    NodeId xWo = g.add(g.matmul(w.Wo, x, "Wo"), g.constVec(w.bo, "bo"),
-                       "xWo");
-    NodeId xWc = g.add(g.matmul(w.Wc, x, "Wc"), g.constVec(w.bc, "bc"),
-                       "xWc");
+    NodeId xWf = g.add(g.matmul(std::move(w.Wf), x, "Wf"),
+                       g.constVec(std::move(w.bf), "bf"), "xWf");
+    NodeId xWi = g.add(g.matmul(std::move(w.Wi), x, "Wi"),
+                       g.constVec(std::move(w.bi), "bi"), "xWi");
+    NodeId xWo = g.add(g.matmul(std::move(w.Wo), x, "Wo"),
+                       g.constVec(std::move(w.bo), "bo"), "xWo");
+    NodeId xWc = g.add(g.matmul(std::move(w.Wc), x, "Wc"),
+                       g.constVec(std::move(w.bc), "bc"), "xWc");
 
     // f gate, fused with the multiply by c_prev ("ft_mod").
-    NodeId f = g.sigmoid(g.add(g.matmul(w.Uf, h, "Uf"), xWf, "f_pre"),
-                         "ft");
+    NodeId f = g.sigmoid(
+        g.add(g.matmul(std::move(w.Uf), h, "Uf"), xWf, "f_pre"), "ft");
     NodeId fc = g.mul(f, c, "ft_mod");
 
-    NodeId i = g.sigmoid(g.add(g.matmul(w.Ui, h, "Ui"), xWi, "i_pre"),
-                         "it");
-    NodeId o = g.sigmoid(g.add(g.matmul(w.Uo, h, "Uo"), xWo, "o_pre"),
-                         "ot");
+    NodeId i = g.sigmoid(
+        g.add(g.matmul(std::move(w.Ui), h, "Ui"), xWi, "i_pre"), "it");
+    NodeId o = g.sigmoid(
+        g.add(g.matmul(std::move(w.Uo), h, "Uo"), xWo, "o_pre"), "ot");
 
     // c gate: ct = tanh(Uc h + xWc) (*) it + ft_mod.
-    NodeId ctilde = g.tanh(g.add(g.matmul(w.Uc, h, "Uc"), xWc, "c_pre"),
-                           "c_tilde");
+    NodeId ctilde = g.tanh(
+        g.add(g.matmul(std::move(w.Uc), h, "Uc"), xWc, "c_pre"), "c_tilde");
     NodeId ic = g.mul(ctilde, i, "i_mod");
     NodeId ct = g.add(ic, fc, "ct");
 
@@ -121,29 +120,29 @@ makeLstm(const LstmWeights &w)
 }
 
 GirGraph
-makeGru(const GruWeights &w)
+makeGru(GruWeights w)
 {
     GirGraph g("gru_h" + std::to_string(w.hidden));
     NodeId x = g.input(w.inputDim, "xt");
     NodeId h = g.state(w.hidden, "h_prev");
 
-    NodeId xWz = g.add(g.matmul(w.Wz, x, "Wz"), g.constVec(w.bz, "bz"),
-                       "xWz");
-    NodeId xWr = g.add(g.matmul(w.Wr, x, "Wr"), g.constVec(w.br, "br"),
-                       "xWr");
-    NodeId xWh = g.add(g.matmul(w.Wh, x, "Wh"), g.constVec(w.bh, "bh"),
-                       "xWh");
+    NodeId xWz = g.add(g.matmul(std::move(w.Wz), x, "Wz"),
+                       g.constVec(std::move(w.bz), "bz"), "xWz");
+    NodeId xWr = g.add(g.matmul(std::move(w.Wr), x, "Wr"),
+                       g.constVec(std::move(w.br), "br"), "xWr");
+    NodeId xWh = g.add(g.matmul(std::move(w.Wh), x, "Wh"),
+                       g.constVec(std::move(w.bh), "bh"), "xWh");
 
-    NodeId z = g.sigmoid(g.add(g.matmul(w.Uz, h, "Uz"), xWz, "z_pre"),
-                         "zt");
-    NodeId r = g.sigmoid(g.add(g.matmul(w.Ur, h, "Ur"), xWr, "r_pre"),
-                         "rt");
+    NodeId z = g.sigmoid(
+        g.add(g.matmul(std::move(w.Uz), h, "Uz"), xWz, "z_pre"), "zt");
+    NodeId r = g.sigmoid(
+        g.add(g.matmul(std::move(w.Ur), h, "Ur"), xWr, "r_pre"), "rt");
 
     // h~ = tanh(Wh x + Uh (r (*) h) + bh); the r (*) h product is a
     // separate chain because the MVM sits at the head of the pipeline.
     NodeId rh = g.mul(h, r, "r_mod");
-    NodeId htilde = g.tanh(g.add(g.matmul(w.Uh, rh, "Uh"), xWh, "h_pre"),
-                           "h_tilde");
+    NodeId htilde = g.tanh(
+        g.add(g.matmul(std::move(w.Uh), rh, "Uh"), xWh, "h_pre"), "h_tilde");
 
     // h' = h~ + z (*) (h - h~): one subtract/multiply chain plus the
     // final accumulate, avoiding a (1 - z) constant vector.
@@ -158,15 +157,16 @@ makeGru(const GruWeights &w)
 }
 
 GirGraph
-makeMlp(const MlpWeights &w)
+makeMlp(MlpWeights w)
 {
     BW_ASSERT(!w.weights.empty() && w.weights.size() == w.biases.size());
     GirGraph g("mlp");
     NodeId cur = g.input(static_cast<unsigned>(w.weights[0].cols()), "x");
     for (size_t l = 0; l < w.weights.size(); ++l) {
         std::string tag = std::to_string(l);
-        cur = g.add(g.matmul(w.weights[l], cur, "W" + tag),
-                    g.constVec(w.biases[l], "b" + tag), "a" + tag);
+        cur = g.add(g.matmul(std::move(w.weights[l]), cur, "W" + tag),
+                    g.constVec(std::move(w.biases[l]), "b" + tag),
+                    "a" + tag);
         if (l + 1 < w.weights.size())
             cur = g.relu(cur, "relu" + tag);
     }

@@ -5,6 +5,10 @@
  * graphs are structured exactly as the paper's hand-written LSTM kernel
  * (Section IV-C) so the compiler's chain fusion reproduces its
  * instruction chains.
+ *
+ * The make* builders take their weights by value and move every matrix
+ * and bias into the graph: pass an rvalue (say, straight from
+ * randomLstmWeights) and no weight is copied; pass an lvalue to keep it.
  */
 
 #ifndef BW_GRAPH_BUILDERS_H
@@ -55,7 +59,7 @@ MlpWeights randomMlpWeights(const std::vector<unsigned> &dims, Rng &rng);
  *   h' = o (*) tanh(c')
  * with h' sent to the network each step.
  */
-GirGraph makeLstm(const LstmWeights &w);
+GirGraph makeLstm(LstmWeights w);
 
 /**
  * Build the GRU cell graph:
@@ -65,13 +69,13 @@ GirGraph makeLstm(const LstmWeights &w);
  *   h' = h~ + z (*) (h - h~)
  * with h' sent to the network each step.
  */
-GirGraph makeGru(const GruWeights &w);
+GirGraph makeGru(GruWeights w);
 
 /**
  * Build a dense MLP: y = W_n(...relu(W_1 x + b_1)...) + b_n, with ReLU
  * between layers and the final layer linear.
  */
-GirGraph makeMlp(const MlpWeights &w);
+GirGraph makeMlp(MlpWeights w);
 
 } // namespace bw
 

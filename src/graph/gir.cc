@@ -89,7 +89,7 @@ GirGraph::matmul(FMat weight, NodeId x, const std::string &name)
     n.op = GirOp::MatMul;
     n.dim = static_cast<unsigned>(weight.rows());
     n.inputs = {x};
-    n.weight = std::move(weight);
+    n.weight = std::make_shared<const FMat>(std::move(weight));
     n.name = name;
     return addNode(std::move(n));
 }
@@ -270,7 +270,7 @@ GirGraph::opsPerStep() const
     OpCount ops = 0;
     for (const auto &n : nodes_) {
         if (n.op == GirOp::MatMul)
-            ops += 2ull * n.weight.rows() * n.weight.cols();
+            ops += 2ull * n.weight->rows() * n.weight->cols();
         else if (girIsBinary(n.op) || girIsActivation(n.op))
             ops += n.dim;
     }
@@ -283,7 +283,7 @@ GirGraph::matmulOpsPerStep() const
     OpCount ops = 0;
     for (const auto &n : nodes_) {
         if (n.op == GirOp::MatMul)
-            ops += 2ull * n.weight.rows() * n.weight.cols();
+            ops += 2ull * n.weight->rows() * n.weight->cols();
     }
     return ops;
 }
@@ -294,8 +294,8 @@ GirGraph::weightBytes(unsigned bits_per_element) const
     uint64_t bits = 0;
     for (const auto &n : nodes_) {
         if (n.op == GirOp::MatMul)
-            bits += static_cast<uint64_t>(n.weight.rows()) *
-                    n.weight.cols() * bits_per_element;
+            bits += static_cast<uint64_t>(n.weight->rows()) *
+                    n.weight->cols() * bits_per_element;
     }
     return bits / 8;
 }

@@ -17,6 +17,7 @@
 #define BW_GRAPH_GIR_H
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -64,8 +65,13 @@ struct GirNode
     unsigned dim = 0;
     /** Operand node ids (0 for Input/ConstVec/State, 1-2 otherwise). */
     std::vector<NodeId> inputs;
-    /** Weight matrix for MatMul (dim x inputs[0].dim). */
-    FMat weight;
+    /**
+     * Weight matrix for MatMul (dim x inputs[0].dim), null otherwise. The
+     * payload is immutable and shared: copies of the graph and every
+     * CompiledModel built from it hold the same matrix, so it outlives
+     * whichever of them is destroyed first.
+     */
+    std::shared_ptr<const FMat> weight;
     /** Constant value for ConstVec. */
     FVec constValue;
 };

@@ -405,12 +405,15 @@ spanTreeJson(const std::vector<SpanRecord> &spans, uint64_t dropped)
         }
 
         // Render the tree depth-first without recursion limits to worry
-        // about: the tree is at most 3 deep by construction.
+        // about: the tree is at most 3 deep by construction. Completed
+        // children collect in their parent's frame and join its node
+        // once, as its last key, when the parent completes.
         struct Frame
         {
             const SpanRecord *span;
             Json node;
             size_t next = 0;
+            Json children = Json::array();
         };
         std::vector<Frame> stack;
         auto kids_of = [&](SpanId id) -> std::vector<const SpanRecord *> & {
@@ -418,7 +421,7 @@ spanTreeJson(const std::vector<SpanRecord> &spans, uint64_t dropped)
             auto it = kids.find(id);
             return it == kids.end() ? none : it->second;
         };
-        stack.push_back({root, spanNode(*root, kids_of(root->id)), 0});
+        stack.push_back({root, spanNode(*root, kids_of(root->id))});
         ++exported;
         Json root_node;
         while (!stack.empty()) {
@@ -426,29 +429,19 @@ spanTreeJson(const std::vector<SpanRecord> &spans, uint64_t dropped)
             auto &children = kids_of(f.span->id);
             if (f.next < children.size()) {
                 const SpanRecord *c = children[f.next++];
-                stack.push_back({c, spanNode(*c, kids_of(c->id)), 0});
+                stack.push_back({c, spanNode(*c, kids_of(c->id))});
                 ++exported;
                 continue;
             }
             Json done = std::move(f.node);
-            const SpanRecord *done_span = f.span;
+            if (f.children.size() > 0)
+                done.set("children", std::move(f.children));
             stack.pop_back();
             if (stack.empty()) {
                 root_node = std::move(done);
                 break;
             }
-            (void)done_span;
-            Json *parent_children = nullptr;
-            // children array is added lazily on first completed child.
-            Frame &pf = stack.back();
-            if (!pf.node.contains("children"))
-                pf.node.set("children", Json::array());
-            // Re-set: copy out, push, set back (Json has no mutable
-            // find; trees are small enough that this stays cheap).
-            Json arr = *pf.node.find("children");
-            arr.push(std::move(done));
-            pf.node.set("children", std::move(arr));
-            (void)parent_children;
+            stack.back().children.push(std::move(done));
         }
 
         Json tr = Json::object();

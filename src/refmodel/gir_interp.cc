@@ -47,7 +47,7 @@ GirInterpreter::step(std::span<const float> x)
             value[id] = state_[id];
             break;
           case GirOp::MatMul:
-            value[id] = gemvRef(n.weight, value[n.inputs[0]]);
+            value[id] = gemvRef(*n.weight, value[n.inputs[0]]);
             break;
           case GirOp::Output:
             value[id] = value[n.inputs[0]];

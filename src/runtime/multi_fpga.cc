@@ -12,8 +12,8 @@ fpgasNeededForPinning(const GirGraph &graph, const NpuConfig &cfg)
     uint64_t elems = 0;
     for (const GirNode &n : graph.nodes()) {
         if (n.op == GirOp::MatMul)
-            elems += static_cast<uint64_t>(n.weight.rows()) *
-                     n.weight.cols();
+            elems += static_cast<uint64_t>(n.weight->rows()) *
+                     n.weight->cols();
     }
     uint64_t tile_elems =
         static_cast<uint64_t>(cfg.nativeDim) * cfg.nativeDim;

@@ -64,15 +64,13 @@ padTo(const FMat &m, size_t rows, size_t cols)
 void
 fillUniform(FVec &v, Rng &rng, float lo, float hi)
 {
-    for (auto &x : v)
-        x = rng.uniformF(lo, hi);
+    rng.fillUniformF(v, lo, hi);
 }
 
 void
 fillUniform(FMat &m, Rng &rng, float lo, float hi)
 {
-    for (auto &x : m.data())
-        x = rng.uniformF(lo, hi);
+    rng.fillUniformF(m.data(), lo, hi);
 }
 
 void
@@ -81,8 +79,7 @@ fillXavier(FMat &m, Rng &rng)
     if (m.size() == 0)
         return;
     float limit = std::sqrt(6.0f / (m.rows() + m.cols()));
-    for (auto &x : m.data())
-        x = rng.uniformF(-limit, limit);
+    rng.fillUniformF(m.data(), -limit, limit);
 }
 
 double

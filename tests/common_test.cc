@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "common/bits.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -182,6 +187,222 @@ TEST(Rng, ExponentialPositive)
         sum += v;
     }
     EXPECT_NEAR(sum / 10000, 0.5, 0.05); // mean = 1/rate
+}
+
+// --- Determinism contract: Rng reproduces std::mt19937_64 and
+//     libstdc++'s distribution formulas bit for bit. ---
+
+// Comparisons with <random> hold only on libstdc++: other standard
+// libraries use other distribution formulas. The golden draws hold
+// everywhere.
+#if defined(__GLIBCXX__)
+constexpr bool kLibStdCxx = true;
+#else
+constexpr bool kLibStdCxx = false;
+#endif
+
+const uint64_t kSeeds[] = {0xB3A117ED, 0, 1, 7, 90210,
+                           0xFFFFFFFFFFFFFFFFull};
+
+TEST(Rng, EngineMatchesStdMt19937_64)
+{
+    // The standard pins the 10000th output of the default seed.
+    Mt19937_64 def(5489);
+    for (int i = 1; i < 10000; ++i)
+        def();
+    EXPECT_EQ(def(), 9981545732273789042ull);
+
+    for (uint64_t seed : kSeeds) {
+        Mt19937_64 mine(seed);
+        std::mt19937_64 ref(seed);
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(mine(), ref()) << "seed " << seed << " draw " << i;
+        // Bulk fill continues the same sequence from any offset.
+        std::vector<uint64_t> bulk(1000);
+        mine.fill(bulk);
+        for (size_t i = 0; i < bulk.size(); ++i)
+            ASSERT_EQ(bulk[i], ref()) << "seed " << seed << " fill " << i;
+        EXPECT_EQ(mine(), ref());
+    }
+}
+
+TEST(Rng, DrawsMatchStdDistributions)
+{
+    if (!kLibStdCxx)
+        GTEST_SKIP() << "distribution formulas are libstdc++'s";
+    for (uint64_t seed : kSeeds) {
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        // Interleave every kind of draw so a consumed-word miscount in
+        // any of them shows up in all later ones.
+        for (int i = 0; i < 500; ++i) {
+            SCOPED_TRACE(testing::Message() << "seed " << seed << " i " << i);
+            ASSERT_EQ(rng.uniformF(),
+                      std::uniform_real_distribution<float>(-1, 1)(ref));
+            ASSERT_EQ(rng.uniformF(-0.25f, 3.5f),
+                      std::uniform_real_distribution<float>(-0.25f,
+                                                            3.5f)(ref));
+            ASSERT_EQ(rng.uniform(),
+                      std::uniform_real_distribution<double>(0, 1)(ref));
+            ASSERT_EQ(rng.uniform(-2.0, 3.0),
+                      std::uniform_real_distribution<double>(-2, 3)(ref));
+            ASSERT_EQ(rng.gaussian(1.5, 0.25),
+                      std::normal_distribution<double>(1.5, 0.25)(ref));
+            ASSERT_EQ(rng.integer(0, 999),
+                      std::uniform_int_distribution<int64_t>(0, 999)(ref));
+            ASSERT_EQ(rng.integer(-5, 5),
+                      std::uniform_int_distribution<int64_t>(-5, 5)(ref));
+            ASSERT_EQ(
+                rng.integer(std::numeric_limits<int64_t>::min(),
+                            std::numeric_limits<int64_t>::max()),
+                std::uniform_int_distribution<int64_t>(
+                    std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max())(ref));
+            ASSERT_EQ(rng.integer(0, (int64_t{1} << 62) + 12345),
+                      std::uniform_int_distribution<int64_t>(
+                          0, (int64_t{1} << 62) + 12345)(ref));
+            ASSERT_EQ(rng.exponential(2.0),
+                      std::exponential_distribution<double>(2.0)(ref));
+        }
+    }
+}
+
+TEST(Rng, FillUniformFEqualsRepeatedUniformF)
+{
+    // Lengths around the 312-word state block, from unaligned offsets.
+    for (size_t len : {0, 1, 311, 312, 313, 1000, 2500}) {
+        for (int skip : {0, 5, 311}) {
+            Rng bulk(42), single(42);
+            for (int i = 0; i < skip; ++i)
+                EXPECT_EQ(bulk.uniform(), single.uniform());
+            std::vector<float> got(len);
+            bulk.fillUniformF(got, -0.3f, 0.7f);
+            for (size_t i = 0; i < len; ++i)
+                ASSERT_EQ(got[i], single.uniformF(-0.3f, 0.7f))
+                    << "len " << len << " skip " << skip << " i " << i;
+            EXPECT_EQ(bulk.integer(0, 1 << 30), single.integer(0, 1 << 30));
+        }
+    }
+}
+
+template <typename Real>
+void
+expectConversionMatchesCompiler(uint64_t x)
+{
+    EXPECT_EQ(u64ToReal<Real>(x), static_cast<Real>(x)) << "x = " << x;
+}
+
+TEST(Rng, U64ConversionIsCorrectlyRoundedAtTheEdges)
+{
+    std::vector<uint64_t> xs = {0, 1, 2, 3, ~uint64_t{0}, ~uint64_t{0} - 1};
+    // Around the branch points 2^26 (float) and 2^55 (double), the
+    // signed-conversion limit 2^63 and every other power of two, with
+    // the low bits that decide a tie.
+    for (int p = 1; p < 64; ++p) {
+        uint64_t b = uint64_t{1} << p;
+        for (uint64_t d : {0ull, 1ull, 2ull, 3ull, 5ull, 7ull})
+            xs.insert(xs.end(), {b + d, b - d, b - d - 1});
+    }
+    // Ties and near-ties just above 2^26 and 2^55: bit patterns whose
+    // rounding bit is set with and without sticky bits below it.
+    for (int p : {26, 27, 55, 56, 62, 63}) {
+        uint64_t b = uint64_t{1} << p;
+        for (int k = 0; k < 8; ++k) {
+            uint64_t ulp_f = uint64_t{1} << (p - 23);
+            xs.push_back(b + ulp_f / 2 + k);
+            xs.push_back(b + ulp_f + ulp_f / 2 - k);
+        }
+    }
+    for (uint64_t x : xs) {
+        expectConversionMatchesCompiler<float>(x);
+        expectConversionMatchesCompiler<double>(x);
+    }
+    Mt19937_64 e(99);
+    for (int i = 0; i < 200000; ++i) {
+        uint64_t x = e();
+        // Also the small range, where the direct conversion is taken.
+        for (uint64_t v : {x, x >> 30, x >> 38, x >> 8}) {
+            ASSERT_EQ(u64ToReal<float>(v), static_cast<float>(v)) << v;
+            ASSERT_EQ(u64ToReal<double>(v), static_cast<double>(v)) << v;
+        }
+    }
+}
+
+/** A generator that returns one fixed word, to probe the canonical map. */
+struct FixedWord
+{
+    using result_type = uint64_t;
+    uint64_t x;
+    static constexpr uint64_t min() { return 0; }
+    static constexpr uint64_t max() { return ~uint64_t{0}; }
+    uint64_t operator()() { return x; }
+};
+
+TEST(Rng, CanonicalClampsBelowOne)
+{
+    // float(2^64 - 1) rounds to 2^64, so the draw is clamped to the
+    // largest value below 1, as generate_canonical does.
+    EXPECT_EQ(canonicalFromU64<float>(~uint64_t{0}),
+              std::nextafter(1.0f, 0.0f));
+    EXPECT_EQ(canonicalFromU64<double>(~uint64_t{0}),
+              std::nextafter(1.0, 0.0));
+    EXPECT_EQ(canonicalFromU64<float>(0), 0.0f);
+    EXPECT_LT(canonicalFromU64<float>(~uint64_t{0} >> 1), 1.0f);
+    if (!kLibStdCxx)
+        return;
+    std::vector<uint64_t> xs = {0, 1, (uint64_t{1} << 26) - 1,
+                                uint64_t{1} << 26, uint64_t{1} << 63,
+                                (uint64_t{1} << 63) + 1, ~uint64_t{0},
+                                ~uint64_t{0} - (uint64_t{1} << 39),
+                                ~uint64_t{0} - (uint64_t{1} << 40)};
+    for (uint64_t x : xs) {
+        FixedWord g{x};
+        EXPECT_EQ(canonicalFromU64<float>(x),
+                  (std::generate_canonical<float, 24>(g)))
+            << x;
+        EXPECT_EQ(canonicalFromU64<double>(x),
+                  (std::generate_canonical<double, 53>(g)))
+            << x;
+    }
+}
+
+TEST(Rng, GoldenDraws)
+{
+    // Committed values (drawn with std::mt19937_64 and libstdc++'s
+    // distributions), so the sequence no longer depends on <random>.
+    struct Golden
+    {
+        uint64_t seed;
+        uint64_t raw0, raw1;
+        float f1, f2;
+        double d1;
+        int64_t i1;
+        double g1, x1;
+    };
+    const Golden golden[] = {
+        {0xB3A117ED, 0x0df21d30ffdfb4f1ull, 0x397be53a3ff1eef5ull,
+         -0x1.c8378cp-1f, -0x1.c34d78p-5f, 0x1.e53a8d65769edp-2, 318,
+         0x1.23a2750ba3478p-1, 0x1.808817b6eedb7p-5},
+        {7, 0xc11f6531eb66d9a7ull, 0xf30567547a34c162ull, 0x1.047d94p-1f,
+         0x1.70114ap-4f, 0x1.e0edcc1206968p-4, 891, 0x1.bed1e6a2baf17p-1,
+         0x1.68d7c9a997d7bp-1},
+        {90210, 0x144a3b54054b617dull, 0xe9270624d501a922ull,
+         -0x1.aed712p-1f, 0x1.507ce2p-4f, 0x1.563fe3b78354dp-2, 168,
+         0x1.4e54e243d8de7p-1, 0x1.9e6852129b49fp-3},
+    };
+    for (const Golden &g : golden) {
+        SCOPED_TRACE(testing::Message() << "seed " << g.seed);
+        Mt19937_64 e(g.seed);
+        EXPECT_EQ(e(), g.raw0);
+        EXPECT_EQ(e(), g.raw1);
+        Rng rng(g.seed);
+        EXPECT_EQ(rng.uniformF(), g.f1);
+        EXPECT_EQ(rng.uniformF(-0.1f, 0.1f), g.f2);
+        EXPECT_EQ(rng.uniform(), g.d1);
+        EXPECT_EQ(rng.integer(0, 999), g.i1);
+        EXPECT_EQ(rng.gaussian(), g.g1);
+        EXPECT_EQ(rng.exponential(2.0), g.x1);
+    }
 }
 
 } // namespace

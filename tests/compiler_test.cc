@@ -188,6 +188,101 @@ TEST(Compiler, UnpaddedDimensionsUseThinTiles)
         EXPECT_LT(maxAbsDiff(got[t], want[t]), 0.03);
 }
 
+/**
+ * Install @p m's weights the way the compiler did before it shared the
+ * graph's payload: zero-pad each matrix to whole tiles, then slice.
+ */
+void
+installFromPaddedCopy(const CompiledModel &m, FuncMachine &machine)
+{
+    size_t n = m.cfg.nativeDim;
+    for (const WeightPlacement &w : m.weights) {
+        FMat padded = padTo(*w.weight, w.rowTiles * n, w.colTiles * n);
+        for (uint32_t r = 0; r < w.rowTiles; ++r) {
+            for (uint32_t c = 0; c < w.colTiles; ++c) {
+                FMat tile(n, n);
+                for (size_t i = 0; i < n; ++i) {
+                    auto src = padded.row(r * n + i).subspan(c * n, n);
+                    std::copy(src.begin(), src.end(), tile.row(i).begin());
+                }
+                machine.loadMrfTile(w.mrfAddr + r * w.colTiles + c, tile);
+            }
+        }
+    }
+    for (const VrfPreload &p : m.preloads)
+        machine.loadVrf(p.space, p.addr, p.data);
+}
+
+TEST(Compiler, UnalignedWeightsInstallPaddedTiles)
+{
+    Rng rng(12);
+    NpuConfig cfg = testConfig();
+    // 40, 37 and 5 are not multiples of nativeDim (16): every matrix
+    // has thin tail tiles in both directions.
+    MlpWeights w = randomMlpWeights({37, 40, 5}, rng);
+    GirGraph g = makeMlp(w);
+    CompiledModel m = compileGir(g, cfg);
+
+    FuncMachine got(cfg), want(cfg);
+    m.install(got);
+    installFromPaddedCopy(m, want);
+    ASSERT_EQ(m.weights.size(), 2u);
+    for (const WeightPlacement &p : m.weights) {
+        // The placement holds the graph's matrix itself, unpadded.
+        EXPECT_EQ(p.weight.get(), g.node(p.node).weight.get());
+        EXPECT_EQ(p.weight->rows(), p.logicalRows);
+        EXPECT_EQ(p.weight->cols(), p.logicalCols);
+        for (uint32_t t = 0; t < p.rowTiles * p.colTiles; ++t) {
+            EXPECT_EQ(got.peekMrfTile(p.mrfAddr + t).data(),
+                      want.peekMrfTile(p.mrfAddr + t).data())
+                << "tile " << p.mrfAddr + t;
+        }
+    }
+    // The bottom-right tile of the 40x37 layer is 8x5 real elements in
+    // a zero 16x16 tile.
+    const WeightPlacement &first = m.weights[0];
+    FMat corner = got.peekMrfTile(first.mrfAddr + first.rowTiles *
+                                  first.colTiles - 1);
+    for (size_t r = 0; r < 16; ++r) {
+        for (size_t c = 0; c < 16; ++c) {
+            if (r >= 8 || c >= 5) {
+                EXPECT_EQ(corner(r, c), 0.0f) << r << "," << c;
+            }
+        }
+    }
+
+    for (int i = 0; i < 3; ++i) {
+        FVec x(37);
+        fillUniform(x, rng, -0.5f, 0.5f);
+        EXPECT_EQ(m.runStep(got, x), m.runStep(want, x));
+    }
+}
+
+TEST(Compiler, CompiledModelOutlivesItsGraph)
+{
+    Rng rng(13);
+    NpuConfig cfg = testConfig();
+    GruWeights w = randomGruWeights(40, 24, rng);
+    CompiledModel orphan;
+    {
+        GirGraph g = makeGru(w);
+        orphan = compileGir(g, cfg);
+    }
+    // The graph is gone; the model alone keeps its weights alive.
+    for (const WeightPlacement &p : orphan.weights)
+        EXPECT_EQ(p.weight.use_count(), 1);
+
+    GirGraph live = makeGru(w);
+    CompiledModel ref = compileGir(live, cfg);
+    FuncMachine a(cfg), b(cfg);
+    orphan.install(a);
+    ref.install(b);
+    std::vector<FVec> xs(5, FVec(24));
+    for (auto &x : xs)
+        fillUniform(x, rng, -0.5f, 0.5f);
+    EXPECT_EQ(orphan.runSequence(a, xs), ref.runSequence(b, xs));
+}
+
 TEST(Compiler, ModelTooLargeReportsPartitioning)
 {
     Rng rng(7);

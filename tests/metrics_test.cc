@@ -595,6 +595,7 @@ TEST(HttpServer, StreamHandlersRouteWithoutSockets)
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -645,8 +646,16 @@ connectTo(uint16_t port)
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
+    auto *sa = reinterpret_cast<sockaddr *>(&addr);
+    int rc = ::connect(fd, sa, sizeof(addr));
+    // An interrupted connect() keeps connecting in the background: wait
+    // for the socket to turn writable and ask again until it settles.
+    while (rc != 0 && (errno == EINTR || errno == EALREADY)) {
+        pollfd p{fd, POLLOUT, 0};
+        ::poll(&p, 1, 1000);
+        rc = ::connect(fd, sa, sizeof(addr));
+    }
+    if (rc != 0 && errno != EISCONN) {
         ::close(fd);
         return -1;
     }
@@ -657,6 +666,55 @@ void
 sigusr1Noop(int)
 {
 }
+
+/**
+ * While alive, sends this process SIGUSR1 every 200 us under a no-op
+ * handler installed WITHOUT SA_RESTART, so any send() or recv() blocked
+ * when a signal lands returns EINTR instead of restarting. Destruction
+ * stops and joins the thread and restores the old handler, on every exit
+ * path: a failed ASSERT can leave neither a joinable thread
+ * (std::terminate) nor the handler behind.
+ */
+class SigusrPinger
+{
+  public:
+    SigusrPinger()
+    {
+        struct sigaction sa {};
+        sa.sa_handler = sigusr1Noop;
+        sigemptyset(&sa.sa_mask);
+        sa.sa_flags = 0;
+        installed_ = sigaction(SIGUSR1, &sa, &old_) == 0;
+        if (!installed_)
+            return;
+        thread_ = std::thread([this] {
+            while (!done_.load()) {
+                ::kill(::getpid(), SIGUSR1);
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+            }
+        });
+    }
+
+    ~SigusrPinger()
+    {
+        done_.store(true);
+        if (thread_.joinable())
+            thread_.join();
+        if (installed_)
+            sigaction(SIGUSR1, &old_, nullptr);
+    }
+
+    SigusrPinger(const SigusrPinger &) = delete;
+    SigusrPinger &operator=(const SigusrPinger &) = delete;
+
+    bool installed() const { return installed_; }
+
+  private:
+    struct sigaction old_ {};
+    bool installed_ = false;
+    std::atomic<bool> done_{false};
+    std::thread thread_;
+};
 
 } // namespace
 
@@ -676,43 +734,31 @@ TEST(HttpServer, StreamsNdjsonOverSocketDespiteEintr)
                      });
     ASSERT_TRUE(srv.start(0).ok());
 
-    // A no-op SIGUSR1 handler installed WITHOUT SA_RESTART: any send()
-    // or recv() blocked when a signal lands returns EINTR instead of
-    // restarting transparently. The server's write loop must absorb
-    // those (and short writes — the body far exceeds a socket buffer)
-    // without corrupting or truncating the stream.
-    struct sigaction sa {
-    }, old {};
-    sa.sa_handler = sigusr1Noop;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = 0;
-    ASSERT_EQ(sigaction(SIGUSR1, &sa, &old), 0);
-    std::atomic<bool> done{false};
-    std::thread pinger([&done] {
-        while (!done.load()) {
-            ::kill(::getpid(), SIGUSR1);
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-    });
-
+    // Connect and send the request before any signal flies, so only the
+    // streaming itself runs under the pinger.
     int fd = connectTo(srv.port());
     ASSERT_GE(fd, 0);
     const char req[] = "GET /stream/big HTTP/1.1\r\nHost: x\r\n\r\n";
     ASSERT_GT(::send(fd, req, sizeof(req) - 1, 0), 0);
+
+    // Stream under a storm of signals. The server's write loop must
+    // absorb the EINTRs (and short writes: the body far exceeds a socket
+    // buffer) without corrupting or truncating the stream.
     std::string resp;
-    char buf[8192];
-    for (;;) {
-        ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            break;
-        resp.append(buf, static_cast<size_t>(n));
+    {
+        SigusrPinger pinger;
+        ASSERT_TRUE(pinger.installed());
+        char buf[8192];
+        for (;;) {
+            ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n <= 0)
+                break;
+            resp.append(buf, static_cast<size_t>(n));
+        }
     }
     ::close(fd);
-    done.store(true);
-    pinger.join();
-    sigaction(SIGUSR1, &old, nullptr);
     srv.stop();
 
     ASSERT_NE(resp.find("HTTP/1.1 200 OK"), std::string::npos);
