@@ -17,7 +17,7 @@
  *      pins the hot model to one engine under consistent hashing, so
  *      least-loaded sustains strictly more goodput past saturation.
  *   3. A live (threaded) smoke: worker pools spun up, the trace head
- *      submitted through Cluster::submitTimed, drained.
+ *      submitted through Cluster::submit, drained.
  *
  * Environment: BW_CLUSTER_MIX ("s5:2,a10:1,s10:1") picks the replica
  * groups, BW_CLUSTER_POLICY the router policy, BW_CLUSTER_CACHE_TILES
@@ -433,8 +433,8 @@ main(int argc, char **argv)
     for (const ClusterRequest &req : trace) {
         if (submitted + shed >= live_requests)
             break;
-        Expected<std::future<serve::Response>> f =
-            cluster.submitTimed(req.model, req.steps, req.deadlineMs);
+        Expected<std::future<serve::Response>> f = cluster.submit(
+            req.model, serve::Request::timed(req.steps, req.deadlineMs));
         if (f.ok()) {
             futs.push_back(std::move(f.value()));
             ++submitted;

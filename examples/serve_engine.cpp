@@ -154,7 +154,8 @@ main(int argc, char **argv)
                 std::vector<FVec> xs(steps, FVec(hidden));
                 for (FVec &x : xs)
                     fillUniform(x, crng, -0.5f, 0.5f);
-                auto r = engine->submit(std::move(xs));
+                auto r = engine->submit(
+                    serve::Request::functional(std::move(xs)));
                 if (r.ok())
                     futs.push_back(r.take());
                 else

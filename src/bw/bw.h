@@ -20,7 +20,8 @@
  *
  *   // Concurrent serving (worker threads over accelerator replicas):
  *   auto engine = s.serve({.replicas = 2, .queueDepth = 32});
- *   auto fut = engine->submit(inputs);       // Expected<future<Response>>
+ *   auto fut = engine->submit(serve::Request::functional(inputs));
+ *   // fut: Expected<future<Response>>
  *   engine->drain();
  *
  * The pieces remain individually reachable — s.model() is the

@@ -8,21 +8,13 @@
 #include "common/logging.h"
 #include "metrics/http_server.h"
 #include "serve/slo.h"
+#include "serve/virtual_shard.h"
 #include "timing/npu_timing.h"
 
 namespace bw {
 namespace serve {
 
 namespace {
-
-/** Engine trace timestamps are microseconds since construction. */
-uint64_t
-toUs(double seconds)
-{
-    return seconds > 0
-               ? static_cast<uint64_t>(std::llround(seconds * 1e6))
-               : 0;
-}
 
 double
 envDouble(const char *name, double fallback)
@@ -214,27 +206,10 @@ Engine::recordFlightSlo(uint64_t seq, RequestId id, obs::FlightClass cls,
                         uint64_t service_us, uint64_t done_us,
                         double deadline_ms, double latency_ms)
 {
-    if (opts_.flightRecorder) {
-        obs::FlightRecord fr;
-        fr.seq = seq;
-        fr.id = id;
-        fr.cls = cls;
-        fr.sampled = sampled;
-        fr.replica = replica;
-        fr.steps = steps;
-        fr.admitUs = admit_us;
-        fr.dequeueUs = dequeue_us;
-        fr.serviceUs = service_us;
-        fr.doneUs = done_us;
-        fr.latencyUs = latency_ms > 0 ? static_cast<uint64_t>(
-                                            std::llround(latency_ms * 1e3))
-                                      : 0;
-        opts_.flightRecorder->record(fr);
-    }
-    if (opts_.sloMonitor) {
-        opts_.sloMonitor->record(done_us, deadline_ms, latency_ms,
-                                 cls == obs::FlightClass::Ok);
-    }
+    AttemptRecord rec{{seq, id, cls, sampled, replica, steps, admit_us,
+                       dequeue_us, service_us, done_us, /*latencyUs=*/0},
+                      latency_ms, deadline_ms};
+    rec.record(opts_.flightRecorder, {opts_.sloMonitor});
 }
 
 void
@@ -392,25 +367,6 @@ Engine::submit(Request req)
 }
 
 Expected<std::future<Response>>
-Engine::submit(std::vector<FVec> xs, double deadline_ms)
-{
-    return submit(Request::functional(std::move(xs), deadline_ms));
-}
-
-Expected<std::future<Response>>
-Engine::submitTimed(unsigned steps, double deadline_ms)
-{
-    return submit(Request::timed(steps, deadline_ms));
-}
-
-Expected<std::future<Response>>
-Engine::submitTimed(unsigned steps, double deadline_ms,
-                    double service_ms)
-{
-    return submit(Request::timed(steps, deadline_ms, service_ms));
-}
-
-Expected<std::future<Response>>
 Engine::enqueue(Pending p)
 {
     std::future<Response> fut = p.promise.get_future();
@@ -541,8 +497,8 @@ Engine::serveBatch(unsigned index, FuncMachine *machine,
     live.reserve(batch.size());
     uint64_t expired_here = 0;
     for (Pending &p : batch) {
-        double queue_ms = (dequeue_s - p.admitS) * 1e3;
-        if (p.deadlineMs > 0 && queue_ms > p.deadlineMs) {
+        if (VirtualShard::expires(p.admitS, dequeue_s, p.deadlineMs)) {
+            double queue_ms = (dequeue_s - p.admitS) * 1e3;
             Response r;
             r.id = p.id;
             r.status = Status::deadlineExceeded(detail::format(
@@ -1102,6 +1058,8 @@ Engine::replay(const std::vector<double> &arrivals_s, unsigned steps)
         opts_.flightRecorder->clear();
     if (opts_.sloMonitor)
         opts_.sloMonitor->clear();
+    if (arrivals_s.empty())
+        return {};
     return opts_.policy == DispatchPolicy::Batched
                ? replayBatched(arrivals_s, service_ms, steps)
                : replayUnbatched(arrivals_s, service_ms, steps);
@@ -1111,33 +1069,21 @@ ServeStats
 Engine::replayUnbatched(const std::vector<double> &arrivals_s,
                         double service_ms, unsigned steps)
 {
-    ServeStats stats;
-    if (arrivals_s.empty())
-        return stats;
-
     obs::SpanTracer *tracer = opts_.spanTracer;
     uint64_t seq = 0;     // admitted requests only (span trace ids)
     uint64_t attempt = 0; // every submission attempt (flight seq)
     double service_s = service_ms / 1e3;
     double net_s = opts_.networkMs / 1e3;
     double deadline_ms = opts_.defaultDeadlineMs;
-    std::vector<double> free_s(opts_.replicas, 0.0);
-    // Service-start (dequeue) time of each admitted request, ascending
-    // (FIFO + earliest-free replica keeps starts nondecreasing); the
-    // queue occupancy seen by a new arrival is the admitted requests
-    // not yet dequeued.
-    std::vector<double> starts;
-    starts.reserve(arrivals_s.size());
+    VirtualShard shard(opts_.replicas, opts_.queueDepth);
     std::vector<double> latencies;
     latencies.reserve(arrivals_s.size());
     double last_done = arrivals_s.front();
 
     for (double a : arrivals_s) {
         ++attempt; // flight key: rejected arrivals consume one too
-        size_t dequeued = static_cast<size_t>(
-            std::upper_bound(starts.begin(), starts.end(), a) -
-            starts.begin());
-        if (starts.size() - dequeued >= opts_.queueDepth) {
+        shard.prune(a);
+        if (!shard.admits(a)) {
             collector_.recordRejected();
             uint64_t t_us = toUs(a);
             recordFlightSlo(attempt, 0, obs::FlightClass::Rejected,
@@ -1145,45 +1091,41 @@ Engine::replayUnbatched(const std::vector<double> &arrivals_s,
                             deadline_ms, 0.0);
             continue;
         }
-        size_t r = static_cast<size_t>(
-            std::min_element(free_s.begin(), free_s.end()) -
-            free_s.begin());
-        double start = std::max(a + net_s / 2, free_s[r]);
-        starts.push_back(start);
+        VirtualShard::Reservation res = shard.reserve(a + net_s / 2);
+        double start = res.startS;
+        unsigned r = static_cast<unsigned>(res.replica);
         ++seq; // rejected arrivals never consumed a sequence number
         obs::TraceContext ctx =
             tracer ? tracer->admit(seq) : obs::TraceContext{};
         uint64_t admit_us = toUs(a);
         uint64_t start_us = std::max(toUs(start), admit_us);
-        if (deadline_ms > 0 && (start - a) * 1e3 > deadline_ms) {
+        if (VirtualShard::expires(a, start, deadline_ms)) {
             collector_.recordExpired(); // expires at dequeue; no service
             recordSpans(ctx, steps, admit_us, start_us, start_us,
-                        start_us, static_cast<unsigned>(r),
-                        obs::SpanOutcome::DeadlineExpired);
+                        start_us, r, obs::SpanOutcome::DeadlineExpired);
             recordFlightSlo(attempt, seq,
                             obs::FlightClass::DeadlineExpired,
-                            ctx.sampled(), static_cast<unsigned>(r),
-                            steps, admit_us, start_us, start_us,
-                            start_us, deadline_ms,
+                            ctx.sampled(), r, steps, admit_us, start_us,
+                            start_us, start_us, deadline_ms,
                             (start - a) * 1e3 + opts_.networkMs);
             continue;
         }
         double done = start + service_s;
-        free_s[r] = done;
+        shard.finish(res, done);
         last_done = std::max(last_done, done);
         double latency_ms = (done + net_s / 2 - a) * 1e3;
         latencies.push_back(latency_ms);
         // Virtual time dequeues straight into service: the dispatch
         // span is zero-width at the service start.
         uint64_t done_us = std::max(toUs(done), start_us);
-        recordSpans(ctx, steps, admit_us, start_us, start_us, done_us,
-                    static_cast<unsigned>(r), obs::SpanOutcome::Ok);
+        recordSpans(ctx, steps, admit_us, start_us, start_us, done_us, r,
+                    obs::SpanOutcome::Ok);
         recordFlightSlo(attempt, seq, obs::FlightClass::Ok,
-                        ctx.sampled(), static_cast<unsigned>(r), steps,
-                        admit_us, start_us, start_us, done_us,
-                        deadline_ms, latency_ms);
+                        ctx.sampled(), r, steps, admit_us, start_us,
+                        start_us, done_us, deadline_ms, latency_ms);
     }
 
+    ServeStats stats;
     std::sort(latencies.begin(), latencies.end());
     fillLatencyStats(stats, latencies);
     double span = last_done - arrivals_s.front();
@@ -1196,31 +1138,22 @@ ServeStats
 Engine::replayBatched(const std::vector<double> &arrivals_s,
                       double service_ms, unsigned steps)
 {
-    ServeStats stats;
-    if (arrivals_s.empty())
-        return stats;
-
     obs::SpanTracer *tracer = opts_.spanTracer;
     uint64_t seq = 0;     // admitted requests only (span trace ids)
     uint64_t attempt = 0; // every submission attempt (flight seq)
     double net_ms = opts_.networkMs;
     double deadline_ms = opts_.defaultDeadlineMs;
-    std::vector<double> free_s(opts_.replicas, 0.0);
-    std::vector<double> dequeues; // launch time per admitted request
+    // One logged start per admitted request: its batch's launch time.
+    VirtualShard shard(opts_.replicas, opts_.queueDepth);
     std::vector<double> latencies;
     latencies.reserve(arrivals_s.size());
     double last_done = arrivals_s.front();
     uint64_t batches = 0;
     double batch_sum = 0;
 
-    auto waiting = [&](double at) {
-        // Admitted requests whose batch has not launched by @p at. The
-        // currently forming batch's members are counted by the caller.
-        return dequeues.size() -
-               static_cast<size_t>(
-                   std::upper_bound(dequeues.begin(), dequeues.end(),
-                                    at) -
-                   dequeues.begin());
+    auto admits = [&](double at, size_t forming) {
+        shard.prune(at); // arrivals ascend, and so do launches
+        return shard.admits(at, forming);
     };
 
     auto reject = [&](double at) {
@@ -1231,84 +1164,67 @@ Engine::replayBatched(const std::vector<double> &arrivals_s,
                         steps, t_us, t_us, t_us, t_us, deadline_ms, 0.0);
     };
 
+    struct Member
+    {
+        double a;              //!< arrival
+        uint64_t id;           //!< admitted id (span trace seq)
+        uint64_t seq;          //!< submission-attempt seq
+        obs::TraceContext ctx;
+    };
+    std::vector<Member> members, served;
+    auto admit = [&](double a) {
+        ++seq; // rejected arrivals never consumed a sequence number
+        ++attempt;
+        members.push_back(
+            {a, seq, attempt,
+             tracer ? tracer->admit(seq) : obs::TraceContext{}});
+    };
+
     size_t i = 0;
     const size_t n = arrivals_s.size();
     while (i < n) {
         // Find the batch's oldest member (admission-checked).
-        while (i < n && waiting(arrivals_s[i]) >= opts_.queueDepth) {
+        while (i < n && !admits(arrivals_s[i], 0)) {
             reject(arrivals_s[i]);
             ++i;
         }
         if (i >= n)
             break;
-        double oldest = arrivals_s[i];
-        double trigger = oldest + opts_.batchTimeoutMs / 1e3;
-        std::vector<double> members{oldest};
-        std::vector<obs::TraceContext> mctx;
-        std::vector<uint64_t> mid;  //!< admitted id (span trace seq)
-        std::vector<uint64_t> mseq; //!< submission-attempt seq
-        ++seq; // rejected arrivals never consumed a sequence number
-        ++attempt;
-        mctx.push_back(tracer ? tracer->admit(seq)
-                              : obs::TraceContext{});
-        mid.push_back(seq);
-        mseq.push_back(attempt);
-        ++i;
+        members.clear();
+        admit(arrivals_s[i++]);
+        double trigger = members[0].a + opts_.batchTimeoutMs / 1e3;
         // Accumulate: requests arriving before the trigger, up to the
         // batch cap, each admission-checked against queue occupancy.
         while (i < n && members.size() < opts_.maxBatch &&
                arrivals_s[i] <= trigger) {
-            if (waiting(arrivals_s[i]) + members.size() >=
-                opts_.queueDepth) {
+            if (admits(arrivals_s[i], members.size()))
+                admit(arrivals_s[i]);
+            else
                 reject(arrivals_s[i]);
-            } else {
-                members.push_back(arrivals_s[i]);
-                ++seq;
-                ++attempt;
-                mctx.push_back(tracer ? tracer->admit(seq)
-                                      : obs::TraceContext{});
-                mid.push_back(seq);
-                mseq.push_back(attempt);
-            }
             ++i;
         }
         bool full = members.size() == opts_.maxBatch;
-        double form = full ? members.back() : trigger;
-        size_t r = static_cast<size_t>(
-            std::min_element(free_s.begin(), free_s.end()) -
-            free_s.begin());
-        double launch = std::max(free_s[r], form);
-        for (size_t k = 0; k < members.size(); ++k)
-            dequeues.push_back(launch);
+        double form = full ? members.back().a : trigger;
+        VirtualShard::Reservation res = shard.reserve(form, members.size());
+        double launch = res.startS;
+        unsigned r = static_cast<unsigned>(res.replica);
 
         // On-dequeue deadline expiry.
-        std::vector<double> served;
-        std::vector<obs::TraceContext> sctx;
-        std::vector<uint64_t> sid, sseq;
-        served.reserve(members.size());
-        for (size_t k = 0; k < members.size(); ++k) {
-            double a = members[k];
-            uint64_t admit_us = toUs(a);
-            uint64_t launch_us = std::max(toUs(launch), admit_us);
-            if (deadline_ms > 0 && (launch - a) * 1e3 > deadline_ms) {
-                collector_.recordExpired();
-                recordSpans(mctx[k], steps, admit_us, launch_us,
-                            launch_us, launch_us,
-                            static_cast<unsigned>(r),
-                            obs::SpanOutcome::DeadlineExpired);
-                recordFlightSlo(mseq[k], mid[k],
-                                obs::FlightClass::DeadlineExpired,
-                                mctx[k].sampled(),
-                                static_cast<unsigned>(r), steps,
-                                admit_us, launch_us, launch_us,
-                                launch_us, deadline_ms,
-                                (launch - a) * 1e3 + net_ms);
-            } else {
-                served.push_back(a);
-                sctx.push_back(mctx[k]);
-                sid.push_back(mid[k]);
-                sseq.push_back(mseq[k]);
+        served.clear();
+        for (const Member &m : members) {
+            if (!VirtualShard::expires(m.a, launch, deadline_ms)) {
+                served.push_back(m);
+                continue;
             }
+            uint64_t admit_us = toUs(m.a);
+            uint64_t launch_us = std::max(toUs(launch), admit_us);
+            collector_.recordExpired();
+            recordSpans(m.ctx, steps, admit_us, launch_us, launch_us,
+                        launch_us, r, obs::SpanOutcome::DeadlineExpired);
+            recordFlightSlo(m.seq, m.id, obs::FlightClass::DeadlineExpired,
+                            m.ctx.sampled(), r, steps, admit_us, launch_us,
+                            launch_us, launch_us, deadline_ms,
+                            (launch - m.a) * 1e3 + net_ms);
         }
         if (served.empty())
             continue;
@@ -1317,27 +1233,25 @@ Engine::replayBatched(const std::vector<double> &arrivals_s,
         double batch_ms = opts_.batchServiceMs ? opts_.batchServiceMs(b)
                                                : service_ms * b;
         double done = launch + batch_ms / 1e3;
-        free_s[r] = done;
+        shard.finish(res, done);
         last_done = std::max(last_done, done);
-        for (size_t k = 0; k < served.size(); ++k) {
-            double a = served[k];
-            double latency_ms = (done - a) * 1e3 + net_ms;
+        for (const Member &m : served) {
+            double latency_ms = (done - m.a) * 1e3 + net_ms;
             latencies.push_back(latency_ms);
-            uint64_t admit_us = toUs(a);
+            uint64_t admit_us = toUs(m.a);
             uint64_t launch_us = std::max(toUs(launch), admit_us);
             uint64_t done_us = std::max(toUs(done), launch_us);
-            recordSpans(sctx[k], steps, admit_us, launch_us, launch_us,
-                        done_us, static_cast<unsigned>(r),
-                        obs::SpanOutcome::Ok);
-            recordFlightSlo(sseq[k], sid[k], obs::FlightClass::Ok,
-                            sctx[k].sampled(), static_cast<unsigned>(r),
-                            steps, admit_us, launch_us, launch_us,
-                            done_us, deadline_ms, latency_ms);
+            recordSpans(m.ctx, steps, admit_us, launch_us, launch_us,
+                        done_us, r, obs::SpanOutcome::Ok);
+            recordFlightSlo(m.seq, m.id, obs::FlightClass::Ok,
+                            m.ctx.sampled(), r, steps, admit_us, launch_us,
+                            launch_us, done_us, deadline_ms, latency_ms);
         }
         batch_sum += b;
         ++batches;
     }
 
+    ServeStats stats;
     std::sort(latencies.begin(), latencies.end());
     fillLatencyStats(stats, latencies);
     double span = last_done - arrivals_s.front();

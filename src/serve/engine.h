@@ -351,22 +351,6 @@ class Engine
      */
     Expected<std::future<Response>> submit(Request req);
 
-    /** Deprecated shim for the pre-Request overload set: forwards to
-     *  submit(Request::functional(xs, deadline_ms)). */
-    Expected<std::future<Response>> submit(std::vector<FVec> xs,
-                                           double deadline_ms = 0);
-
-    /** Deprecated shim: forwards to
-     *  submit(Request::timed(steps, deadline_ms)). */
-    Expected<std::future<Response>> submitTimed(unsigned steps,
-                                                double deadline_ms = 0);
-
-    /** Deprecated shim: forwards to
-     *  submit(Request::timed(steps, deadline_ms, service_ms)). */
-    Expected<std::future<Response>> submitTimed(unsigned steps,
-                                                double deadline_ms,
-                                                double service_ms);
-
     /**
      * Graceful drain: stop admitting, then block until every queued
      * and in-flight request has completed. The worker pool stays up

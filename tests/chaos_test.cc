@@ -5,6 +5,7 @@
  * byte-identity contract of chaotic replays.
  */
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -398,7 +399,8 @@ TEST(Cluster, FullyEvictedModelReturnsUnavailableNamingIt)
     c.start();
     for (unsigned e = 0; e < c.engineCount(); ++e)
         c.setShardHealthy(e, false);
-    Expected<std::future<serve::Response>> f = c.submitTimed(0, 1);
+    Expected<std::future<serve::Response>> f =
+        c.submit(0, serve::Request::timed(1));
     ASSERT_FALSE(f.ok());
     EXPECT_EQ(f.status().code(), StatusCode::Unavailable);
     EXPECT_NE(f.status().message().find("hot"), std::string::npos)
@@ -406,7 +408,8 @@ TEST(Cluster, FullyEvictedModelReturnsUnavailableNamingIt)
 
     // One shard recovering restores service.
     c.setShardHealthy(1, true);
-    Expected<std::future<serve::Response>> ok = c.submitTimed(0, 1);
+    Expected<std::future<serve::Response>> ok =
+        c.submit(0, serve::Request::timed(1));
     ASSERT_TRUE(ok.ok());
     EXPECT_TRUE(ok.value().get().status.ok());
     c.drain();
@@ -456,6 +459,62 @@ TEST(Cluster, HedgedSpansHaveExactlyOneWinner)
         EXPECT_LE(ok_attempts, 1u);
     }
     EXPECT_GT(hedged_traces, 0u);
+}
+
+TEST(Cluster, HedgedSpanIdsStayDisjointAboveTheDefaultChainCap)
+{
+    // hedge[1]'s subtree starts one id stride past hedge[0]'s, so the
+    // stride must cover hedge[0]'s request tree plus every chain leaf
+    // the tracer's cap lets through. A GRU 64x64 at 100 steps retires
+    // more chains than the cap of 600 below; with a fixed stride of 512
+    // hedge[0]'s leaves took hedge[1]'s ids and the tree failed to
+    // validate.
+    obs::SpanTracerOptions so;
+    so.sampleEvery = 1;
+    so.maxChainSpans = 600;
+    obs::SpanTracer tracer(so);
+    ClusterOptions co = chaosClusterOptions();
+    co.spanTracer = &tracer;
+    co.hedgeMs = 0.0; // hedge every routed request
+    Cluster c(co);
+    Rng rng(3);
+    Expected<uint32_t> gru =
+        c.addModel("gru64", makeGru(randomGruWeights(64, 64, rng)));
+    ASSERT_TRUE(gru.ok()) << gru.status().toString();
+    std::vector<ClusterRequest> trace;
+    for (int i = 0; i < 4; ++i) {
+        ClusterRequest r;
+        r.arrivalS = 0.01 * i;
+        r.model = gru.value();
+        r.steps = 100;
+        trace.push_back(r);
+    }
+    ClusterStats s = c.replay(trace);
+    EXPECT_EQ(s.hedged, trace.size());
+    EXPECT_EQ(s.completed, trace.size());
+
+    Json doc = obs::spanTreeJson(tracer);
+    Status st = obs::validateSpanTreeJson(doc);
+    ASSERT_TRUE(st.ok()) << st.toString();
+    // The cap really bit: some execute span holds more leaves than a
+    // 512 stride leaves room for.
+    size_t most = 0;
+    std::vector<const Json *> stack;
+    const Json *traces = doc.find("traces");
+    for (size_t i = 0; i < traces->size(); ++i)
+        stack.push_back(traces->at(i).find("root"));
+    while (!stack.empty()) {
+        const Json *node = stack.back();
+        stack.pop_back();
+        const Json *kids = node->find("children");
+        if (!kids)
+            continue;
+        if (node->find("name")->asString() == "execute")
+            most = std::max(most, kids->size());
+        for (size_t k = 0; k < kids->size(); ++k)
+            stack.push_back(&kids->at(k));
+    }
+    EXPECT_GT(most, 507u);
 }
 
 TEST(Cluster, HedgingRescuesRequestsFromACrashedShard)

@@ -585,7 +585,7 @@ TEST(Cluster, LiveSubmitRoutesAndServes)
     std::vector<std::future<serve::Response>> futs;
     for (int i = 0; i < 30; ++i) {
         Expected<std::future<serve::Response>> f =
-            c.submitTimed(static_cast<uint32_t>(i % 3), 1);
+            c.submit(static_cast<uint32_t>(i % 3), serve::Request::timed(1));
         ASSERT_TRUE(f.ok()) << f.status().toString();
         futs.push_back(std::move(f.value()));
     }
@@ -603,7 +603,7 @@ TEST(Cluster, LiveSubmitRoutesAndServes)
     EXPECT_NE(prom.find("bw_cluster_routed_total"), std::string::npos);
 
     // Unknown model ids are refused before routing.
-    EXPECT_FALSE(c.submitTimed(99, 1).ok());
+    EXPECT_FALSE(c.submit(99, serve::Request::timed(1)).ok());
 }
 
 TEST(Cluster, ExposeDebugServesClusterAndPerEngineDocs)

@@ -490,7 +490,7 @@ TEST(SessionFidelity, DefaultFidelityCapturedFromEnv)
 
 // --- serve::Request unification ---
 
-TEST(ServeRequest, FactoriesAndShimsAgree)
+TEST(ServeRequest, FactoriesBuildTimedAndFunctionalRequests)
 {
     serve::Request timed = serve::Request::timed(7, 12.5, 0.25);
     EXPECT_TRUE(timed.inputs.empty());
@@ -503,19 +503,14 @@ TEST(ServeRequest, FactoriesAndShimsAgree)
     EXPECT_EQ(fn.inputs.size(), 3u);
     EXPECT_DOUBLE_EQ(fn.deadlineMs, 9.0);
 
-    // A model-less engine accepts timed Requests and the deprecated
-    // submitTimed shim identically.
+    // A model-less engine accepts timed Requests.
     serve::EngineOptions opts;
     opts.serviceMsOverride = 0.05;
     opts.timeScale = 0.0;
     serve::Engine engine(opts);
-    auto via_request =
-        engine.submit(serve::Request::timed(2));
+    auto via_request = engine.submit(serve::Request::timed(2));
     ASSERT_TRUE(via_request.ok()) << via_request.status().toString();
-    auto via_shim = engine.submitTimed(2);
-    ASSERT_TRUE(via_shim.ok()) << via_shim.status().toString();
     EXPECT_TRUE(via_request.value().get().status.ok());
-    EXPECT_TRUE(via_shim.value().get().status.ok());
 
     // Functional inputs on a model-less engine are rejected, as are
     // zero-step timed requests.
@@ -612,7 +607,7 @@ TEST(ClusterFidelity, CachedReplayMatchesCycleAccurate)
     EXPECT_EQ(run(Fidelity::Cached), run(Fidelity::CycleAccurate));
 }
 
-TEST(ClusterFidelity, SubmitRequestShimsAgree)
+TEST(ClusterFidelity, SubmitTakesTimedRequestsOnly)
 {
     cluster::ClusterOptions copts;
     cluster::ReplicaGroupSpec group;
@@ -626,9 +621,6 @@ TEST(ClusterFidelity, SubmitRequestShimsAgree)
     auto via_request = c.submit(id, serve::Request::timed(1));
     ASSERT_TRUE(via_request.ok()) << via_request.status().toString();
     EXPECT_TRUE(via_request.value().get().status.ok());
-    auto via_shim = c.submitTimed(id, 1);
-    ASSERT_TRUE(via_shim.ok()) << via_shim.status().toString();
-    EXPECT_TRUE(via_shim.value().get().status.ok());
 
     std::vector<FVec> xs(1, FVec(4, 0.0f));
     auto bad = c.submit(id, serve::Request::functional(xs));

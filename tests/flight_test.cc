@@ -475,7 +475,7 @@ TEST(EngineFlight, ThreadedEngineRecordsEveryCompletion)
     serve::Engine engine(opts);
     engine.start();
     for (int i = 0; i < 6; ++i) {
-        auto fut = engine.submitTimed(1);
+        auto fut = engine.submit(serve::Request::timed(1));
         ASSERT_TRUE(fut.ok());
         ASSERT_TRUE(fut.take().get().status.ok());
     }
@@ -516,7 +516,7 @@ TEST(EngineDebug, ExposesDebugEndpointsAndReadiness)
     engine.exposeDebug(srv);
 
     engine.start();
-    auto fut = engine.submitTimed(2);
+    auto fut = engine.submit(serve::Request::timed(2));
     ASSERT_TRUE(fut.ok());
     fut.take().get();
 

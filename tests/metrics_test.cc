@@ -842,7 +842,7 @@ TEST(EngineMetrics, CountersAgreeWithStatsCollector)
     for (unsigned t = 0; t < kThreads; ++t) {
         threads.emplace_back([&] {
             for (unsigned i = 0; i < kPerThread; ++i) {
-                auto fut = engine.submitTimed(1);
+                auto fut = engine.submit(serve::Request::timed(1));
                 ASSERT_TRUE(fut.ok());
                 fut.take().wait();
             }
@@ -908,14 +908,16 @@ TEST(EngineMetrics, RejectionsAndCancellationsCount)
     serve::Engine engine(opts);
     engine.start();
 
-    auto gate = engine.submitTimed(1); // occupies the replica
+    // The first request occupies the replica, the second fills the
+    // depth-1 queue.
+    auto gate = engine.submit(serve::Request::timed(1));
     ASSERT_TRUE(gate.ok());
     // Wait until it is actually in service so the queue is empty.
     while (engine.queueSize() > 0)
         std::this_thread::yield();
-    auto queued = engine.submitTimed(1); // fills depth-1 queue
+    auto queued = engine.submit(serve::Request::timed(1));
     ASSERT_TRUE(queued.ok());
-    auto rejected = engine.submitTimed(1);
+    auto rejected = engine.submit(serve::Request::timed(1));
     EXPECT_FALSE(rejected.ok());
     EXPECT_EQ(reg.counter("bw_serve_rejected_total", "").value(), 1u);
 
