@@ -224,6 +224,37 @@ TEST(RouteStream, AbortingSinkStopsWriter)
     EXPECT_EQ(lines, 3);
 }
 
+TEST(RouteStream, RowsMatchJsonDumpAtEdgeValues)
+{
+    std::string out;
+    obs::RouteStreamWriter w(appendTo(out), "slo_aware", 3, 2);
+    const size_t header_bytes = out.size();
+    const uint64_t top = uint64_t{1} << 63;
+    std::string want;
+    for (uint64_t seq : {uint64_t{1}, top - 1, top + 5}) {
+        for (uint32_t model : {0u, UINT32_MAX}) {
+            for (uint32_t cls : {0u, UINT32_MAX}) {
+                for (int32_t engine : {-2, -1, 0, INT32_MAX}) {
+                    ASSERT_TRUE(w.decision(seq, model, cls, engine));
+                    Json r = Json::object();
+                    r.set("seq", seq);
+                    r.set("model", model);
+                    r.set("class", cls);
+                    r.set("engine", engine);
+                    want += r.dump();
+                    want += '\n';
+                }
+            }
+        }
+    }
+    EXPECT_EQ(out.substr(header_bytes), want);
+    // Json(uint64_t) wraps a seq above INT64_MAX, and rows keep it.
+    EXPECT_NE(want.find("{\"seq\":-9223372036854775803,\"model\":0,"),
+              std::string::npos);
+    EXPECT_TRUE(w.finish());
+    EXPECT_EQ(w.bytes(), out.size());
+}
+
 TEST(SpanStream, RoundTripsAndRejectsTruncation)
 {
     obs::SpanTracerOptions so;
@@ -279,6 +310,79 @@ TEST(FlightStream, RoundTripsAndRejectsTruncation)
     std::string cut = out.substr(0, out.size() - 15);
     std::istringstream in2(cut);
     EXPECT_FALSE(obs::validateFlightStreamJson(in2).ok());
+}
+
+TEST(FlightStream, RowsMatchTheFlightDocument)
+{
+    // Three windows of Ok records (the slowest two of each promoted)
+    // with every anomaly class mixed in.
+    obs::FlightRecorderOptions fo;
+    fo.windowUs = 1000;
+    fo.slowestK = 2;
+    obs::FlightRecorder rec(fo);
+    const obs::FlightClass anomalies[] = {
+        obs::FlightClass::DeadlineExpired, obs::FlightClass::Rejected,
+        obs::FlightClass::Error, obs::FlightClass::Cancelled};
+    for (uint64_t i = 1; i <= 30; ++i) {
+        obs::FlightRecord fr;
+        fr.seq = i;
+        fr.cls = i % 7 == 0 ? anomalies[(i / 7) % 4] : obs::FlightClass::Ok;
+        bool rejected = fr.cls == obs::FlightClass::Rejected;
+        bool served = fr.cls == obs::FlightClass::Ok ||
+                      fr.cls == obs::FlightClass::Error;
+        fr.id = rejected ? 0 : i;
+        fr.sampled = !rejected && i % 2 == 1;
+        fr.replica = static_cast<uint32_t>(i % 3);
+        fr.steps = static_cast<uint32_t>(i % 5 + 1);
+        fr.admitUs = i * 100;
+        fr.dequeueUs = rejected ? fr.admitUs : fr.admitUs + (i % 4) * 10;
+        fr.serviceUs = served ? fr.dequeueUs + 5 : fr.dequeueUs;
+        fr.doneUs = served ? fr.serviceUs + 20 + (i * 37) % 90
+                           : fr.serviceUs;
+        fr.latencyUs = fr.doneUs - fr.admitUs;
+        rec.record(fr);
+    }
+
+    Json doc = Json::parse(obs::flightJson(rec).dump());
+    const Json &promoted = *doc.find("promoted");
+    const Json &traces = *doc.find("spans")->find("traces");
+    size_t ok = 0;
+    for (size_t i = 0; i < promoted.size(); ++i)
+        ok += promoted.at(i).find("class")->asString() == "ok";
+    ASSERT_GT(ok, 0u);
+    ASSERT_GT(promoted.size(), ok);
+    ASSERT_LT(promoted.size(), 30u);
+
+    std::string out;
+    ASSERT_TRUE(obs::streamFlightNdjson(rec, appendTo(out)).ok());
+    std::istringstream in(out);
+    std::string line;
+    std::vector<Json> rows;
+    while (std::getline(in, line))
+        rows.push_back(Json::parse(line));
+    ASSERT_EQ(rows.size(), promoted.size() + 2); // header + summary
+
+    for (size_t i = 0; i < promoted.size(); ++i) {
+        const Json &want = promoted.at(i);
+        const Json &row = rows[i + 1];
+        ASSERT_EQ(row.size(), want.size() + 1);
+        for (size_t k = 0; k < want.size(); ++k) {
+            EXPECT_EQ(row.member(k).first, want.member(k).first);
+            EXPECT_EQ(row.member(k).second, want.member(k).second)
+                << "record " << i << " field " << want.member(k).first;
+        }
+        EXPECT_EQ(row.member(want.size()).first, "spans");
+        const Json *row_traces = row.find("spans")->find("traces");
+        ASSERT_EQ(row_traces->size(), 1u);
+        const Json *doc_trace = nullptr;
+        for (size_t t = 0; t < traces.size(); ++t) {
+            if (traces.at(t).find("trace")->asInt() ==
+                want.find("seq")->asInt())
+                doc_trace = &traces.at(t);
+        }
+        ASSERT_NE(doc_trace, nullptr) << "record " << i;
+        EXPECT_EQ(row_traces->at(0), *doc_trace) << "record " << i;
+    }
 }
 
 // --- Cluster wiring: federation determinism, stitching, streaming
