@@ -183,6 +183,20 @@ using ChainProfileFn = std::function<bool(
     uint32_t steps, const std::vector<ChainProfile> **chains,
     Cycles *total_cycles)>;
 
+/** One promoted record's bw.flight/1 members, in export order. */
+Json flightRecordJson(const FlightRecord &r);
+
+/** A scratch tracer with these options holds one flightSpans(). */
+SpanTracerOptions flightScratchOptions();
+
+/**
+ * Clear @p scratch, record @p r's span tree into it (trace id = seq;
+ * chain leaves via @p chains_for) and return its spans, collect()-sorted.
+ */
+std::vector<SpanRecord> flightSpans(SpanTracer &scratch,
+                                    const FlightRecord &r,
+                                    const ChainProfileFn &chains_for = {});
+
 /**
  * Flight-log export, schema bw.flight/1:
  *
