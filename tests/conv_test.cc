@@ -33,11 +33,18 @@ convTestConfig()
     return c;
 }
 
+/**
+ * gtest prints a parameter without a PrintTo as its raw bytes, and ctest
+ * registers each case under that text, so every byte of a ConvCase must
+ * be set: `tail` fills what would be padding after `relu` with zeros.
+ */
 struct ConvCase
 {
     unsigned hw, inC, outC, k, stride, pad;
     bool relu;
+    uint8_t tail[3] = {};
 };
+static_assert(sizeof(ConvCase) == 28, "ConvCase must have no padding");
 
 class ConvFunctional : public ::testing::TestWithParam<ConvCase>
 {
