@@ -508,14 +508,6 @@ Cluster::setHealthGauge(size_t shard, double state)
         healthG_[shard]->set(state);
 }
 
-metrics::Counter *
-Cluster::failCounter(size_t shard, FaultClass cls)
-{
-    if (shard >= failureC_.size())
-        return nullptr;
-    return failureC_[shard][static_cast<size_t>(cls)];
-}
-
 void
 Cluster::warm(Shard &s)
 {
@@ -633,7 +625,8 @@ Cluster::replayReset(bool streaming)
     // Full virtual reset: every observer restarts with the trace, so
     // two replays of one trace export byte-identically. The cluster
     // registry's counters and the audit totals are cumulative across
-    // replays by design, like any production Prometheus counter.
+    // replays by design, like any production Prometheus counter; the
+    // pass counts in plain tallies and replayFinish publishes them.
     router_->clear();
     clsMonitor_.clear();
     if (opts_.spanTracer)
@@ -644,6 +637,8 @@ Cluster::replayReset(bool streaming)
                                       s.engine->options().queueDepth);
         s.attempt = 0;
         s.report = EngineReport{};
+        s.reloadUs = 0;
+        s.faults.fill(0);
         s.latencies.clear();
         s.sketch.clear();
         s.saw = false;
@@ -732,6 +727,7 @@ Cluster::replayReset(bool streaming)
     ReplayPass rp;
     rp.streaming = streaming;
     rp.cs.shedByClass.assign(clsMonitor_.options().classes.size(), 0);
+    rp.modelRequests.assign(models_.size(), 0);
     return rp;
 }
 
@@ -813,13 +809,11 @@ Cluster::applyTransition(const ChaosTransition &tr)
             warm(s);
         uint64_t tiles = rewarmTiles_[tr.shard];
         double ms = rewarmMs_[tr.shard];
+        uint64_t us = static_cast<uint64_t>(std::llround(ms * 1e3));
         s.report.reloadedTiles += tiles;
         s.report.reloadMsTotal += ms;
-        if (ShardMetrics *sm = metricsOf(tr.shard))
-            sm->reloadUs->add(static_cast<uint64_t>(std::llround(ms * 1e3)));
-        incidents_.setReload(
-            cc.incident, tiles,
-            static_cast<uint64_t>(std::llround(ms * 1e3)));
+        s.reloadUs += us;
+        incidents_.setReload(cc.incident, tiles, us);
         setHealthGauge(tr.shard, 4.0);
         break;
     }
@@ -866,8 +860,7 @@ Cluster::replayOne(const ClusterRequest &req, ReplayPass &rp)
     rp.lastArrival = req.arrivalS;
     obs::SpanTracer *tracer = opts_.spanTracer;
     ModelEntry &me = models_[req.model];
-    if (me.requests)
-        me.requests->inc();
+    ++rp.modelRequests[req.model];
     uint32_t cls =
         static_cast<uint32_t>(clsMonitor_.classOf(req.deadlineMs));
     double a = req.arrivalS;
@@ -883,8 +876,6 @@ Cluster::replayOne(const ClusterRequest &req, ReplayPass &rp)
         } else {
             ++cs.shed;
             ++cs.shedByClass[cls];
-            if (metrics::Counter *c = shedCounter(cls))
-                c->inc();
         }
         clsMonitor_.record(toUs(a), req.deadlineMs, 0.0, false);
         return;
@@ -928,29 +919,21 @@ Cluster::replayOne(const ClusterRequest &req, ReplayPass &rp)
     }
 }
 
-double
+Cluster::WeightCharge
 Cluster::touchWeights(size_t shard, uint32_t model)
 {
     Shard &s = *shards_[shard];
-    ShardMetrics *sm = metricsOf(shard);
-    WeightTouch wt = s.cache.touch(model, modelTiles(model, s.group));
-    if (wt.hit) {
-        if (sm)
-            sm->cacheHits->inc();
-        return 0;
-    }
+    WeightCharge c;
+    c.touch = s.cache.touch(model, modelTiles(model, s.group));
+    if (c.touch.hit)
+        return c;
     // The DRAM traffic happens even if the attempt later loses a hedge
     // race — reload charges are never rolled back.
-    double ms = reloadMs(s.group, wt.loadedTiles);
-    s.report.reloadedTiles += wt.loadedTiles;
-    s.report.reloadMsTotal += ms;
-    if (sm) {
-        sm->cacheMisses->inc();
-        if (wt.evictions)
-            sm->cacheEvictions->add(wt.evictions);
-        sm->reloadUs->add(static_cast<uint64_t>(std::llround(ms * 1e3)));
-    }
-    return ms;
+    c.ms = reloadMs(s.group, c.touch.loadedTiles);
+    c.us = static_cast<uint64_t>(std::llround(c.ms * 1e3));
+    s.report.reloadedTiles += c.touch.loadedTiles;
+    s.report.reloadMsTotal += c.ms;
+    return c;
 }
 
 Cluster::Attempt
@@ -958,15 +941,12 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
                     ReplayPass &rp)
 {
     Shard &s = *shards_[shard];
-    ShardMetrics *sm = metricsOf(shard);
     const serve::EngineOptions &eo = s.engine->options();
     Attempt at;
     at.shard = shard;
     at.dispatchS = at.startS = at.doneS = at.clientDoneS = t;
     at.seq = ++s.attempt;
     ++s.report.routed;
-    if (sm)
-        sm->routed->inc();
     if (!s.saw) {
         s.saw = true;
         s.firstArrival = t;
@@ -1002,14 +982,11 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
         if (fault == FaultClass::ReplicaHang) {
             at.fcls = obs::FlightClass::DeadlineExpired;
             ++s.report.expired;
-            if (sm)
-                sm->expired->inc();
         } else {
             at.fcls = obs::FlightClass::Error;
             ++s.report.failed;
         }
-        if (metrics::Counter *c = failCounter(shard, fault))
-            c->inc();
+        ++s.faults[static_cast<size_t>(fault)];
         incidents_.addAffected(cc.incident);
         return at;
     }
@@ -1018,11 +995,10 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
         at.kind = Attempt::Kind::Rejected;
         at.fcls = obs::FlightClass::Rejected;
         ++s.report.rejected;
-        if (sm)
-            sm->rejected->inc();
         return at;
     }
-    double reload_ms = touchWeights(shard, req.model);
+    WeightCharge wc = touchWeights(shard, req.model);
+    s.reloadUs += wc.us;
     double net_s = eo.networkMs / 1e3;
     at.res = s.queue.reserve(t + net_s / 2);
     at.startS = at.res.startS;
@@ -1032,8 +1008,6 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
         at.doneS = at.clientDoneS = at.startS;
         at.latencyMs = (at.startS - t) * 1e3 + eo.networkMs;
         ++s.report.expired;
-        if (sm)
-            sm->expired->inc();
         return at;
     }
 
@@ -1041,12 +1015,10 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
     if (cc.slow) {
         // Degraded, not dead: the request completes, stretched.
         model_ms *= cc.slowFactor;
-        if (metrics::Counter *c =
-                failCounter(shard, FaultClass::SlowReplica))
-            c->inc();
+        ++s.faults[static_cast<size_t>(FaultClass::SlowReplica)];
         incidents_.addAffected(cc.incident);
     }
-    at.doneS = at.startS + (model_ms + reload_ms) / 1e3;
+    at.doneS = at.startS + (model_ms + wc.ms) / 1e3;
     s.queue.finish(at.res, at.doneS);
     at.kind = Attempt::Kind::Completed;
     at.fcls = obs::FlightClass::Ok;
@@ -1088,8 +1060,6 @@ Cluster::settle(const Attempt &w, serve::AttemptRecord rec,
         rec.latencyMs = (w.clientDoneS - arrival_s) * 1e3;
         ++ws.report.completed;
         ++cs.completed;
-        if (ShardMetrics *sm = metricsOf(w.shard))
-            sm->completed->inc();
         if (rp.streaming)
             ws.sketch.record(rec.latencyMs);
         else
@@ -1207,8 +1177,6 @@ Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
         if (alt >= 0) {
             hedged = true;
             ++cs.hedged;
-            if (hedgeAttemptsC_)
-                hedgeAttemptsC_->inc();
             h = runAttempt(static_cast<unsigned>(alt), t_h, req, rp);
         }
     }
@@ -1226,11 +1194,8 @@ Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
     }
     Attempt &w = pWins ? p : h;
     Attempt *loser = hedged ? (pWins ? &h : &p) : nullptr;
-    if (hedged && !pWins) {
+    if (hedged && !pWins)
         ++cs.hedgeWins;
-        if (hedgeWinsC_)
-            hedgeWinsC_->inc();
-    }
 
     // Cancel a loser that would still have completed: before service
     // start, the reservation is undone (its queue slot and replica
@@ -1249,8 +1214,6 @@ Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
         loser->fcls = obs::FlightClass::Cancelled;
         loser->latencyMs = (loser->doneS - loser->dispatchS) * 1e3;
         ++ls.report.cancelled;
-        if (hedgeCancelledC_)
-            hedgeCancelledC_->inc();
         ls.lastDone = std::max(ls.lastDone, loser->doneS);
     }
     const Attempt *attempts[2] = {&p, hedged ? &h : nullptr};
@@ -1308,10 +1271,18 @@ Cluster::replayFinish(ReplayPass &rp)
     advanceChaos(std::numeric_limits<double>::infinity());
     ClusterStats cs = std::move(rp.cs);
     // Per-engine and merged summaries. Vector replay reports exact
-    // nearest-rank percentiles; streaming replay merges the per-shard
-    // sketches (counters/mean/max stay exact, percentiles are bucket
-    // upper bounds).
+    // nearest-rank percentiles, merging each shard's sorted run into the
+    // fleet's; streaming replay merges the per-shard sketches
+    // (counters/mean/max stay exact, percentiles are bucket upper
+    // bounds).
     std::vector<double> all;
+    LatencySortScratch scratch;
+    if (!rp.streaming) {
+        size_t total = 0;
+        for (const auto &sp : shards_)
+            total += sp->latencies.size();
+        all.reserve(total);
+    }
     LatencySketch merged;
     double first = 0, last = 0;
     bool any = false;
@@ -1329,11 +1300,9 @@ Cluster::replayFinish(ReplayPass &rp)
             for (size_t b = 0; b < LatencySketch::kBuckets; ++b)
                 merged.buckets[b] += s.sketch.buckets[b];
         } else {
-            std::sort(s.latencies.begin(), s.latencies.end());
-            fillLatencyStats(r.stats, s.latencies);
+            summarizeLatencies(r.stats, s.latencies, scratch);
             n = s.latencies.size();
-            all.insert(all.end(), s.latencies.begin(),
-                       s.latencies.end());
+            mergeSortedRun(all, s.latencies);
         }
         double span = s.lastDone - s.firstArrival;
         r.stats.throughputRps =
@@ -1357,14 +1326,42 @@ Cluster::replayFinish(ReplayPass &rp)
         cs.overall.throughputRps =
             span > 0 ? static_cast<double>(merged.count) / span : 0;
     } else {
-        std::sort(all.begin(), all.end());
         fillLatencyStats(cs.overall, all);
         cs.overall.throughputRps =
             span > 0 ? static_cast<double>(all.size()) / span : 0;
     }
     cs.goodputRps =
         span > 0 ? static_cast<double>(cs.goodput) / span : 0;
+    publishReplayCounters(cs, rp);
     return cs;
+}
+
+void
+Cluster::publishReplayCounters(const ClusterStats &cs, const ReplayPass &rp)
+{
+    if (!opts_.metricsRegistry)
+        return;
+    for (size_t i = 0; i < shards_.size(); ++i) {
+        const EngineReport &r = cs.engines[i];
+        const ShardMetrics &m = shardMetrics_[i];
+        m.routed->add(r.routed);
+        m.completed->add(r.completed);
+        m.rejected->add(r.rejected);
+        m.expired->add(r.expired);
+        m.cacheHits->add(r.cacheHits);
+        m.cacheMisses->add(r.cacheMisses);
+        m.cacheEvictions->add(r.cacheEvictions);
+        m.reloadUs->add(shards_[i]->reloadUs);
+        for (size_t c = 0; c < failureC_[i].size(); ++c)
+            failureC_[i][c]->add(shards_[i]->faults[c]);
+        hedgeCancelledC_->add(r.cancelled);
+    }
+    for (size_t m = 0; m < models_.size(); ++m)
+        models_[m].requests->add(rp.modelRequests[m]);
+    for (size_t c = 0; c < cs.shedByClass.size(); ++c)
+        shedByClassC_[c]->add(cs.shedByClass[c]);
+    hedgeAttemptsC_->add(cs.hedged);
+    hedgeWinsC_->add(cs.hedgeWins);
 }
 
 // --- Fidelity audit + span stitching ---
@@ -1467,12 +1464,21 @@ Cluster::submit(uint32_t model, serve::Request req)
     // into the shard's per-request service override.
     auto forward = [&](size_t shard) {
         Shard &s = *shards_[shard];
-        double reload_ms = touchWeights(shard, model);
+        WeightCharge wc = touchWeights(shard, model);
+        if (ShardMetrics *sm = metricsOf(shard)) {
+            if (wc.touch.hit) {
+                sm->cacheHits->inc();
+            } else {
+                sm->cacheMisses->inc();
+                sm->cacheEvictions->add(wc.touch.evictions);
+                sm->reloadUs->add(wc.us);
+            }
+        }
         double base_ms = req.serviceMsOverride > 0
                              ? req.serviceMsOverride
                              : modelServiceMs(model, s.group, steps);
         return s.engine->submit(
-            serve::Request::timed(steps, deadline_ms, base_ms + reload_ms));
+            serve::Request::timed(steps, deadline_ms, base_ms + wc.ms));
     };
     if (ShardMetrics *sm = metricsOf(static_cast<size_t>(target)))
         sm->routed->inc();

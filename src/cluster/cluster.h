@@ -474,6 +474,12 @@ class Cluster
         /** Per-replay counters; replayFinish adds the label, latency
          *  summary and cache counters. */
         EngineReport report;
+        /** Per-replay tallies with no EngineReport field: whole reload
+         *  microseconds (the bw_cluster_reload_us_total unit) and
+         *  requests hit by each fault class. */
+        uint64_t reloadUs = 0;
+        std::array<uint64_t, static_cast<size_t>(FaultClass::NumFaultClasses)>
+            faults{};
         std::vector<double> latencies; //!< exact (vector replay) only
         LatencySketch sketch;          //!< streaming replay only
         double firstArrival = 0, lastDone = 0;
@@ -487,6 +493,7 @@ class Cluster
         uint64_t seq = 0;      //!< every submission (router key)
         uint64_t admitted = 0; //!< admitted ids (span trace ids)
         bool streaming = false;
+        std::vector<uint64_t> modelRequests; //!< submissions per model id
         double lastArrival = 0;
         bool sawArrival = false;
     };
@@ -532,15 +539,29 @@ class Cluster
     ReplayPass replayReset(bool streaming);
     void replayOne(const ClusterRequest &req, ReplayPass &rp);
     ClusterStats replayFinish(ReplayPass &rp);
+    /** Add one pass's tallies to the cluster registry's counters: the
+     *  replay path counts in plain fields and publishes once, here. */
+    void publishReplayCounters(const ClusterStats &cs,
+                               const ReplayPass &rp);
 
     /** Shard @p shard's cluster-registry counters (null when unbound). */
     ShardMetrics *metricsOf(size_t shard)
     {
         return shardMetrics_.empty() ? nullptr : &shardMetrics_[shard];
     }
+    /** What one touchWeights() did: the cache outcome and the DRAM
+     *  reload it charged, in milliseconds and in whole microseconds
+     *  (the bw_cluster_reload_us_total unit); zero on a hit. */
+    struct WeightCharge
+    {
+        WeightTouch touch;
+        double ms = 0;
+        uint64_t us = 0;
+    };
     /** Touch @p model's weights on @p shard's cache, charging any DRAM
-     *  reload; returns the reload milliseconds (0 on a hit). */
-    double touchWeights(size_t shard, uint32_t model);
+     *  reload to the shard's report. Counts nothing in the registry:
+     *  each caller does (replay once per pass, live per request). */
+    WeightCharge touchWeights(size_t shard, uint32_t model);
 
     // --- Chaos plane (replay fault injection + incident telemetry). ---
 
@@ -608,7 +629,6 @@ class Cluster
     void advanceChaos(double now_s);
     void applyTransition(const ChaosTransition &tr);
     void setHealthGauge(size_t shard, double state);
-    metrics::Counter *failCounter(size_t shard, FaultClass cls);
 
     /** Run one dispatch attempt against @p shard at virtual time @p t:
      *  fault effects, admission, weight touch and the queue slot. */

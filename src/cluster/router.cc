@@ -221,8 +221,10 @@ Router::decisionsJson() const
         by_class.push(c);
     j.set("shed_by_class", std::move(by_class));
     Json rows = Json::array();
+    rows.reserve(log_.size());
     for (const RouteDecision &d : log_) {
         Json r = Json::object();
+        r.reserve(4);
         r.set("seq", d.seq);
         r.set("model", d.model);
         r.set("class", d.cls);

@@ -83,6 +83,9 @@ class Json
     /** Set a key on an object (first use converts a null value). */
     Json &set(const std::string &key, Json v);
 
+    /** Presize an array's elements or an object's members. */
+    void reserve(size_t n) { items_.reserve(n); }
+
     /** Array elements / object values in order. */
     size_t size() const { return items_.size(); }
     const Json &at(size_t i) const { return items_[i].second; }

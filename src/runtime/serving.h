@@ -101,6 +101,42 @@ fillLatencyStats(ServeStats &stats, const std::vector<double> &sorted)
     stats.maxLatencyMs = sorted.back();
 }
 
+/** Caller-owned scratch for sortLatencies, reused across calls. */
+struct LatencySortScratch
+{
+    std::vector<uint64_t> keys;
+    std::vector<uint32_t> counts;
+};
+
+/** sortLatencies hands inputs shorter than this to std::sort. */
+constexpr size_t kLatencyRadixMinSize = 512;
+
+/**
+ * Sort @p v ascending: an LSD radix sort over the order-preserving
+ * IEEE-754 bit key (11-bit digits; a digit every key shares is skipped).
+ * Without NaNs and without both signed zeros the result equals
+ * std::sort's bit for bit — which matters, because fillLatencyStats sums
+ * the mean in ascending order. (-0.0 sorts before +0.0; std::sort leaves
+ * their order unspecified.)
+ */
+void sortLatencies(std::vector<double> &v, LatencySortScratch &scratch);
+
+/**
+ * Merge the ascending run @p run into the ascending @p sorted, stably
+ * and without a temporary buffer: a fleet summary built from sorted
+ * shard runs without re-sorting the whole.
+ */
+void mergeSortedRun(std::vector<double> &sorted,
+                    const std::vector<double> &run);
+
+/** Sort @p latencies (sortLatencies) and fill @p stats from them: every
+ *  exact latency summary goes through here. */
+void summarizeLatencies(ServeStats &stats, std::vector<double> &latencies,
+                        LatencySortScratch &scratch);
+
+/** summarizeLatencies with a scratch of its own. */
+void summarizeLatencies(ServeStats &stats, std::vector<double> &latencies);
+
 /** Poisson request arrivals at @p rate_rps for @p duration_s seconds. */
 std::vector<double> poissonArrivals(double rate_rps, double duration_s,
                                     Rng &rng);
@@ -158,8 +194,7 @@ serveBatched(const std::vector<double> &arrivals_s, unsigned max_batch,
     }
     stats.meanBatch = batches ? stats.meanBatch / batches : 1.0;
 
-    std::sort(latencies.begin(), latencies.end());
-    fillLatencyStats(stats, latencies);
+    summarizeLatencies(stats, latencies);
     double span = device_free_s - arrivals_s.front();
     stats.throughputRps = span > 0 ? latencies.size() / span : 0;
     return stats;

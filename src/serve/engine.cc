@@ -113,8 +113,7 @@ StatsCollector::snapshot() const
     std::lock_guard<std::mutex> lk(mu_);
     ServeStats s;
     std::vector<double> sorted = latenciesMs_;
-    std::sort(sorted.begin(), sorted.end());
-    fillLatencyStats(s, sorted);
+    summarizeLatencies(s, sorted);
     double span = lastDoneS_ - firstAdmitS_;
     s.throughputRps =
         span > 0 ? static_cast<double>(completed_) / span : 0.0;
@@ -1126,8 +1125,7 @@ Engine::replayUnbatched(const std::vector<double> &arrivals_s,
     }
 
     ServeStats stats;
-    std::sort(latencies.begin(), latencies.end());
-    fillLatencyStats(stats, latencies);
+    summarizeLatencies(stats, latencies);
     double span = last_done - arrivals_s.front();
     stats.throughputRps =
         span > 0 ? static_cast<double>(latencies.size()) / span : 0;
@@ -1252,8 +1250,7 @@ Engine::replayBatched(const std::vector<double> &arrivals_s,
     }
 
     ServeStats stats;
-    std::sort(latencies.begin(), latencies.end());
-    fillLatencyStats(stats, latencies);
+    summarizeLatencies(stats, latencies);
     double span = last_done - arrivals_s.front();
     stats.throughputRps =
         span > 0 ? static_cast<double>(latencies.size()) / span : 0;

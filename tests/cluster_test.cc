@@ -6,6 +6,7 @@
  */
 
 #include <cstdlib>
+#include <map>
 
 #include <gtest/gtest.h>
 
@@ -696,4 +697,186 @@ TEST(Cluster, OptionsFromEnv)
     EXPECT_EQ(to.seed, 77u);
     EXPECT_DOUBLE_EQ(to.baseRps, 2500.0);
     EXPECT_DOUBLE_EQ(to.durationS, 0.25);
+}
+
+// --- Replay counter publication ---
+
+namespace {
+
+/// Every counter of @p reg by "name{label=value,...}".
+std::map<std::string, uint64_t>
+counterValues(const metrics::Registry &reg)
+{
+    std::map<std::string, uint64_t> out;
+    for (const metrics::MetricSnapshot &m : reg.collect()) {
+        if (m.type != metrics::MetricType::Counter)
+            continue;
+        std::string key = m.name + "{";
+        for (const auto &[k, v] : m.labels)
+            key += k + "=" + v + ",";
+        out[key + "}"] = static_cast<uint64_t>(m.value);
+    }
+    return out;
+}
+
+/// A saturated, chaotic small cluster: front-door sheds, shard rejects
+/// and expiries, weight-cache thrash and one fault of every class.
+ClusterOptions
+countingClusterOptions(metrics::Registry *reg, double hedge_ms)
+{
+    ClusterOptions co = smallClusterOptions();
+    co.metricsRegistry = reg;
+    co.router.policy = RoutePolicy::SloAware;
+    co.hedgeMs = hedge_ms;
+    return co;
+}
+
+ChaosSchedule
+oneFaultOfEachClass()
+{
+    ChaosSchedule sched;
+    auto add = [&sched](FaultClass cls, unsigned shard, double at_s,
+                        double magnitude) {
+        FaultEvent f;
+        f.cls = cls;
+        f.shard = shard;
+        f.atS = at_s;
+        f.durationS = 0.04;
+        f.magnitude = magnitude;
+        sched.addFault(f);
+    };
+    add(FaultClass::ReplicaCrash, 0, 0.05, 0);
+    add(FaultClass::ReplicaHang, 1, 0.07, 0);
+    add(FaultClass::SlowReplica, 2, 0.09, 3.0);
+    add(FaultClass::DroppedMessage, 1, 0.2, 0.5);
+    return sched;
+}
+
+uint64_t
+counter(const std::map<std::string, uint64_t> &c, const std::string &key)
+{
+    auto it = c.find(key);
+    EXPECT_NE(it, c.end()) << key;
+    return it == c.end() ? 0 : it->second;
+}
+
+} // namespace
+
+TEST(Cluster, ReplayCountersAdvanceOncePerReplayInEveryMode)
+{
+    std::vector<ClusterRequest> trace =
+        generateTraffic(smallTraffic(6000, 0.3));
+    enum class Mode { Vector, Stream, HedgedChaos };
+    for (Mode mode : {Mode::Vector, Mode::Stream, Mode::HedgedChaos}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        metrics::Registry reg;
+        Cluster c(countingClusterOptions(
+            &reg, mode == Mode::HedgedChaos ? 2.0 : -1.0));
+        addSmallModels(c);
+        if (mode == Mode::HedgedChaos)
+            c.setChaosSchedule(oneFaultOfEachClass());
+        auto run = [&] {
+            if (mode != Mode::Stream)
+                return c.replay(trace);
+            size_t i = 0;
+            return c.replayStream([&](ClusterRequest *r) {
+                if (i == trace.size())
+                    return false;
+                *r = trace[i++];
+                return true;
+            });
+        };
+        ClusterStats s = run();
+        std::map<std::string, uint64_t> once = counterValues(reg);
+        EXPECT_EQ(s.toJson().dump(), run().toJson().dump());
+        std::map<std::string, uint64_t> twice = counterValues(reg);
+
+        ASSERT_EQ(once.size(), twice.size());
+        for (const auto &[key, v] : once)
+            EXPECT_EQ(twice.at(key), 2 * v) << key;
+
+        // Each counter holds exactly what the replay reported.
+        uint64_t cancelled = 0, requests = 0;
+        for (unsigned e = 0; e < c.engineCount(); ++e) {
+            const EngineReport &r = s.engines[e];
+            std::string l = "{engine=" + c.engineLabel(e) + ",}";
+            EXPECT_EQ(counter(once, "bw_cluster_routed_total" + l), r.routed);
+            EXPECT_EQ(counter(once, "bw_cluster_completed_total" + l),
+                      r.completed);
+            EXPECT_EQ(counter(once, "bw_cluster_rejected_total" + l),
+                      r.rejected);
+            EXPECT_EQ(counter(once, "bw_cluster_expired_total" + l),
+                      r.expired);
+            EXPECT_EQ(counter(once, "bw_cluster_weight_cache_hits_total" + l),
+                      r.cacheHits);
+            EXPECT_EQ(
+                counter(once, "bw_cluster_weight_cache_misses_total" + l),
+                r.cacheMisses);
+            EXPECT_EQ(
+                counter(once, "bw_cluster_weight_cache_evictions_total" + l),
+                r.cacheEvictions);
+            // Whole microseconds per reload: within half a microsecond
+            // of the exact total for every miss and re-warm.
+            double reload_us = static_cast<double>(
+                counter(once, "bw_cluster_reload_us_total" + l));
+            EXPECT_NEAR(reload_us, r.reloadMsTotal * 1e3,
+                        0.5 * static_cast<double>(r.cacheMisses + 1));
+            const std::string &label = c.engineLabel(e);
+            std::string fl = ",group=" + label.substr(0, label.find('/')) +
+                             ",shard=" + label + ",}";
+            EXPECT_EQ(counter(once, "bw_failure_total{class=crash" + fl) +
+                          counter(once, "bw_failure_total{class=drop" + fl),
+                      r.failed);
+            cancelled += r.cancelled;
+        }
+        for (uint32_t m = 0; m < c.modelCount(); ++m)
+            requests += counter(once, "bw_cluster_requests_total{model=" +
+                                          c.modelName(m) + ",}");
+        EXPECT_EQ(requests, s.submitted);
+        // One shed series per deadline class, registered in class order.
+        std::vector<uint64_t> shed_by_class;
+        for (const metrics::MetricSnapshot &m : reg.collect()) {
+            if (m.name == "bw_cluster_shed_total")
+                shed_by_class.push_back(static_cast<uint64_t>(m.value) / 2);
+        }
+        EXPECT_EQ(shed_by_class, s.shedByClass);
+        EXPECT_EQ(counter(once, "bw_hedge_attempts_total{}"), s.hedged);
+        EXPECT_EQ(counter(once, "bw_hedge_wins_total{}"), s.hedgeWins);
+        EXPECT_EQ(counter(once, "bw_hedge_cancelled_total{}"), cancelled);
+
+        // The scenario moved every family it means to.
+        EXPECT_GT(s.shed, 0u);
+        EXPECT_GT(s.rejected + s.expired, 0u);
+        uint64_t misses = 0;
+        for (const EngineReport &r : s.engines)
+            misses += r.cacheMisses;
+        EXPECT_GT(misses, 0u);
+        if (mode == Mode::HedgedChaos) {
+            EXPECT_GT(s.hedged, 0u);
+            EXPECT_GT(s.failed, 0u);
+            uint64_t faults = 0;
+            for (const auto &[key, v] : once)
+                faults += key.rfind("bw_failure_total", 0) == 0 && v > 0;
+            EXPECT_EQ(faults, 4u); // every class hit some request
+        }
+
+        // Live serving still counts per request, at once.
+        if (mode == Mode::Vector) {
+            c.start();
+            auto routed = [&reg] {
+                uint64_t sum = 0;
+                for (const auto &[key, v] : counterValues(reg))
+                    if (key.rfind("bw_cluster_routed_total", 0) == 0)
+                        sum += v;
+                return sum;
+            };
+            uint64_t r0 = routed();
+            Expected<std::future<serve::Response>> f =
+                c.submit(0, serve::Request::timed(1));
+            ASSERT_TRUE(f.ok()) << f.status().toString();
+            EXPECT_EQ(routed(), r0 + 1);
+            c.drain();
+            f.value().get();
+        }
+    }
 }

@@ -2,8 +2,15 @@
  * @file
  * Serving-runtime tests: arrival generation, unbatched vs batched
  * service disciplines (the Section VII-B3 latency/utilization trade),
- * and the bidirectional multi-FPGA deployment.
+ * the exact latency sort behind every summary, and the bidirectional
+ * multi-FPGA deployment.
  */
+
+#include <algorithm>
+#include <cfloat>
+#include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -159,6 +166,99 @@ TEST(ServeStats, ToJsonRoundTripsSummary)
                 1e-12);
     EXPECT_NEAR(j.find("throughput_rps")->asDouble(), s.throughputRps,
                 1e-12);
+}
+
+namespace {
+
+/// Bitwise equality: EXPECT_EQ on doubles would let -0.0 pass for +0.0.
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](double x, double y) {
+                          return std::memcmp(&x, &y, sizeof x) == 0;
+                      });
+}
+
+/// Sort a copy of @p v with sortLatencies (through summarizeLatencies)
+/// and another with std::sort: the two must agree bit for bit, and so
+/// must the summaries.
+void
+expectSortsLikeStdSort(std::vector<double> v, LatencySortScratch &scratch)
+{
+    std::vector<double> ref = v;
+    std::sort(ref.begin(), ref.end());
+    ServeStats got, want;
+    summarizeLatencies(got, v, scratch);
+    fillLatencyStats(want, ref);
+    EXPECT_TRUE(sameBits(v, ref));
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0);
+}
+
+} // namespace
+
+TEST(LatencySort, EqualsStdSortBitForBit)
+{
+    Rng rng(20);
+    LatencySortScratch scratch; // reused across calls, as callers do
+    const size_t cut = kLatencyRadixMinSize;
+    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, cut - 1, cut, cut + 1,
+                     size_t{4099}, size_t{200000}}) {
+        SCOPED_TRACE(n);
+        std::vector<double> v(n);
+        for (double &x : v)
+            x = 0.3 + rng.exponential(0.2); // latency-like, several binades
+        expectSortsLikeStdSort(v, scratch);
+    }
+
+    // Heavy duplicates: 200k samples over 37 distinct values.
+    std::vector<double> dup(200000);
+    for (double &x : dup)
+        x = 0.25 * static_cast<double>(rng.integer(0, 36));
+    expectSortsLikeStdSort(dup, scratch);
+
+    // Edge values, negative ones included, repeated past the cutoff.
+    const double specials[] = {
+        0.0, std::numeric_limits<double>::denorm_min(), 1e-310, DBL_MIN,
+        1.0, DBL_MAX, std::numeric_limits<double>::infinity(), -1.5,
+        -1e-310, -DBL_MAX, -std::numeric_limits<double>::infinity()};
+    std::vector<double> edge;
+    for (size_t i = 0; i < 3 * cut; ++i) {
+        edge.push_back(specials[rng.integer(0, std::size(specials) - 1)]);
+        edge.push_back(rng.uniform(-1e3, 1e3));
+    }
+    expectSortsLikeStdSort(edge, scratch);
+
+    // Keys that all share their lowest and highest digits (values in
+    // [1, 2) on a 2^-41 grid), so those digit passes are skipped.
+    std::vector<double> grid(5000);
+    for (double &x : grid)
+        x = 1.0 + std::ldexp(static_cast<double>(rng.integer(0, 1 << 30)),
+                             -41);
+    expectSortsLikeStdSort(grid, scratch);
+
+    // Every digit shared: one value, every pass skipped.
+    expectSortsLikeStdSort(std::vector<double>(3 * cut, 2.5), scratch);
+}
+
+TEST(LatencySort, MergedRunsEqualStdSortOfTheConcatenation)
+{
+    // The fleet summary: each shard's run sorted on its own, then
+    // merged into the fleet vector one run at a time.
+    Rng rng(21);
+    LatencySortScratch scratch;
+    std::vector<double> merged, concat;
+    for (size_t n : {size_t{70000}, size_t{0}, size_t{3},
+                     kLatencyRadixMinSize + 1, size_t{120000}}) {
+        std::vector<double> run(n);
+        for (double &x : run)
+            x = std::floor(rng.exponential(0.5) * 64.0) / 64.0; // ties
+        concat.insert(concat.end(), run.begin(), run.end());
+        sortLatencies(run, scratch);
+        mergeSortedRun(merged, run);
+    }
+    std::sort(concat.begin(), concat.end());
+    EXPECT_TRUE(sameBits(merged, concat));
 }
 
 TEST(MultiFpga, PinningCapacity)
