@@ -244,7 +244,11 @@ main(int argc, char **argv)
         // sampled requests as async span events.
         Json trace_doc = obs::chromeTraceJson(engine->trace(), 1.0);
         metrics::appendCounterEvents(trace_doc, sampler.samples());
-        obs::appendSpanEvents(trace_doc, spans.collect());
+        Status st =
+            obs::appendSpanTreeDocEvents(trace_doc, obs::spanTreeJson(spans));
+        if (!st.ok())
+            std::fprintf(stderr, "span overlay: %s\n",
+                         st.toString().c_str());
         writeJsonFile(path, trace_doc);
         std::printf("Chrome trace written to %s\n", path);
     }

@@ -1,0 +1,14 @@
+#include "common/shard_ring.h"
+
+namespace bw {
+
+size_t
+threadSlot()
+{
+    static std::atomic<size_t> next{0};
+    thread_local const size_t slot =
+        next.fetch_add(1, std::memory_order_relaxed);
+    return slot;
+}
+
+} // namespace bw

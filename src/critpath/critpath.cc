@@ -85,12 +85,6 @@ analyzeCritPath(const GirGraph &graph, uint64_t macs)
 }
 
 Cycles
-udmTotal(const CritPathResult &r, unsigned steps)
-{
-    return r.udmCycles * steps;
-}
-
-Cycles
 sdmTotal(const CritPathResult &r, unsigned steps)
 {
     return r.sdmCycles * steps;

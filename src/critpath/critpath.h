@@ -52,9 +52,6 @@ struct CritPathResult
  */
 CritPathResult analyzeCritPath(const GirGraph &graph, uint64_t macs);
 
-/** UDM cycles for @p steps recurrent steps. */
-Cycles udmTotal(const CritPathResult &r, unsigned steps);
-
 /** SDM cycles for @p steps recurrent steps. */
 Cycles sdmTotal(const CritPathResult &r, unsigned steps);
 

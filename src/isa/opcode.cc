@@ -73,12 +73,6 @@ isMfuOp(Opcode op)
 }
 
 bool
-isPointwiseOp(Opcode op)
-{
-    return isMfuOp(op);
-}
-
-bool
 isActivationOp(Opcode op)
 {
     return opcodeInfo(op).unit == UnitClass::MfuAct;

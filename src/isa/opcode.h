@@ -80,9 +80,6 @@ Opcode parseOpcode(const std::string &name);
 /** True for instructions executed by one of the MFU function units. */
 bool isMfuOp(Opcode op);
 
-/** True for the point-wise vector ops (vv_* and v_* in Table II). */
-bool isPointwiseOp(Opcode op);
-
 /** True for activation functions (v_relu / v_sigm / v_tanh). */
 bool isActivationOp(Opcode op);
 

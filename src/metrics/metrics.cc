@@ -19,19 +19,6 @@ metricTypeName(MetricType t)
     }
 }
 
-namespace detail {
-
-size_t
-shardSlot()
-{
-    static std::atomic<size_t> next{0};
-    thread_local const size_t slot =
-        next.fetch_add(1, std::memory_order_relaxed) % kShards;
-    return slot;
-}
-
-} // namespace detail
-
 // --- Histogram ---
 
 Histogram::Histogram(HistogramOptions opts) : opts_(opts)

@@ -37,6 +37,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/shard_ring.h"
+
 namespace bw {
 namespace metrics {
 
@@ -60,8 +62,12 @@ namespace detail {
  *  merely contended. */
 constexpr size_t kShards = 16;
 
-/** Round-robin shard slot of the calling thread (stable per thread). */
-size_t shardSlot();
+/** Shard of the calling thread (stable per thread). */
+inline size_t
+shardSlot()
+{
+    return threadSlot() % kShards;
+}
 
 /** A cache-line-padded atomic counter cell. */
 struct alignas(64) PaddedCount

@@ -337,6 +337,14 @@ requireInt(const Json &obj, const char *key, size_t lineno,
     return Status();
 }
 
+/** @p st, its message prefixed with the stream line it came from. */
+Status
+atLine(size_t lineno, const Status &st)
+{
+    return Status::invalidArgument(
+        detail::format("line %zu: %s", lineno, st.message().c_str()));
+}
+
 Status
 streamHeader(std::istream &in, const char *schema, Json *header)
 {
@@ -466,53 +474,27 @@ streamSpanTreesNdjson(const std::vector<SpanRecord> &spans,
 {
     if (!sink)
         return Status::invalidArgument("span stream: null sink");
-    std::vector<const SpanRecord *> ordered;
-    ordered.reserve(spans.size());
-    for (const SpanRecord &s : spans)
-        ordered.push_back(&s);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const SpanRecord *a, const SpanRecord *b) {
-                  return a->trace != b->trace ? a->trace < b->trace
-                                              : a->id < b->id;
-              });
-
     Json header = Json::object();
     header.set("schema", "bw.spanstream/1");
     if (!sink(ndjsonLine(header)))
         return Status::unavailable("span stream: sink aborted");
 
-    uint64_t traces = 0, exported = 0, incomplete = 0;
-    size_t i = 0;
-    while (i < ordered.size()) {
-        TraceId t = ordered[i]->trace;
-        size_t j = i;
-        std::vector<SpanRecord> slice;
-        while (j < ordered.size() && ordered[j]->trace == t) {
-            slice.push_back(*ordered[j]);
-            ++j;
-        }
-        i = j;
-        // Render this one trace through the canonical tree builder —
-        // memory is bounded by the largest single trace.
-        Json sub = spanTreeJson(slice, 0);
-        const Json *sub_traces = sub.find("traces");
-        if (const Json *inc = sub.find("incomplete_traces"))
-            incomplete += static_cast<uint64_t>(inc->asInt());
-        if (!sub_traces || sub_traces->size() == 0)
-            continue; // rootless trace: counted incomplete, not emitted
-        exported += static_cast<uint64_t>(sub.find("spans")->asInt());
-        ++traces;
-        if (!sink(ndjsonLine(sub_traces->at(0))))
-            return Status::unavailable("span stream: sink aborted");
-    }
+    // One trace per line, from the formatter behind spanTreeJson —
+    // memory is bounded by the largest single trace.
+    SpanTreeCounts counts;
+    if (!forEachSpanTree(
+            spans,
+            [&sink](Json &tree) { return sink(ndjsonLine(tree)); },
+            &counts))
+        return Status::unavailable("span stream: sink aborted");
 
     Json summary = Json::object();
     summary.set("summary", true);
-    summary.set("traces", traces);
-    summary.set("spans", exported);
+    summary.set("traces", counts.traces);
+    summary.set("spans", counts.spans);
     summary.set("dropped", dropped);
-    if (incomplete > 0)
-        summary.set("incomplete_traces", incomplete);
+    if (counts.incomplete > 0)
+        summary.set("incomplete_traces", counts.incomplete);
     if (!sink(ndjsonLine(summary)))
         return Status::unavailable("span stream: sink aborted");
     return Status();
@@ -558,19 +540,15 @@ validateSpanStreamJson(std::istream &in)
             saw_summary = true;
             break;
         }
-        int64_t trace = 0;
-        st = requireInt(row, "trace", lineno, &trace);
+        st = validateSpanTrace(row);
         if (!st.ok())
-            return st;
-        if (static_cast<uint64_t>(trace) <= last_trace)
+            return atLine(lineno, st);
+        uint64_t trace = static_cast<uint64_t>(row.find("trace")->asInt());
+        if (trace <= last_trace)
             return Status::invalidArgument(detail::format(
-                "line %zu trace %lld is not ascending", lineno,
-                static_cast<long long>(trace)));
-        last_trace = static_cast<uint64_t>(trace);
-        const Json *root = row.find("root");
-        if (!root || root->type() != Json::Type::Object)
-            return Status::invalidArgument(detail::format(
-                "line %zu trace entry missing root object", lineno));
+                "line %zu trace %llu is not ascending", lineno,
+                static_cast<unsigned long long>(trace)));
+        last_trace = trace;
         ++traces;
     }
     if (!saw_summary)
@@ -596,13 +574,15 @@ streamFlightNdjson(const FlightRecorder &recorder, const StreamSink &sink)
     if (!sink(ndjsonLine(header)))
         return Status::unavailable("flight stream: sink aborted");
 
-    // One record per line: the flightJson record, with its own span
-    // tree folded in as a single-trace document.
+    // One record per line: the record as flightJson writes it, with
+    // its own tree in a single-trace bw.spans/1 document.
     std::vector<FlightRecord> promoted = recorder.promoted();
-    SpanTracer scratch(flightScratchOptions());
+    FlightRecordWriter writer;
     for (const FlightRecord &r : promoted) {
-        Json row = flightRecordJson(r);
-        row.set("spans", spanTreeJson(flightSpans(scratch, r), 0));
+        Json traces = Json::array();
+        SpanTreeCounts counts;
+        Json row = writer.write(r, &traces, &counts);
+        row.set("spans", spanTreeDoc(std::move(traces), counts, 0));
         if (!sink(ndjsonLine(row)))
             return Status::unavailable("flight stream: sink aborted");
     }
@@ -659,38 +639,16 @@ validateFlightStreamJson(std::istream &in)
             break;
         }
         int64_t seq = 0;
-        for (const char *key : {"seq", "id", "replica", "steps",
-                                "admit_us", "dequeue_us", "service_us",
-                                "done_us", "latency_us"}) {
-            st = requireInt(row, key, lineno);
-            if (!st.ok())
-                return st;
-        }
-        seq = row.find("seq")->asInt();
+        st = validateFlightRecordJson(row, &seq);
+        if (st.ok())
+            st = validateFlightSpans(row.find("spans"), {seq});
+        if (!st.ok())
+            return atLine(lineno, st);
         if (static_cast<uint64_t>(seq) <= last_seq)
             return Status::invalidArgument(detail::format(
                 "line %zu seq %lld is not ascending", lineno,
                 static_cast<long long>(seq)));
         last_seq = static_cast<uint64_t>(seq);
-        const Json *cls = row.find("class");
-        if (!cls || cls->type() != Json::Type::String)
-            return Status::invalidArgument(detail::format(
-                "line %zu missing class name", lineno));
-        uint64_t admit = static_cast<uint64_t>(
-            row.find("admit_us")->asInt());
-        uint64_t dequeue = static_cast<uint64_t>(
-            row.find("dequeue_us")->asInt());
-        uint64_t service = static_cast<uint64_t>(
-            row.find("service_us")->asInt());
-        uint64_t done =
-            static_cast<uint64_t>(row.find("done_us")->asInt());
-        if (admit > dequeue || dequeue > service || service > done)
-            return Status::invalidArgument(detail::format(
-                "line %zu timestamps out of order", lineno));
-        const Json *spans = row.find("spans");
-        if (!spans || spans->type() != Json::Type::Object)
-            return Status::invalidArgument(detail::format(
-                "line %zu missing embedded spans document", lineno));
         ++promoted;
     }
     if (!saw_summary)

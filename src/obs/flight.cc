@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <set>
-#include <unordered_set>
+#include <iterator>
 
 #include "common/logging.h"
 
@@ -12,17 +11,11 @@ namespace obs {
 
 namespace {
 
-/** Stable per-thread shard index (modulo taken at use). */
-size_t
-threadSlot()
-{
-    static std::atomic<size_t> next{0};
-    thread_local const size_t slot =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return slot;
-}
-
 constexpr const char *kSchema = "bw.flight/1";
+
+constexpr auto seqOrder = [](const FlightRecord &a, const FlightRecord &b) {
+    return a.seq < b.seq;
+};
 
 } // namespace
 
@@ -81,42 +74,17 @@ FlightRecorderOptions::fromEnv()
 
 // --- FlightRecorder ---
 
-FlightRecorder::FlightRecorder(FlightRecorderOptions opts) : opts_(opts)
+FlightRecorder::FlightRecorder(FlightRecorderOptions opts)
+    : opts_(opts), ring_(opts.shardCapacity)
 {
-    opts_.shardCapacity = std::max<size_t>(1, opts_.shardCapacity);
+    opts_.shardCapacity = ring_.capacity();
     opts_.windowUs = std::max<uint64_t>(1, opts_.windowUs);
-    for (Shard &s : shards_)
-        s.ring.resize(opts_.shardCapacity);
-}
-
-void
-FlightRecorder::record(const FlightRecord &r)
-{
-    Shard &sh = shards_[threadSlot() % kShards];
-    uint64_t n = sh.count.fetch_add(1, std::memory_order_relaxed);
-    sh.ring[n % sh.ring.size()] = r;
-    // Publish: collect() loads with acquire after quiescence, so the
-    // record write above is visible once the count is.
-    std::atomic_thread_fence(std::memory_order_release);
 }
 
 std::vector<FlightRecord>
 FlightRecorder::collect() const
 {
-    std::atomic_thread_fence(std::memory_order_acquire);
-    std::vector<FlightRecord> out;
-    for (const Shard &sh : shards_) {
-        uint64_t n = sh.count.load(std::memory_order_acquire);
-        size_t kept = static_cast<size_t>(
-            std::min<uint64_t>(n, sh.ring.size()));
-        for (size_t i = 0; i < kept; ++i)
-            out.push_back(sh.ring[i]);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const FlightRecord &a, const FlightRecord &b) {
-                  return a.seq < b.seq;
-              });
-    return out;
+    return ring_.collect(seqOrder);
 }
 
 std::vector<FlightRecord>
@@ -125,44 +93,13 @@ FlightRecorder::promoted() const
     return promoteFlightRecords(collect(), opts_);
 }
 
-uint64_t
-FlightRecorder::recorded() const
-{
-    uint64_t n = 0;
-    for (const Shard &sh : shards_)
-        n += sh.count.load(std::memory_order_relaxed);
-    return n;
-}
-
-uint64_t
-FlightRecorder::dropped() const
-{
-    uint64_t d = 0;
-    for (const Shard &sh : shards_) {
-        uint64_t n = sh.count.load(std::memory_order_relaxed);
-        if (n > sh.ring.size())
-            d += n - sh.ring.size();
-    }
-    return d;
-}
-
-void
-FlightRecorder::clear()
-{
-    for (Shard &sh : shards_)
-        sh.count.store(0, std::memory_order_relaxed);
-}
-
 // --- Tail promotion ---
 
 std::vector<FlightRecord>
 promoteFlightRecords(std::vector<FlightRecord> records,
                      const FlightRecorderOptions &opts)
 {
-    std::sort(records.begin(), records.end(),
-              [](const FlightRecord &a, const FlightRecord &b) {
-                  return a.seq < b.seq;
-              });
+    std::sort(records.begin(), records.end(), seqOrder);
 
     std::vector<FlightRecord> out;
     uint64_t window_us = std::max<uint64_t>(1, opts.windowUs);
@@ -198,15 +135,15 @@ promoteFlightRecords(std::vector<FlightRecord> records,
         w = e;
     }
 
-    std::sort(out.begin(), out.end(),
-              [](const FlightRecord &a, const FlightRecord &b) {
-                  return a.seq < b.seq;
-              });
+    std::sort(out.begin(), out.end(), seqOrder);
     return out;
 }
 
 // --- Export ---
 
+namespace {
+
+/** One promoted record's bw.flight/1 members, in export order. */
 Json
 flightRecordJson(const FlightRecord &r)
 {
@@ -225,19 +162,28 @@ flightRecordJson(const FlightRecord &r)
     return e;
 }
 
+/** Room for one record's tree: request, queue_wait, dispatch, execute
+ *  and the capped chain leaves. */
 SpanTracerOptions
-flightScratchOptions()
+scratchOptions()
 {
     SpanTracerOptions o;
     o.shardCapacity = 4 + o.maxChainSpans;
     return o;
 }
 
-std::vector<SpanRecord>
-flightSpans(SpanTracer &scratch, const FlightRecord &r,
-            const ChainProfileFn &chains_for)
+} // namespace
+
+FlightRecordWriter::FlightRecordWriter(ChainProfileFn chains_for)
+    : chainsFor_(std::move(chains_for)), scratch_(scratchOptions())
 {
-    scratch.clear();
+}
+
+Json
+FlightRecordWriter::write(const FlightRecord &r, Json *traces,
+                          SpanTreeCounts *counts)
+{
+    scratch_.clear();
     RequestSpans rs{.trace = r.seq,
                     .admitUs = r.admitUs,
                     .dequeueUs = r.dequeueUs,
@@ -248,16 +194,23 @@ flightSpans(SpanTracer &scratch, const FlightRecord &r,
     const std::vector<ChainProfile> *chains = nullptr;
     Cycles total = 0;
     bool served = r.cls == FlightClass::Ok || r.cls == FlightClass::Error;
-    if (served && chains_for && chains_for(r.steps, &chains, &total) &&
+    if (served && chainsFor_ && chainsFor_(r.steps, &chains, &total) &&
         chains) {
         rs.chainCount = static_cast<uint32_t>(chains->size());
     }
-    SpanId exec = recordRequestTree(scratch, rs);
+    SpanId exec = recordRequestTree(scratch_, rs);
     if (exec != 0 && chains && !chains->empty()) {
-        recordChainSpans(scratch, rs.trace, exec, r.serviceUs, r.doneUs,
+        recordChainSpans(scratch_, rs.trace, exec, r.serviceUs, r.doneUs,
                          *chains, total);
     }
-    return scratch.collect();
+    forEachSpanTree(
+        scratch_.collect(),
+        [traces](Json &tree) {
+            traces->push(std::move(tree));
+            return true;
+        },
+        counts);
+    return flightRecordJson(r);
 }
 
 Json
@@ -275,15 +228,13 @@ flightJson(const std::vector<FlightRecord> &promoted,
     // One span tree per promoted record (trace id = seq) in a bw.spans/1
     // document: the span evidence head sampling would have dropped.
     Json list = Json::array();
-    std::vector<SpanRecord> spans;
-    SpanTracer scratch(flightScratchOptions());
-    for (const FlightRecord &r : promoted) {
-        list.push(flightRecordJson(r));
-        std::vector<SpanRecord> one = flightSpans(scratch, r, chains_for);
-        spans.insert(spans.end(), one.begin(), one.end());
-    }
+    Json traces = Json::array();
+    SpanTreeCounts counts;
+    FlightRecordWriter writer(chains_for);
+    for (const FlightRecord &r : promoted)
+        list.push(writer.write(r, &traces, &counts));
     doc.set("promoted", std::move(list));
-    doc.set("spans", spanTreeJson(spans, 0));
+    doc.set("spans", spanTreeDoc(std::move(traces), counts, 0));
     return doc;
 }
 
@@ -305,32 +256,65 @@ failFlight(const std::string &why)
     return Status::invalidArgument("flight document: " + why);
 }
 
-const char *const kClassNames[] = {"ok", "deadline_expired", "rejected",
-                                   "error", "cancelled"};
-
 bool
 knownClass(const std::string &s)
 {
-    for (const char *k : kClassNames) {
-        if (s == k)
+    for (int c = 0; c < static_cast<int>(FlightClass::NumFlightClasses);
+         ++c) {
+        if (s == flightClassName(static_cast<FlightClass>(c)))
             return true;
     }
     return false;
 }
 
-/** Fetch a non-negative integer member or fail. */
+} // namespace
+
 Status
-intMember(const Json &obj, const char *key, int64_t *out)
+validateFlightRecordJson(const Json &r, int64_t *seq)
 {
-    const Json *v = obj.find(key);
-    if (!v || v->type() != Json::Type::Int || v->asInt() < 0)
-        return failFlight(std::string("record missing non-negative "
-                                      "integer '") + key + "'");
-    *out = v->asInt();
+    if (r.type() != Json::Type::Object)
+        return failFlight("promoted entry is not an object");
+    // seq, id, replica, steps, admit, dequeue, service, done, latency.
+    const char *const keys[] = {"seq",        "id",         "replica",
+                                "steps",      "admit_us",   "dequeue_us",
+                                "service_us", "done_us",    "latency_us"};
+    int64_t v[std::size(keys)];
+    for (size_t i = 0; i < std::size(keys); ++i) {
+        const Json *m = r.find(keys[i]);
+        if (!m || m->type() != Json::Type::Int || m->asInt() < 0)
+            return failFlight(std::string("record missing non-negative "
+                                          "integer '") + keys[i] + "'");
+        v[i] = m->asInt();
+    }
+    const Json *cls = r.find("class");
+    if (!cls || cls->type() != Json::Type::String ||
+        !knownClass(cls->asString()))
+        return failFlight("record missing known class name");
+    if (v[4] > v[5] || v[5] > v[6] || v[6] > v[7])
+        return failFlight(detail::format(
+            "record seq %lld timestamps out of order",
+            static_cast<long long>(v[0])));
+    *seq = v[0];
     return Status();
 }
 
-} // namespace
+Status
+validateFlightSpans(const Json *spans, const std::set<int64_t> &seqs)
+{
+    if (!spans)
+        return failFlight("missing embedded spans document");
+    Status st = validateSpanTreeJson(*spans);
+    if (!st.ok())
+        return st;
+    const Json *traces = spans->find("traces");
+    std::set<int64_t> span_traces;
+    for (size_t i = 0; i < traces->size(); ++i)
+        span_traces.insert(traces->at(i).find("trace")->asInt());
+    if (span_traces != seqs)
+        return failFlight("span-tree traces do not match promoted "
+                          "record seqs one-for-one");
+    return Status();
+}
 
 Status
 validateFlightJson(const Json &doc)
@@ -355,52 +339,16 @@ validateFlightJson(const Json &doc)
     std::set<int64_t> seqs;
     int64_t prev_seq = 0;
     for (size_t i = 0; i < promoted->size(); ++i) {
-        const Json &r = promoted->at(i);
-        if (r.type() != Json::Type::Object)
-            return failFlight("promoted entry is not an object");
-        int64_t seq = 0, admit = 0, dequeue = 0, service = 0, done = 0;
-        Status st;
-        if (!(st = intMember(r, "seq", &seq)).ok())
+        int64_t seq = 0;
+        Status st = validateFlightRecordJson(promoted->at(i), &seq);
+        if (!st.ok())
             return st;
         if (seq <= prev_seq)
             return failFlight("promoted seqs not strictly ascending");
         prev_seq = seq;
         seqs.insert(seq);
-        const Json *cls = r.find("class");
-        if (!cls || cls->type() != Json::Type::String ||
-            !knownClass(cls->asString()))
-            return failFlight("record missing known class name");
-        if (!(st = intMember(r, "admit_us", &admit)).ok())
-            return st;
-        if (!(st = intMember(r, "dequeue_us", &dequeue)).ok())
-            return st;
-        if (!(st = intMember(r, "service_us", &service)).ok())
-            return st;
-        if (!(st = intMember(r, "done_us", &done)).ok())
-            return st;
-        if (admit > dequeue || dequeue > service || service > done)
-            return failFlight(detail::format(
-                "record seq %lld timestamps out of order",
-                static_cast<long long>(seq)));
-        int64_t ignored;
-        if (!(st = intMember(r, "latency_us", &ignored)).ok())
-            return st;
     }
-
-    const Json *spans = doc.find("spans");
-    if (!spans)
-        return failFlight("missing embedded spans document");
-    Status st = validateSpanTreeJson(*spans);
-    if (!st.ok())
-        return st;
-    const Json *traces = spans->find("traces");
-    std::set<int64_t> span_traces;
-    for (size_t i = 0; i < traces->size(); ++i)
-        span_traces.insert(traces->at(i).find("trace")->asInt());
-    if (span_traces != seqs)
-        return failFlight("span-tree traces do not match promoted "
-                          "record seqs one-for-one");
-    return Status();
+    return validateFlightSpans(doc.find("spans"), seqs);
 }
 
 } // namespace obs

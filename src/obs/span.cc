@@ -12,17 +12,11 @@ namespace obs {
 
 namespace {
 
-/** Stable per-thread shard index (modulo taken at use). */
-size_t
-threadSlot()
-{
-    static std::atomic<size_t> next{0};
-    thread_local const size_t slot =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return slot;
-}
-
 constexpr const char *kSchema = "bw.spans/1";
+
+constexpr auto spanOrder = [](const SpanRecord &a, const SpanRecord &b) {
+    return a.trace != b.trace ? a.trace < b.trace : a.id < b.id;
+};
 
 } // namespace
 
@@ -72,11 +66,10 @@ SpanTracerOptions::fromEnv()
 
 // --- SpanTracer ---
 
-SpanTracer::SpanTracer(SpanTracerOptions opts) : opts_(opts)
+SpanTracer::SpanTracer(SpanTracerOptions opts)
+    : opts_(opts), ring_(opts.shardCapacity)
 {
-    opts_.shardCapacity = std::max<size_t>(1, opts_.shardCapacity);
-    for (Shard &s : shards_)
-        s.ring.resize(opts_.shardCapacity);
+    opts_.shardCapacity = ring_.capacity();
 }
 
 TraceContext
@@ -90,63 +83,10 @@ SpanTracer::admit(uint64_t seq) const
     return ctx;
 }
 
-void
-SpanTracer::record(const SpanRecord &s)
-{
-    Shard &sh = shards_[threadSlot() % kShards];
-    uint64_t n = sh.count.fetch_add(1, std::memory_order_relaxed);
-    sh.ring[n % sh.ring.size()] = s;
-    // Publish: collect() loads with acquire after quiescence, so the
-    // record write above is visible once the count is.
-    std::atomic_thread_fence(std::memory_order_release);
-}
-
 std::vector<SpanRecord>
 SpanTracer::collect() const
 {
-    std::atomic_thread_fence(std::memory_order_acquire);
-    std::vector<SpanRecord> out;
-    for (const Shard &sh : shards_) {
-        uint64_t n = sh.count.load(std::memory_order_acquire);
-        size_t kept = static_cast<size_t>(
-            std::min<uint64_t>(n, sh.ring.size()));
-        for (size_t i = 0; i < kept; ++i)
-            out.push_back(sh.ring[i]);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const SpanRecord &a, const SpanRecord &b) {
-                  return a.trace != b.trace ? a.trace < b.trace
-                                            : a.id < b.id;
-              });
-    return out;
-}
-
-uint64_t
-SpanTracer::recorded() const
-{
-    uint64_t n = 0;
-    for (const Shard &sh : shards_)
-        n += sh.count.load(std::memory_order_relaxed);
-    return n;
-}
-
-uint64_t
-SpanTracer::dropped() const
-{
-    uint64_t d = 0;
-    for (const Shard &sh : shards_) {
-        uint64_t n = sh.count.load(std::memory_order_relaxed);
-        if (n > sh.ring.size())
-            d += n - sh.ring.size();
-    }
-    return d;
-}
-
-void
-SpanTracer::clear()
-{
-    for (Shard &sh : shards_)
-        sh.count.store(0, std::memory_order_relaxed);
+    return ring_.collect(spanOrder);
 }
 
 // --- Canonical request tree ---
@@ -340,126 +280,158 @@ spanNode(const SpanRecord &s, const std::vector<const SpanRecord *> &kids)
     return n;
 }
 
+/**
+ * One trace's tree, the traces[i] object of spanTreeJson: @p ordered
+ * holds the trace's spans ascending by id. Returns null when no root
+ * survived; adds the spans rendered under the root to @p exported.
+ */
+Json
+traceTree(const std::vector<const SpanRecord *> &ordered, size_t i,
+          size_t j, uint64_t *exported)
+{
+    // Children by parent id; the root is the parentless request.
+    std::unordered_map<SpanId, std::vector<const SpanRecord *>> kids;
+    const SpanRecord *root = nullptr;
+    std::unordered_map<SpanId, const SpanRecord *> by_id;
+    for (size_t k = i; k < j; ++k) {
+        const SpanRecord *s = ordered[k];
+        by_id.emplace(s->id, s);
+        if (s->parent == 0 && (s->kind == SpanKind::Request ||
+                               s->kind == SpanKind::Route))
+            root = s;
+    }
+    if (!root)
+        return Json();
+    bool lost_parent = false;
+    for (size_t k = i; k < j; ++k) {
+        const SpanRecord *s = ordered[k];
+        if (s->parent == 0)
+            continue;
+        if (by_id.count(s->parent))
+            kids[s->parent].push_back(s);
+        else
+            lost_parent = true; // ring overwrite ate the parent
+    }
+    for (auto &[id, v] : kids) {
+        (void)id;
+        std::sort(v.begin(), v.end(),
+                  [](const SpanRecord *a, const SpanRecord *b) {
+                      return a->startUs != b->startUs
+                                 ? a->startUs < b->startUs
+                                 : a->id < b->id;
+                  });
+    }
+
+    // Render the tree depth-first without recursion limits to worry
+    // about: the tree is at most 3 deep by construction. Completed
+    // children collect in their parent's frame and join its node once,
+    // as its last key, when the parent completes.
+    struct Frame
+    {
+        const SpanRecord *span;
+        Json node;
+        size_t next = 0;
+        Json children = Json::array();
+    };
+    std::vector<Frame> stack;
+    auto kids_of = [&](SpanId id) -> std::vector<const SpanRecord *> & {
+        static std::vector<const SpanRecord *> none;
+        auto it = kids.find(id);
+        return it == kids.end() ? none : it->second;
+    };
+    stack.push_back({root, spanNode(*root, kids_of(root->id))});
+    ++*exported;
+    Json root_node;
+    while (!stack.empty()) {
+        Frame &f = stack.back();
+        auto &children = kids_of(f.span->id);
+        if (f.next < children.size()) {
+            const SpanRecord *c = children[f.next++];
+            stack.push_back({c, spanNode(*c, kids_of(c->id))});
+            ++*exported;
+            continue;
+        }
+        Json done = std::move(f.node);
+        if (f.children.size() > 0)
+            done.set("children", std::move(f.children));
+        stack.pop_back();
+        if (stack.empty()) {
+            root_node = std::move(done);
+            break;
+        }
+        stack.back().children.push(std::move(done));
+    }
+
+    Json tr = Json::object();
+    tr.set("trace", root->trace);
+    if (lost_parent)
+        tr.set("incomplete", true);
+    tr.set("root", std::move(root_node));
+    return tr;
+}
+
 } // namespace
 
-Json
-spanTreeJson(const std::vector<SpanRecord> &spans, uint64_t dropped)
+bool
+forEachSpanTree(const std::vector<SpanRecord> &spans,
+                const std::function<bool(Json &tree)> &emit,
+                SpanTreeCounts *counts)
 {
     // Group by trace (input is collect()-sorted or close; sort copies
-    // of the indices to be safe with arbitrary callers).
+    // of the pointers to be safe with arbitrary callers).
     std::vector<const SpanRecord *> ordered;
     ordered.reserve(spans.size());
     for (const SpanRecord &s : spans)
         ordered.push_back(&s);
     std::sort(ordered.begin(), ordered.end(),
               [](const SpanRecord *a, const SpanRecord *b) {
-                  return a->trace != b->trace ? a->trace < b->trace
-                                              : a->id < b->id;
+                  return spanOrder(*a, *b);
               });
-
-    Json traces = Json::array();
-    uint64_t exported = 0;
-    uint64_t incomplete = 0;
 
     size_t i = 0;
     while (i < ordered.size()) {
-        TraceId t = ordered[i]->trace;
         size_t j = i;
-        while (j < ordered.size() && ordered[j]->trace == t)
+        while (j < ordered.size() && ordered[j]->trace == ordered[i]->trace)
             ++j;
-
-        // Children by parent id; the root is the parentless request.
-        std::unordered_map<SpanId, std::vector<const SpanRecord *>> kids;
-        const SpanRecord *root = nullptr;
-        std::unordered_map<SpanId, const SpanRecord *> by_id;
-        for (size_t k = i; k < j; ++k) {
-            const SpanRecord *s = ordered[k];
-            by_id.emplace(s->id, s);
-            if (s->parent == 0 && (s->kind == SpanKind::Request ||
-                                   s->kind == SpanKind::Route))
-                root = s;
-        }
-        bool lost_parent = false;
-        for (size_t k = i; k < j; ++k) {
-            const SpanRecord *s = ordered[k];
-            if (s->parent == 0)
-                continue;
-            if (by_id.count(s->parent))
-                kids[s->parent].push_back(s);
-            else
-                lost_parent = true; // ring overwrite ate the parent
-        }
+        Json tree = traceTree(ordered, i, j, &counts->spans);
         i = j;
-        if (!root) {
-            ++incomplete;
+        if (tree.isNull()) {
+            ++counts->incomplete;
             continue;
         }
-        for (auto &[id, v] : kids) {
-            (void)id;
-            std::sort(v.begin(), v.end(),
-                      [](const SpanRecord *a, const SpanRecord *b) {
-                          return a->startUs != b->startUs
-                                     ? a->startUs < b->startUs
-                                     : a->id < b->id;
-                      });
-        }
-
-        // Render the tree depth-first without recursion limits to worry
-        // about: the tree is at most 3 deep by construction. Completed
-        // children collect in their parent's frame and join its node
-        // once, as its last key, when the parent completes.
-        struct Frame
-        {
-            const SpanRecord *span;
-            Json node;
-            size_t next = 0;
-            Json children = Json::array();
-        };
-        std::vector<Frame> stack;
-        auto kids_of = [&](SpanId id) -> std::vector<const SpanRecord *> & {
-            static std::vector<const SpanRecord *> none;
-            auto it = kids.find(id);
-            return it == kids.end() ? none : it->second;
-        };
-        stack.push_back({root, spanNode(*root, kids_of(root->id))});
-        ++exported;
-        Json root_node;
-        while (!stack.empty()) {
-            Frame &f = stack.back();
-            auto &children = kids_of(f.span->id);
-            if (f.next < children.size()) {
-                const SpanRecord *c = children[f.next++];
-                stack.push_back({c, spanNode(*c, kids_of(c->id))});
-                ++exported;
-                continue;
-            }
-            Json done = std::move(f.node);
-            if (f.children.size() > 0)
-                done.set("children", std::move(f.children));
-            stack.pop_back();
-            if (stack.empty()) {
-                root_node = std::move(done);
-                break;
-            }
-            stack.back().children.push(std::move(done));
-        }
-
-        Json tr = Json::object();
-        tr.set("trace", t);
-        if (lost_parent)
-            tr.set("incomplete", true);
-        tr.set("root", std::move(root_node));
-        traces.push(std::move(tr));
+        ++counts->traces;
+        if (!emit(tree))
+            return false;
     }
+    return true;
+}
 
+Json
+spanTreeDoc(Json traces, const SpanTreeCounts &counts, uint64_t dropped)
+{
     Json doc = Json::object();
     doc.set("schema", kSchema);
-    doc.set("spans", exported);
+    doc.set("spans", counts.spans);
     doc.set("dropped", dropped);
-    if (incomplete > 0)
-        doc.set("incomplete_traces", incomplete);
+    if (counts.incomplete > 0)
+        doc.set("incomplete_traces", counts.incomplete);
     doc.set("traces", std::move(traces));
     return doc;
+}
+
+Json
+spanTreeJson(const std::vector<SpanRecord> &spans, uint64_t dropped)
+{
+    Json traces = Json::array();
+    SpanTreeCounts counts;
+    forEachSpanTree(
+        spans,
+        [&traces](Json &tree) {
+            traces.push(std::move(tree));
+            return true;
+        },
+        &counts);
+    return spanTreeDoc(std::move(traces), counts, dropped);
 }
 
 Json
@@ -542,6 +514,24 @@ validateSpan(const Json &node, TraceId trace, bool is_root,
 } // namespace
 
 Status
+validateSpanTrace(const Json &tr)
+{
+    if (tr.type() != Json::Type::Object)
+        return Status::invalidArgument("trace entry is not an object");
+    const Json *tid = tr.find("trace");
+    if (!tid || tid->type() != Json::Type::Int || tid->asInt() <= 0)
+        return Status::invalidArgument(
+            "trace entry missing positive integer trace id");
+    const Json *root = tr.find("root");
+    if (!root)
+        return failSpan(static_cast<TraceId>(tid->asInt()),
+                        "trace entry missing root span");
+    std::unordered_set<int64_t> ids;
+    return validateSpan(*root, static_cast<TraceId>(tid->asInt()), true,
+                        nullptr, ids);
+}
+
+Status
 validateSpanTreeJson(const Json &doc)
 {
     if (doc.type() != Json::Type::Object)
@@ -558,21 +548,7 @@ validateSpanTreeJson(const Json &doc)
         return Status::invalidArgument(
             "span document has no traces array");
     for (size_t i = 0; i < traces->size(); ++i) {
-        const Json &tr = traces->at(i);
-        if (tr.type() != Json::Type::Object)
-            return Status::invalidArgument("trace entry is not an object");
-        const Json *tid = tr.find("trace");
-        if (!tid || tid->type() != Json::Type::Int || tid->asInt() <= 0)
-            return Status::invalidArgument(
-                "trace entry missing positive integer trace id");
-        const Json *root = tr.find("root");
-        if (!root)
-            return failSpan(static_cast<TraceId>(tid->asInt()),
-                            "trace entry missing root span");
-        std::unordered_set<int64_t> ids;
-        Status st = validateSpan(*root,
-                                 static_cast<TraceId>(tid->asInt()),
-                                 true, nullptr, ids);
+        Status st = validateSpanTrace(traces->at(i));
         if (!st.ok())
             return st;
     }
@@ -595,8 +571,7 @@ pushAsyncPair(Json &events, TraceId trace, const std::string &name,
     b.set("id", std::to_string(trace));
     b.set("ts", start_us);
     b.set("pid", 0);
-    if (!args.isNull())
-        b.set("args", std::move(args));
+    b.set("args", std::move(args));
     events.push(std::move(b));
 
     Json e = Json::object();
@@ -618,50 +593,6 @@ traceEvents(Json &chrome_doc)
     chrome_doc.set("traceEvents", Json::array());
     return *chrome_doc.find("traceEvents");
 }
-
-} // namespace
-
-void
-appendSpanEvents(Json &chrome_doc, const std::vector<SpanRecord> &spans)
-{
-    Json &events = traceEvents(chrome_doc);
-    for (const SpanRecord &s : spans) {
-        Json args = Json::object();
-        args.set("trace", s.trace);
-        switch (s.kind) {
-          case SpanKind::Request:
-            args.set("outcome", spanOutcomeName(s.outcome));
-            break;
-          case SpanKind::Route:
-            args.set("outcome", spanOutcomeName(s.outcome));
-            args.set("engine", s.index);
-            args.set("model", s.chainId);
-            break;
-          case SpanKind::Hedge:
-            args.set("outcome", spanOutcomeName(s.outcome));
-            args.set("engine", s.chainId);
-            break;
-          case SpanKind::Execute:
-            args.set("replica", s.index);
-            break;
-          case SpanKind::Chain:
-            args.set("chain", s.chainId);
-            args.set("start_cycle", s.startCycle);
-            args.set("end_cycle", s.endCycle);
-            args.set("data_stall", s.dataStallCycles);
-            args.set("input_stall", s.inputStallCycles);
-            args.set("struct_stall", s.structStallCycles);
-            args.set("compute", s.computeCycles);
-            break;
-          default:
-            break;
-        }
-        pushAsyncPair(events, s.trace, spanName(s), s.startUs, s.endUs,
-                      std::move(args));
-    }
-}
-
-namespace {
 
 void
 appendDocSpan(Json &events, TraceId trace, const Json &node)

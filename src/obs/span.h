@@ -26,8 +26,9 @@
  * virtual-time replays reproduce byte-identical exports.
  *
  * Recording is wait-free on the hot path: spans land in per-thread ring
- * buffers (the same sharding discipline as the metrics registry) that
- * are merged and sorted at export time. Like the engine's event trace,
+ * buffers (common/shard_ring.h, shared with the flight recorder and
+ * the metrics registry's thread slots) that are merged and sorted at
+ * export time. Like the engine's event trace,
  * collect()/exports are safe once the producers have quiesced (engine
  * drained or shut down).
  *
@@ -40,12 +41,12 @@
 #ifndef BW_OBS_SPAN_H
 #define BW_OBS_SPAN_H
 
-#include <array>
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/json.h"
+#include "common/shard_ring.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "obs/trace.h"
@@ -153,11 +154,13 @@ struct SpanTracerOptions
 };
 
 /**
- * Wait-free span recorder. record() claims a slot in the calling
- * thread's ring shard with one relaxed fetch_add and writes the POD
- * record in place — no locks, no allocation, engine workers never
- * contend. collect() merges the shards; call it only after producers
- * have quiesced (the same read discipline as Engine::trace()).
+ * Wait-free span recorder over a ShardedRing (common/shard_ring.h).
+ * record() claims a slot in the calling thread's ring shard with one
+ * relaxed fetch_add and writes the POD record in place — no locks, and
+ * no allocation once that shard's ring exists (each shard allocates on
+ * its first record), so engine workers never contend. collect() merges
+ * the shards; call it only after producers have quiesced (the same read
+ * discipline as Engine::trace()).
  */
 class SpanTracer
 {
@@ -174,31 +177,23 @@ class SpanTracer
     TraceContext admit(uint64_t seq) const;
 
     /** Record one span (wait-free; see class comment). */
-    void record(const SpanRecord &s);
+    void record(const SpanRecord &s) { ring_.record(s); }
 
     /** Merged spans, sorted by (trace, id). Safe after quiescence. */
     std::vector<SpanRecord> collect() const;
 
     /** Total spans offered to record() (including overwritten). */
-    uint64_t recorded() const;
+    uint64_t recorded() const { return ring_.recorded(); }
     /** Spans lost to ring overwrite. */
-    uint64_t dropped() const;
+    uint64_t dropped() const { return ring_.dropped(); }
 
     /** Drop all recorded spans (e.g. between a live run and a
      *  deterministic replay sharing one tracer). */
-    void clear();
+    void clear() { ring_.clear(); }
 
   private:
-    static constexpr size_t kShards = 16;
-
-    struct alignas(64) Shard
-    {
-        std::vector<SpanRecord> ring;
-        std::atomic<uint64_t> count{0};
-    };
-
     SpanTracerOptions opts_;
-    std::array<Shard, kShards> shards_;
+    ShardedRing<SpanRecord> ring_;
 };
 
 /**
@@ -267,12 +262,39 @@ void recordChainSpans(SpanTracer &tracer, TraceId trace, SpanId execute,
                       const std::vector<ChainProfile> &chains,
                       Cycles total_cycles);
 
+/** Tallies of one span-tree rendering. */
+struct SpanTreeCounts
+{
+    uint64_t traces = 0;     //!< rooted traces rendered
+    uint64_t spans = 0;      //!< spans rendered under those roots
+    uint64_t incomplete = 0; //!< rootless traces, left out
+};
+
 /**
- * Ordered span-tree JSON document: {schema: "bw.spans/1", spans,
- * dropped, traces: [{trace, root: {name, id, start_us, end_us, dur_us,
- * ..., children: [...]}}]}. Traces ascend by id, children by (start,
- * id); spans whose parent was lost to ring overwrite are dropped with
- * their trace marked incomplete. Deterministic for deterministic input.
+ * The one span-tree formatter: group @p spans (any order) by trace and
+ * hand each rooted trace, ascending by trace id, to @p emit as the
+ * traces[i] object of spanTreeJson — {trace, [incomplete: true,]
+ * root: {name, id, start_us, end_us, dur_us, ..., children: [...]}},
+ * children ascending by (start, id). Spans whose parent was lost to
+ * ring overwrite are left out and their trace marked incomplete; a
+ * trace whose root was lost is counted in @p counts->incomplete and
+ * not emitted. Stops, returning false, when @p emit returns false.
+ * spanTreeJson, the bw.spanstream/1 rows and both flight exports are
+ * built from these objects.
+ */
+bool forEachSpanTree(const std::vector<SpanRecord> &spans,
+                     const std::function<bool(Json &tree)> &emit,
+                     SpanTreeCounts *counts);
+
+/** The bw.spans/1 document around forEachSpanTree() @p traces:
+ *  {schema, spans, dropped, [incomplete_traces,] traces}. */
+Json spanTreeDoc(Json traces, const SpanTreeCounts &counts,
+                 uint64_t dropped);
+
+/**
+ * Ordered span-tree JSON document, schema bw.spans/1: every
+ * forEachSpanTree() trace in a spanTreeDoc(). Deterministic for
+ * deterministic input.
  */
 Json spanTreeJson(const std::vector<SpanRecord> &spans,
                   uint64_t dropped = 0);
@@ -281,29 +303,30 @@ Json spanTreeJson(const std::vector<SpanRecord> &spans,
 Json spanTreeJson(const SpanTracer &tracer);
 
 /**
+ * Validate one traces[i] object of a bw.spans/1 document (or one
+ * bw.spanstream/1 row): positive integer trace id, a request- or
+ * route-named root, ids unique within the trace, end >= start, dur
+ * consistent, every child interval inside its parent. Returns OK or
+ * InvalidArgument naming the first violation.
+ */
+Status validateSpanTrace(const Json &trace);
+
+/**
  * Validate a spanTreeJson() document against the bw.spans/1 schema:
- * required members and types, request- or route-named roots (the
- * latter from the cluster front door), ids unique within a
- * trace, end >= start, dur consistent, every child interval inside its
- * parent. Returns OK or InvalidArgument naming the first violation.
+ * the schema tag, a traces array, and validateSpanTrace() on each
+ * entry (the latter rooted at the cluster front door's route span).
  */
 Status validateSpanTreeJson(const Json &doc);
 
 /**
- * Append the spans as Chrome async events ("ph":"b"/"e", cat
- * "bw.span", id = trace id) to @p chrome_doc's traceEvents — the
- * request waterfall then overlays the event-trace/counter timeline in
- * Perfetto. @p chrome_doc may be a chromeTraceJson() document or any
- * object with (or without) a traceEvents array.
- */
-void appendSpanEvents(Json &chrome_doc,
-                      const std::vector<SpanRecord> &spans);
-
-/**
- * As appendSpanEvents, but sourced from a spanTreeJson() document (the
- * on-disk export) — validates it first. Used by `bw_trace merge` to
- * fold a span export and an event-trace export into one
- * Perfetto-loadable file.
+ * Append a spanTreeJson() document's spans as Chrome async events
+ * ("ph":"b"/"e", cat "bw.span", id = trace id, args = the tree node's
+ * attributes) to @p chrome_doc's traceEvents — the request waterfall
+ * then overlays the event-trace/counter timeline in Perfetto.
+ * @p chrome_doc may be a chromeTraceJson() document or any object with
+ * (or without) a traceEvents array. Validates @p span_doc first and
+ * leaves @p chrome_doc untouched when it is rejected. Used by
+ * serve_engine's trace export and `bw_trace merge`.
  */
 Status appendSpanTreeDocEvents(Json &chrome_doc, const Json &span_doc);
 

@@ -21,13 +21,6 @@ GirInterpreter::reset()
         state_[id].assign(g_.node(id).dim, 0.0f);
 }
 
-const FVec &
-GirInterpreter::stateValue(NodeId state) const
-{
-    BW_ASSERT(g_.node(state).op == GirOp::State);
-    return state_[state];
-}
-
 FVec
 GirInterpreter::step(std::span<const float> x)
 {

@@ -26,9 +26,6 @@ class GirInterpreter
      */
     FVec step(std::span<const float> x);
 
-    /** Current value of a State node. */
-    const FVec &stateValue(NodeId state) const;
-
     /** Reset all states to zero. */
     void reset();
 

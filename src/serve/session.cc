@@ -37,12 +37,6 @@ Session::infer(const std::vector<FVec> &xs)
     return model_->runSequence(machine(), xs);
 }
 
-std::vector<FVec>
-Session::inferBatch(const std::vector<FVec> &xs)
-{
-    return model_->runStepBatch(machine(), xs);
-}
-
 void
 Session::reset()
 {

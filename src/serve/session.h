@@ -54,9 +54,6 @@ class Session
     /** A whole input sequence (handles pipelined models). */
     std::vector<FVec> infer(const std::vector<FVec> &xs);
 
-    /** One batched step on a batch-compiled model. */
-    std::vector<FVec> inferBatch(const std::vector<FVec> &xs);
-
     /** Clear recurrent state between independent requests (keeps the
      *  installed weights). */
     void reset();

@@ -71,7 +71,6 @@ struct GpuSpec
     std::string process;
 };
 GpuSpec titanXpSpec(); //!< Table IV
-GpuSpec p40Spec();     //!< Table VI
 
 /** Table VI: ResNet-50 featurizer at batch 1. */
 struct TableSixRow

@@ -385,6 +385,192 @@ TEST(FlightStream, RowsMatchTheFlightDocument)
     }
 }
 
+/// The lines of an NDJSON stream, without their '\n'.
+std::vector<std::string>
+streamLines(const std::string &out)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(out);
+    std::string line;
+    while (std::getline(in, line))
+        lines.push_back(line);
+    return lines;
+}
+
+/// Validate @p rows, re-serialized one per line, with @p validate.
+Status
+validateRows(const std::vector<Json> &rows,
+             Status (*validate)(std::istream &))
+{
+    std::string text;
+    for (const Json &row : rows)
+        text += row.dump() + "\n";
+    std::istringstream in(text);
+    return validate(in);
+}
+
+/// @p arr with element @p i replaced by @p v (Json arrays are
+/// read-only by index).
+Json
+replaced(const Json &arr, size_t i, Json v)
+{
+    Json out = Json::array();
+    for (size_t k = 0; k < arr.size(); ++k)
+        out.push(k == i ? v : arr.at(k));
+    return out;
+}
+
+TEST(SpanStream, RowsMatchTheSpanDocument)
+{
+    // A 12-span ring: the first two spans recorded are overwritten.
+    obs::SpanTracerOptions so;
+    so.shardCapacity = 12;
+    obs::SpanTracer tracer(so);
+    auto span = [&tracer](obs::TraceId trace, obs::SpanId id,
+                          obs::SpanId parent, obs::SpanKind kind,
+                          uint64_t start, uint64_t end) {
+        obs::SpanRecord r;
+        r.trace = trace;
+        r.id = id;
+        r.parent = parent;
+        r.kind = kind;
+        r.startUs = start;
+        r.endUs = end;
+        tracer.record(r);
+    };
+    auto request = [&tracer](obs::TraceId trace, uint64_t at) {
+        obs::RequestSpans rs;
+        rs.trace = trace;
+        rs.admitUs = at;
+        rs.dequeueUs = at + 5;
+        rs.serviceUs = at + 7;
+        rs.doneUs = at + 30;
+        obs::recordRequestTree(tracer, rs);
+    };
+    span(2, 4, 1, obs::SpanKind::Execute, 20, 30); // overwritten
+    span(1, 1, 0, obs::SpanKind::Request, 0, 10);  // overwritten
+    span(2, 1, 0, obs::SpanKind::Request, 10, 40);
+    span(2, 2, 1, obs::SpanKind::QueueWait, 10, 20);
+    span(2, 5, 4, obs::SpanKind::Chain, 22, 28); // lost its parent
+    span(1, 2, 1, obs::SpanKind::QueueWait, 0, 5); // lost its root
+    request(3, 50);
+    request(4, 100);
+    ASSERT_EQ(tracer.dropped(), 2u);
+
+    std::string doc_text = obs::spanTreeJson(tracer).dump();
+    Json doc = Json::parse(doc_text);
+    const Json &traces = *doc.find("traces");
+    ASSERT_EQ(traces.size(), 3u);
+    ASSERT_EQ(doc.find("incomplete_traces")->asInt(), 1);
+    ASSERT_TRUE(traces.at(0).contains("incomplete"));
+
+    std::string out;
+    ASSERT_TRUE(obs::streamSpanTreesNdjson(tracer, appendTo(out)).ok());
+    std::vector<std::string> lines = streamLines(out);
+    ASSERT_EQ(lines.size(), traces.size() + 2); // header + summary
+    for (size_t i = 0; i < traces.size(); ++i)
+        EXPECT_EQ(lines[i + 1], traces.at(i).dump()) << "trace " << i;
+    Json summary = Json::parse(lines.back());
+    EXPECT_EQ(summary.find("traces")->asInt(),
+              static_cast<int64_t>(traces.size()));
+    for (const char *key : {"spans", "dropped", "incomplete_traces"}) {
+        ASSERT_NE(summary.find(key), nullptr) << key;
+        EXPECT_EQ(*summary.find(key), *doc.find(key)) << key;
+    }
+    std::istringstream in(out);
+    Status st = obs::validateSpanStreamJson(in);
+    EXPECT_TRUE(st.ok()) << st.toString();
+}
+
+TEST(SpanStream, ValidatorAppliesTheDocumentTraceChecks)
+{
+    obs::SpanTracer tracer;
+    for (obs::TraceId t = 1; t <= 3; ++t) {
+        obs::RequestSpans rs;
+        rs.trace = t;
+        rs.admitUs = 100 * t;
+        rs.dequeueUs = 100 * t + 10;
+        rs.serviceUs = 100 * t + 20;
+        rs.doneUs = 100 * t + 60;
+        obs::recordRequestTree(tracer, rs);
+    }
+    std::string out;
+    ASSERT_TRUE(obs::streamSpanTreesNdjson(tracer, appendTo(out)).ok());
+    std::vector<Json> rows;
+    for (const std::string &line : streamLines(out))
+        rows.push_back(Json::parse(line));
+    ASSERT_EQ(rows.size(), 5u);
+    ASSERT_TRUE(validateRows(rows, obs::validateSpanStreamJson).ok());
+
+    const Json &root = *rows[2].find("root");
+    const Json &kids = *root.find("children");
+    int64_t root_end = root.find("end_us")->asInt();
+
+    // A child span that ends after its parent.
+    Json escaping = kids.at(0);
+    escaping.set("end_us", root_end + 5);
+    escaping.set("dur_us",
+                 root_end + 5 - escaping.find("start_us")->asInt());
+    std::vector<Json> bad = rows;
+    bad[2].find("root")->set("children", replaced(kids, 0, escaping));
+    Status st = validateRows(bad, obs::validateSpanStreamJson);
+    EXPECT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("escapes"), std::string::npos)
+        << st.toString();
+
+    // A child that repeats its parent's id.
+    Json repeated = kids.at(0);
+    repeated.set("id", root.find("id")->asInt());
+    bad = rows;
+    bad[2].find("root")->set("children", replaced(kids, 0, repeated));
+    st = validateRows(bad, obs::validateSpanStreamJson);
+    EXPECT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("duplicate"), std::string::npos)
+        << st.toString();
+}
+
+TEST(FlightStream, ValidatorAppliesTheDocumentRecordChecks)
+{
+    obs::FlightRecorder rec;
+    for (uint64_t i = 1; i <= 3; ++i) {
+        obs::FlightRecord fr;
+        fr.seq = i;
+        fr.id = i;
+        fr.cls = obs::FlightClass::DeadlineExpired; // always promoted
+        fr.admitUs = i * 100;
+        fr.dequeueUs = fr.serviceUs = fr.doneUs = i * 100 + 10;
+        fr.latencyUs = 10;
+        rec.record(fr);
+    }
+    std::string out;
+    ASSERT_TRUE(obs::streamFlightNdjson(rec, appendTo(out)).ok());
+    std::vector<Json> rows;
+    for (const std::string &line : streamLines(out))
+        rows.push_back(Json::parse(line));
+    ASSERT_EQ(rows.size(), 5u);
+    ASSERT_TRUE(validateRows(rows, obs::validateFlightStreamJson).ok());
+
+    // A class name the document validator does not know.
+    std::vector<Json> bad = rows;
+    bad[2].set("class", "bogus");
+    Status st = validateRows(bad, obs::validateFlightStreamJson);
+    EXPECT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("class"), std::string::npos)
+        << st.toString();
+
+    // An embedded tree whose trace id is not the record's seq.
+    Json spans = *rows[2].find("spans");
+    Json tree = spans.find("traces")->at(0);
+    tree.set("trace", 99);
+    spans.set("traces", replaced(*spans.find("traces"), 0, tree));
+    bad = rows;
+    bad[2].set("spans", spans);
+    st = validateRows(bad, obs::validateFlightStreamJson);
+    EXPECT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("seq"), std::string::npos)
+        << st.toString();
+}
+
 // --- Cluster wiring: federation determinism, stitching, streaming
 // --- replay, fidelity audit ---
 
