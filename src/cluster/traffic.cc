@@ -2,23 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
+#include "common/env_doc.h"
 #include "common/logging.h"
 
 namespace bw {
 namespace cluster {
-
-namespace {
-
-double
-envDouble(const char *name, double fallback)
-{
-    const char *v = std::getenv(name);
-    return v && *v ? std::atof(v) : fallback;
-}
-
-} // namespace
 
 TrafficOptions
 TrafficOptions::fromEnv(TrafficOptions base)

@@ -1,8 +1,16 @@
 #include "common/env_doc.h"
 
+#include <cstdlib>
 #include <sstream>
 
 namespace bw {
+
+double
+envDouble(const char *name, double fallback)
+{
+    const char *v = std::getenv(name);
+    return v && *v ? std::atof(v) : fallback;
+}
 
 const std::vector<EnvVarDoc> &
 envVarDocs()

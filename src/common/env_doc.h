@@ -21,6 +21,10 @@ struct EnvVarDoc
     const char *help; //!< one-sentence effect description
 };
 
+/** The value of environment variable @p name as a number, or
+ *  @p fallback when it is unset or empty. */
+double envDouble(const char *name, double fallback);
+
 /** All documented BW_* variables, in documentation order. */
 const std::vector<EnvVarDoc> &envVarDocs();
 

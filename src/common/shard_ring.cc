@@ -1,5 +1,7 @@
 #include "common/shard_ring.h"
 
+#include <atomic>
+
 namespace bw {
 
 size_t

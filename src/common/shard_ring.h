@@ -1,7 +1,7 @@
 /**
  * @file
  * Per-thread sharding shared by the metrics registry and the span and
- * flight recorders: one thread-slot counter and one wait-free ring.
+ * flight recorders: one thread-slot counter and one sharded ring.
  */
 
 #ifndef BW_COMMON_SHARD_RING_H
@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -22,18 +21,17 @@ namespace bw {
 size_t threadSlot();
 
 /**
- * Wait-free sharded ring of POD records. record() claims a slot in the
- * calling thread's shard with one fetch_add and writes the record in
- * place; the oldest records of a shard are overwritten once its ring is
- * full. A shard allocates its ring once, on the first record that lands
- * in it, so a single recording thread pays for one shard, not kShards;
- * after that, record() neither locks nor allocates.
+ * Sharded ring of POD records. record() locks the calling thread's
+ * shard, claims its next slot and writes the record in place; the
+ * oldest records of a shard are overwritten once its ring is full. A
+ * shard allocates its ring on the first record that lands in it, so a
+ * single recording thread pays for one shard, not kShards.
  *
- * collect() merges the shards: call it, and clear(), only after the
- * producers have quiesced (threads joined, engine drained). Slots are
- * not locked: two live threads whose slot numbers differ by a multiple
- * of kShards share a shard, and once its ring wraps they can write one
- * slot at the same time.
+ * Each shard's mutex is uncontended while no two live threads share a
+ * shard; threads whose slot numbers differ by a multiple of kShards do,
+ * and the lock keeps their records whole. collect(), recorded(),
+ * dropped() and clear() take the same locks, so they may run alongside
+ * producers (collect() then sees each shard at one instant).
  */
 template <typename T>
 class ShardedRing
@@ -52,20 +50,10 @@ class ShardedRing
     record(const T &r)
     {
         Shard &sh = shards_[threadSlot() % kShards];
-        T *ring = sh.ring.load(std::memory_order_acquire);
-        if (!ring) {
-            std::call_once(sh.alloc, [&] {
-                sh.storage = std::make_unique<T[]>(capacity_);
-                sh.ring.store(sh.storage.get(),
-                              std::memory_order_release);
-            });
-            ring = sh.storage.get();
-        }
-        uint64_t n = sh.count.fetch_add(1, std::memory_order_relaxed);
-        ring[n % capacity_] = r;
-        // Publish: collect() loads with acquire after quiescence, so the
-        // record write above is visible once the count is.
-        std::atomic_thread_fence(std::memory_order_release);
+        std::lock_guard<std::mutex> lk(sh.mu);
+        if (!sh.ring)
+            sh.ring = std::make_unique<T[]>(capacity_);
+        sh.ring[sh.count++ % capacity_] = r;
     }
 
     /** The kept records of every shard, sorted by @p less. */
@@ -73,16 +61,12 @@ class ShardedRing
     std::vector<T>
     collect(Less less) const
     {
-        std::atomic_thread_fence(std::memory_order_acquire);
         std::vector<T> out;
         for (const Shard &sh : shards_) {
-            uint64_t n = sh.count.load(std::memory_order_acquire);
-            size_t kept =
-                static_cast<size_t>(std::min<uint64_t>(n, capacity_));
-            if (kept > 0) {
-                const T *ring = sh.ring.load(std::memory_order_acquire);
-                out.insert(out.end(), ring, ring + kept);
-            }
+            std::lock_guard<std::mutex> lk(sh.mu);
+            size_t kept = static_cast<size_t>(
+                std::min<uint64_t>(sh.count, capacity_));
+            out.insert(out.end(), sh.ring.get(), sh.ring.get() + kept);
         }
         std::sort(out.begin(), out.end(), less);
         return out;
@@ -93,8 +77,10 @@ class ShardedRing
     recorded() const
     {
         uint64_t n = 0;
-        for (const Shard &sh : shards_)
-            n += sh.count.load(std::memory_order_relaxed);
+        for (const Shard &sh : shards_) {
+            std::lock_guard<std::mutex> lk(sh.mu);
+            n += sh.count;
+        }
         return n;
     }
 
@@ -104,9 +90,9 @@ class ShardedRing
     {
         uint64_t d = 0;
         for (const Shard &sh : shards_) {
-            uint64_t n = sh.count.load(std::memory_order_relaxed);
-            if (n > capacity_)
-                d += n - capacity_;
+            std::lock_guard<std::mutex> lk(sh.mu);
+            if (sh.count > capacity_)
+                d += sh.count - capacity_;
         }
         return d;
     }
@@ -115,20 +101,18 @@ class ShardedRing
     void
     clear()
     {
-        for (Shard &sh : shards_)
-            sh.count.store(0, std::memory_order_relaxed);
+        for (Shard &sh : shards_) {
+            std::lock_guard<std::mutex> lk(sh.mu);
+            sh.count = 0;
+        }
     }
 
   private:
     struct alignas(64) Shard
     {
-        std::once_flag alloc;
-        std::unique_ptr<T[]> storage;
-        /** storage.get() once allocated. record() checks it before
-         *  std::call_once, which in libstdc++ sets thread-locals and
-         *  calls pthread_once on every call. */
-        std::atomic<T *> ring{nullptr};
-        std::atomic<uint64_t> count{0};
+        mutable std::mutex mu;
+        std::unique_ptr<T[]> ring; //!< allocated on first record()
+        uint64_t count = 0;        //!< records offered since clear()
     };
 
     size_t capacity_;

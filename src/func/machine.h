@@ -62,8 +62,6 @@ class FuncMachine
     /** Pop @p native_vecs worth of output from NetQ. */
     FVec popOutput(uint32_t native_vecs);
 
-    size_t outputDepth() const { return net_.outputDepth(); }
-
     /** Read back VRF contents (tests/debug). */
     FVec peekVrf(MemId vrf, uint32_t addr, uint32_t count = 1) const;
 

@@ -151,10 +151,6 @@ class NetQueues
     /** Host: pop @p count output native vectors (concatenated). */
     FVec popOutput(uint32_t count);
 
-    size_t inputDepth() const { return in_.size(); }
-    size_t outputDepth() const { return out_.size(); }
-    size_t inputTileDepth() const { return inTiles_.size(); }
-
   private:
     unsigned nativeDim_;
     std::deque<FVec> in_;

@@ -63,8 +63,6 @@ class Sampler
      *  start() for deterministic tests). */
     void sampleOnce();
 
-    double periodMs() const { return periodMs_; }
-
     /** All samples so far, oldest first (thread-safe copy). */
     std::vector<Sample> samples() const;
 

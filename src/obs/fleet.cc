@@ -95,30 +95,6 @@ ndjsonLine(const Json &j)
     return j.dump() + '\n';
 }
 
-Json
-rollupWindowJson(const serve::SloWindowEval &ev)
-{
-    Json j = Json::object();
-    j.set("good", ev.good);
-    j.set("bad", ev.bad);
-    j.set("bad_fraction", ev.badFraction);
-    j.set("burn_rate", ev.burnRate);
-    return j;
-}
-
-/// Recompute the derived fields on an aggregated window (same math as
-/// SloMonitor::evalWindow, applied to the fleet-summed counts).
-void
-finishWindow(serve::SloWindowEval &ev, double objective)
-{
-    uint64_t total = ev.good + ev.bad;
-    ev.badFraction = total > 0 ? static_cast<double>(ev.bad) /
-                                     static_cast<double>(total)
-                               : 0.0;
-    double budget = 1.0 - objective;
-    ev.burnRate = budget > 0 ? ev.badFraction / budget : 0.0;
-}
-
 } // namespace
 
 Json
@@ -166,59 +142,12 @@ FleetRegistry::sloRollupJson() const
             sum(a.availSlow, ev.availSlow);
         }
     }
-    for (serve::SloClassEval &a : agg) {
-        finishWindow(a.latencyFast, opts.latencyObjective);
-        finishWindow(a.latencySlow, opts.latencyObjective);
-        finishWindow(a.availFast, opts.availabilityObjective);
-        finishWindow(a.availSlow, opts.availabilityObjective);
-        a.latencyFiring = a.latencyFast.burnRate > opts.pageBurnRate &&
-                          a.latencySlow.burnRate > opts.pageBurnRate;
-        a.availabilityFiring =
-            a.availFast.burnRate > opts.pageBurnRate &&
-            a.availSlow.burnRate > opts.pageBurnRate;
-    }
+    for (serve::SloClassEval &a : agg)
+        serve::finishClassEval(a, opts);
 
-    // Same member order as SloMonitor::sloJson, so the rollup passes
-    // validateSloJson and diffs cleanly against per-shard documents.
-    Json doc = Json::object();
-    doc.set("schema", "bw.slo/1");
-    Json obj = Json::object();
-    obj.set("latency", opts.latencyObjective);
-    obj.set("availability", opts.availabilityObjective);
-    doc.set("objectives", std::move(obj));
-    Json win = Json::object();
-    win.set("fast_us", opts.fastWindowUs);
-    win.set("slow_us", opts.slowWindowUs);
-    win.set("bucket_us", opts.bucketUs);
-    doc.set("windows", std::move(win));
-    doc.set("page_burn_rate", opts.pageBurnRate);
-    doc.set("evaluated_at_us", high_us);
+    Json doc = serve::sloHeaderJson(opts, high_us);
     doc.set("shards", static_cast<uint64_t>(shards_.size()));
-
-    Json classes = Json::array();
-    for (size_t c = 0; c < agg.size(); ++c) {
-        const serve::SloClassEval &ev = agg[c];
-        Json j = Json::object();
-        j.set("name", ev.name);
-        if (opts.classes[c].maxDeadlineMs > 0)
-            j.set("max_deadline_ms", opts.classes[c].maxDeadlineMs);
-        j.set("latency_target_ms", opts.classes[c].latencyTargetMs);
-        j.set("requests", ev.requests);
-        j.set("latency_breaches", ev.latencyBreaches);
-        j.set("availability_breaches", ev.availabilityBreaches);
-        Json lat = Json::object();
-        lat.set("fast", rollupWindowJson(ev.latencyFast));
-        lat.set("slow", rollupWindowJson(ev.latencySlow));
-        lat.set("firing", ev.latencyFiring);
-        j.set("latency", std::move(lat));
-        Json avail = Json::object();
-        avail.set("fast", rollupWindowJson(ev.availFast));
-        avail.set("slow", rollupWindowJson(ev.availSlow));
-        avail.set("firing", ev.availabilityFiring);
-        j.set("availability", std::move(avail));
-        classes.push(std::move(j));
-    }
-    doc.set("classes", std::move(classes));
+    doc.set("classes", serve::sloClassesJson(opts, agg));
     return doc;
 }
 

@@ -20,9 +20,10 @@
  *     per family). Served at /fleet/metrics and /fleet/metrics.json.
  *   - sloRollupJson() aggregates every shard monitor's bw.slo/1
  *     evaluation per deadline class — lifetime counters and window
- *     good/bad counts are summed, bad-fraction / burn-rate / firing
- *     recomputed on the fleet aggregate — so the multi-window page
- *     alert fires on fleet-wide burn, not on one noisy shard. Each
+ *     good/bad counts are summed, then serve::finishClassEval and the
+ *     bw.slo/1 writer (serve/slo.h) finish and write the fleet sums —
+ *     so the multi-window page alert fires on fleet-wide burn, not on
+ *     one noisy shard. Each
  *     shard is evaluated at its own high-water mark (shard clocks are
  *     independent); the rollup's evaluated_at_us is the fleet maximum.
  *   - Streaming exports replace the materialized in-memory logs for
@@ -105,11 +106,12 @@ class FleetRegistry
     /**
      * Fleet SLO rollup, schema bw.slo/1 (validateSloJson-clean):
      * per-class lifetime counters and window good/bad sums across every
-     * registered shard monitor, with bad_fraction, burn_rate and the
-     * multi-window firing flag recomputed on the aggregate. Objectives,
-     * windows and the class ladder come from the first shard monitor
-     * (the cluster shares one SloOptions across shards).
-     * evaluated_at_us is the fleet-wide high-water mark.
+     * registered shard monitor, finished by serve::finishClassEval and
+     * written by serve::sloHeaderJson / sloClassesJson with a "shards"
+     * member after evaluated_at_us. Objectives, windows and the class
+     * ladder come from the first shard monitor (the cluster shares one
+     * SloOptions across shards). evaluated_at_us is the fleet-wide
+     * high-water mark.
      */
     Json sloRollupJson() const;
 

@@ -13,8 +13,8 @@
  *
  *   1. Record *every* request's flight record — admission, dequeue,
  *      service, completion boundaries plus outcome class — into a
- *      bounded per-thread ring (wait-free, cache-line-padded shards,
- *      the SpanTracer discipline). Recording never blocks a worker and
+ *      bounded per-thread ring (cache-line-padded shards, each behind
+ *      an uncontended lock — the SpanTracer discipline). Recording
  *      never perturbs simulated cycle counts.
  *   2. *Tail-promote* to durable export only the anomalous records:
  *      every non-Ok outcome (deadline-expired, rejected, errored,
@@ -117,13 +117,13 @@ struct FlightRecorderOptions
 };
 
 /**
- * Wait-free flight recorder over a ShardedRing (common/shard_ring.h).
- * record() claims a slot in the calling thread's ring shard with one
- * relaxed fetch_add and writes the POD record in place — no locks, and
- * no allocation once that shard's ring exists (each shard allocates on
- * its first record). collect()/promoted() merge the shards; call them
- * only after producers have quiesced (engine drained or shut down), the
- * same read discipline as SpanTracer.
+ * Flight recorder over a ShardedRing (common/shard_ring.h). record()
+ * locks the calling thread's ring shard, claims a slot and writes the
+ * POD record in place — no allocation once that shard's ring exists
+ * (each shard allocates on its first record). collect()/promoted()
+ * merge the shards; call them after producers have quiesced (engine
+ * drained or shut down) for a complete view, the same read discipline
+ * as SpanTracer.
  */
 class FlightRecorder
 {
@@ -132,7 +132,7 @@ class FlightRecorder
 
     const FlightRecorderOptions &options() const { return opts_; }
 
-    /** Record one request's flight record (wait-free). */
+    /** Record one request's flight record. */
     void record(const FlightRecord &r) { ring_.record(r); }
 
     /** Merged records, sorted by seq. Safe after quiescence. */

@@ -25,12 +25,12 @@
  * pure function of the deterministic request sequence number, so
  * virtual-time replays reproduce byte-identical exports.
  *
- * Recording is wait-free on the hot path: spans land in per-thread ring
- * buffers (common/shard_ring.h, shared with the flight recorder and
- * the metrics registry's thread slots) that are merged and sorted at
- * export time. Like the engine's event trace,
- * collect()/exports are safe once the producers have quiesced (engine
- * drained or shut down).
+ * Recording takes one uncontended per-shard lock on the hot path: spans
+ * land in per-thread ring buffers (common/shard_ring.h, shared with the
+ * flight recorder and the metrics registry's thread slots) that are
+ * merged and sorted at export time. Like the engine's event trace,
+ * collect()/exports are complete once the producers have quiesced
+ * (engine drained or shut down).
  *
  * Three exports: Chrome/Perfetto async ("ph":"b"/"e") events that
  * overlay the event-trace timeline, ordered JSON span trees (validated
@@ -154,12 +154,12 @@ struct SpanTracerOptions
 };
 
 /**
- * Wait-free span recorder over a ShardedRing (common/shard_ring.h).
- * record() claims a slot in the calling thread's ring shard with one
- * relaxed fetch_add and writes the POD record in place — no locks, and
- * no allocation once that shard's ring exists (each shard allocates on
- * its first record), so engine workers never contend. collect() merges
- * the shards; call it only after producers have quiesced (the same read
+ * Span recorder over a ShardedRing (common/shard_ring.h). record()
+ * locks the calling thread's ring shard, claims a slot and writes the
+ * POD record in place — no allocation once that shard's ring exists
+ * (each shard allocates on its first record), and engine workers on
+ * distinct shards never contend. collect() merges the shards; call it
+ * after producers have quiesced for a complete view (the same read
  * discipline as Engine::trace()).
  */
 class SpanTracer
@@ -176,7 +176,7 @@ class SpanTracer
      */
     TraceContext admit(uint64_t seq) const;
 
-    /** Record one span (wait-free; see class comment). */
+    /** Record one span (see class comment). */
     void record(const SpanRecord &s) { ring_.record(s); }
 
     /** Merged spans, sorted by (trace, id). Safe after quiescence. */

@@ -14,17 +14,6 @@
 namespace bw {
 namespace serve {
 
-namespace {
-
-double
-envDouble(const char *name, double fallback)
-{
-    const char *v = std::getenv(name);
-    return v && *v ? std::atof(v) : fallback;
-}
-
-} // namespace
-
 const char *
 dispatchPolicyName(DispatchPolicy p)
 {

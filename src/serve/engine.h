@@ -204,9 +204,9 @@ struct EngineOptions
      * execute plus chain[i] leaves from the timing simulator's retired-
      * chain profiles at the request's step count. Completed sampled
      * requests also attach their trace id as a latency-histogram
-     * exemplar when a metricsRegistry is bound. Recording is wait-free;
-     * enabling it does not change request outcomes or simulated cycle
-     * counts (tested).
+     * exemplar when a metricsRegistry is bound. Recording takes one
+     * uncontended per-shard lock; enabling it does not change request
+     * outcomes or simulated cycle counts (tested).
      */
     obs::SpanTracer *spanTracer = nullptr;
 
@@ -216,11 +216,11 @@ struct EngineOptions
      * completions, deadline expiries, QUEUE_FULL rejects, service
      * errors and shutdown cancellations — keyed by a deterministic
      * submission sequence number (rejects consume one too; admitted
-     * request ids / span trace ids are unaffected). Recording is
-     * wait-free and does not change request outcomes or simulated
-     * cycle counts; under replay() the recorder is cleared and fed
-     * virtual time, so two replays of one schedule export byte-
-     * identical flight logs (tested).
+     * request ids / span trace ids are unaffected). Recording takes
+     * one uncontended per-shard lock and does not change request
+     * outcomes or simulated cycle counts; under replay() the recorder
+     * is cleared and fed virtual time, so two replays of one schedule
+     * export byte-identical flight logs (tested).
      */
     obs::FlightRecorder *flightRecorder = nullptr;
 
@@ -406,9 +406,10 @@ class Engine
     /**
      * The full bw.flight/1 export of the attached flight recorder,
      * with chain[i] span leaves reconstructed from the engine's cached
-     * timing profiles. Collect only after quiescence (drained, shut
-     * down, or after replay()) — the recorder rings are wait-free, not
-     * seqlocked. Fails FailedPrecondition without a recorder.
+     * timing profiles. Collect after quiescence (drained, shut down, or
+     * after replay()) — before it, the recorder rings hold only the
+     * records written so far. Fails FailedPrecondition without a
+     * recorder.
      */
     Expected<Json> flightJson();
 

@@ -1,8 +1,8 @@
 #include "serve/slo.h"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/env_doc.h"
 #include "common/logging.h"
 
 namespace bw {
@@ -11,13 +11,6 @@ namespace serve {
 namespace {
 
 constexpr const char *kSchema = "bw.slo/1";
-
-double
-envDouble(const char *name, double fallback)
-{
-    const char *v = std::getenv(name);
-    return v && *v ? std::atof(v) : fallback;
-}
 
 } // namespace
 
@@ -55,6 +48,35 @@ SloOptions
 SloOptions::fromEnv()
 {
     return fromEnv(SloOptions{});
+}
+
+namespace {
+
+void
+finishWindow(SloWindowEval &ev, double objective)
+{
+    uint64_t total = ev.good + ev.bad;
+    ev.badFraction =
+        total > 0 ? static_cast<double>(ev.bad) /
+                        static_cast<double>(total)
+                  : 0.0;
+    double budget = 1.0 - objective;
+    ev.burnRate = budget > 0 ? ev.badFraction / budget : 0.0;
+}
+
+} // namespace
+
+void
+finishClassEval(SloClassEval &ev, const SloOptions &opts)
+{
+    finishWindow(ev.latencyFast, opts.latencyObjective);
+    finishWindow(ev.latencySlow, opts.latencyObjective);
+    finishWindow(ev.availFast, opts.availabilityObjective);
+    finishWindow(ev.availSlow, opts.availabilityObjective);
+    ev.latencyFiring = ev.latencyFast.burnRate > opts.pageBurnRate &&
+                       ev.latencySlow.burnRate > opts.pageBurnRate;
+    ev.availabilityFiring = ev.availFast.burnRate > opts.pageBurnRate &&
+                            ev.availSlow.burnRate > opts.pageBurnRate;
 }
 
 SloMonitor::SloMonitor(SloOptions opts) : opts_(std::move(opts))
@@ -154,7 +176,7 @@ SloMonitor::record(uint64_t t_us, double deadline_ms, double latency_ms,
 
 SloWindowEval
 SloMonitor::evalWindow(const ClassState &cs, uint64_t window_us,
-                       bool latency, double objective) const
+                       bool latency) const
 {
     SloWindowEval ev;
     if (!sawRecord_)
@@ -171,13 +193,6 @@ SloMonitor::evalWindow(const ClassState &cs, uint64_t window_us,
         ev.good += latency ? b.latGood : b.availGood;
         ev.bad += latency ? b.latBad : b.availBad;
     }
-    uint64_t total = ev.good + ev.bad;
-    ev.badFraction =
-        total > 0 ? static_cast<double>(ev.bad) /
-                        static_cast<double>(total)
-                  : 0.0;
-    double budget = 1.0 - objective;
-    ev.burnRate = budget > 0 ? ev.badFraction / budget : 0.0;
     return ev;
 }
 
@@ -193,20 +208,11 @@ SloMonitor::snapshotLocked() const
         ev.requests = cs.requests;
         ev.latencyBreaches = cs.latencyBreaches;
         ev.availabilityBreaches = cs.availabilityBreaches;
-        ev.latencyFast = evalWindow(cs, opts_.fastWindowUs, true,
-                                    opts_.latencyObjective);
-        ev.latencySlow = evalWindow(cs, opts_.slowWindowUs, true,
-                                    opts_.latencyObjective);
-        ev.availFast = evalWindow(cs, opts_.fastWindowUs, false,
-                                  opts_.availabilityObjective);
-        ev.availSlow = evalWindow(cs, opts_.slowWindowUs, false,
-                                  opts_.availabilityObjective);
-        ev.latencyFiring =
-            ev.latencyFast.burnRate > opts_.pageBurnRate &&
-            ev.latencySlow.burnRate > opts_.pageBurnRate;
-        ev.availabilityFiring =
-            ev.availFast.burnRate > opts_.pageBurnRate &&
-            ev.availSlow.burnRate > opts_.pageBurnRate;
+        ev.latencyFast = evalWindow(cs, opts_.fastWindowUs, true);
+        ev.latencySlow = evalWindow(cs, opts_.slowWindowUs, true);
+        ev.availFast = evalWindow(cs, opts_.fastWindowUs, false);
+        ev.availSlow = evalWindow(cs, opts_.slowWindowUs, false);
+        finishClassEval(ev, opts_);
         out.push_back(std::move(ev));
     }
     return out;
@@ -267,16 +273,63 @@ windowJson(const SloWindowEval &ev)
 } // namespace
 
 Json
+sloHeaderJson(const SloOptions &opts, uint64_t evaluated_at_us)
+{
+    Json doc = Json::object();
+    doc.set("schema", kSchema);
+    Json obj = Json::object();
+    obj.set("latency", opts.latencyObjective);
+    obj.set("availability", opts.availabilityObjective);
+    doc.set("objectives", std::move(obj));
+    Json win = Json::object();
+    win.set("fast_us", opts.fastWindowUs);
+    win.set("slow_us", opts.slowWindowUs);
+    win.set("bucket_us", opts.bucketUs);
+    doc.set("windows", std::move(win));
+    doc.set("page_burn_rate", opts.pageBurnRate);
+    doc.set("evaluated_at_us", evaluated_at_us);
+    return doc;
+}
+
+Json
+sloClassesJson(const SloOptions &opts,
+               const std::vector<SloClassEval> &evals)
+{
+    Json classes = Json::array();
+    for (size_t c = 0; c < evals.size(); ++c) {
+        const SloClassEval &ev = evals[c];
+        Json j = Json::object();
+        j.set("name", ev.name);
+        if (opts.classes[c].maxDeadlineMs > 0)
+            j.set("max_deadline_ms", opts.classes[c].maxDeadlineMs);
+        j.set("latency_target_ms", opts.classes[c].latencyTargetMs);
+        j.set("requests", ev.requests);
+        j.set("latency_breaches", ev.latencyBreaches);
+        j.set("availability_breaches", ev.availabilityBreaches);
+        Json lat = Json::object();
+        lat.set("fast", windowJson(ev.latencyFast));
+        lat.set("slow", windowJson(ev.latencySlow));
+        lat.set("firing", ev.latencyFiring);
+        j.set("latency", std::move(lat));
+        Json avail = Json::object();
+        avail.set("fast", windowJson(ev.availFast));
+        avail.set("slow", windowJson(ev.availSlow));
+        avail.set("firing", ev.availabilityFiring);
+        j.set("availability", std::move(avail));
+        classes.push(std::move(j));
+    }
+    return classes;
+}
+
+Json
 SloMonitor::sloJson() const
 {
     std::vector<SloClassEval> evals;
     uint64_t high_us;
-    bool saw;
     {
         std::lock_guard<std::mutex> lk(mu_);
         evals = snapshotLocked();
         high_us = highWaterUs_;
-        saw = sawRecord_;
     }
 
     // Refresh the bound burn-rate gauges from this evaluation (the
@@ -320,44 +373,8 @@ SloMonitor::sloJson() const
         }
     }
 
-    Json doc = Json::object();
-    doc.set("schema", kSchema);
-    Json obj = Json::object();
-    obj.set("latency", opts_.latencyObjective);
-    obj.set("availability", opts_.availabilityObjective);
-    doc.set("objectives", std::move(obj));
-    Json win = Json::object();
-    win.set("fast_us", opts_.fastWindowUs);
-    win.set("slow_us", opts_.slowWindowUs);
-    win.set("bucket_us", opts_.bucketUs);
-    doc.set("windows", std::move(win));
-    doc.set("page_burn_rate", opts_.pageBurnRate);
-    doc.set("evaluated_at_us", saw ? high_us : 0);
-
-    Json classes = Json::array();
-    for (size_t c = 0; c < evals.size(); ++c) {
-        const SloClassEval &ev = evals[c];
-        Json j = Json::object();
-        j.set("name", ev.name);
-        if (opts_.classes[c].maxDeadlineMs > 0)
-            j.set("max_deadline_ms", opts_.classes[c].maxDeadlineMs);
-        j.set("latency_target_ms", opts_.classes[c].latencyTargetMs);
-        j.set("requests", ev.requests);
-        j.set("latency_breaches", ev.latencyBreaches);
-        j.set("availability_breaches", ev.availabilityBreaches);
-        Json lat = Json::object();
-        lat.set("fast", windowJson(ev.latencyFast));
-        lat.set("slow", windowJson(ev.latencySlow));
-        lat.set("firing", ev.latencyFiring);
-        j.set("latency", std::move(lat));
-        Json avail = Json::object();
-        avail.set("fast", windowJson(ev.availFast));
-        avail.set("slow", windowJson(ev.availSlow));
-        avail.set("firing", ev.availabilityFiring);
-        j.set("availability", std::move(avail));
-        classes.push(std::move(j));
-    }
-    doc.set("classes", std::move(classes));
+    Json doc = sloHeaderJson(opts_, high_us);
+    doc.set("classes", sloClassesJson(opts_, evals));
     return doc;
 }
 
@@ -371,8 +388,9 @@ failSlo(const std::string &why)
     return Status::invalidArgument("slo document: " + why);
 }
 
+/// Shape-check one window member and read its counts into @p ev.
 Status
-validateWindowEval(const Json *w, const std::string &where)
+readWindowEval(const Json *w, const std::string &where, SloWindowEval *ev)
 {
     if (!w || w->type() != Json::Type::Object)
         return failSlo(where + " is not an object");
@@ -385,30 +403,55 @@ validateWindowEval(const Json *w, const std::string &where)
     const Json *burn = w->find("burn_rate");
     if (!frac || !frac->isNumber() || !burn || !burn->isNumber())
         return failSlo(where + " missing bad_fraction/burn_rate");
-    if (frac->asDouble() < 0 || frac->asDouble() > 1)
-        return failSlo(where + " bad_fraction outside [0, 1]");
-    if (burn->asDouble() < 0)
-        return failSlo(where + " burn_rate is negative");
-    int64_t total = good->asInt() + bad->asInt();
-    if (total == 0 && frac->asDouble() != 0)
-        return failSlo(where + " empty window with nonzero fraction");
+    ev->good = static_cast<uint64_t>(good->asInt());
+    ev->bad = static_cast<uint64_t>(bad->asInt());
     return Status();
 }
 
+/// Shape-check one SLI member and read both windows' counts.
 Status
-validateSli(const Json *sli, const std::string &where)
+readSli(const Json *sli, const std::string &where, SloWindowEval *fast,
+        SloWindowEval *slow)
 {
     if (!sli || sli->type() != Json::Type::Object)
         return failSlo(where + " is not an object");
-    Status st = validateWindowEval(sli->find("fast"), where + ".fast");
+    Status st = readWindowEval(sli->find("fast"), where + ".fast", fast);
     if (!st.ok())
         return st;
-    st = validateWindowEval(sli->find("slow"), where + ".slow");
+    st = readWindowEval(sli->find("slow"), where + ".slow", slow);
     if (!st.ok())
         return st;
     const Json *firing = sli->find("firing");
     if (!firing || firing->type() != Json::Type::Bool)
         return failSlo(where + " missing boolean firing");
+    return Status();
+}
+
+/// Compare a shape-checked SLI member's derived members with the
+/// finishClassEval results for its counts (exact: %.17g round-trips).
+Status
+checkDerivedSli(const Json &sli, const std::string &where,
+                const SloWindowEval &fast, const SloWindowEval &slow,
+                bool firing)
+{
+    const struct
+    {
+        const char *name;
+        const SloWindowEval *ev;
+    } windows[] = {{"fast", &fast}, {"slow", &slow}};
+    for (const auto &w : windows) {
+        const Json &j = *sli.find(w.name);
+        if (j.find("bad_fraction")->asDouble() != w.ev->badFraction)
+            return failSlo(where + "." + w.name +
+                           " bad_fraction is not bad / (good + bad)");
+        if (j.find("burn_rate")->asDouble() != w.ev->burnRate)
+            return failSlo(where + "." + w.name +
+                           " burn_rate is not bad_fraction / "
+                           "(1 - objective)");
+    }
+    if (sli.find("firing")->asBool() != firing)
+        return failSlo(where + " firing disagrees with the two burn "
+                               "rates and page_burn_rate");
     return Status();
 }
 
@@ -433,6 +476,14 @@ validateSloJson(const Json &doc)
             return failSlo(std::string("objective '") + key +
                            "' not in (0, 1)");
     }
+    SloOptions opts;
+    opts.latencyObjective = objectives->find("latency")->asDouble();
+    opts.availabilityObjective =
+        objectives->find("availability")->asDouble();
+    const Json *page = doc.find("page_burn_rate");
+    if (!page || !page->isNumber() || page->asDouble() <= 0)
+        return failSlo("missing positive page_burn_rate");
+    opts.pageBurnRate = page->asDouble();
     const Json *windows = doc.find("windows");
     if (!windows || windows->type() != Json::Type::Object)
         return failSlo("missing windows object");
@@ -467,10 +518,24 @@ validateSloJson(const Json &doc)
                 return failSlo("class '" + cls + "' missing "
                                "non-negative integer '" + key + "'");
         }
-        Status st = validateSli(c.find("latency"), cls + ".latency");
+        const Json *lat = c.find("latency");
+        const Json *avail = c.find("availability");
+        SloClassEval ev;
+        Status st = readSli(lat, cls + ".latency", &ev.latencyFast,
+                            &ev.latencySlow);
         if (!st.ok())
             return st;
-        st = validateSli(c.find("availability"), cls + ".availability");
+        st = readSli(avail, cls + ".availability", &ev.availFast,
+                     &ev.availSlow);
+        if (!st.ok())
+            return st;
+        finishClassEval(ev, opts);
+        st = checkDerivedSli(*lat, cls + ".latency", ev.latencyFast,
+                             ev.latencySlow, ev.latencyFiring);
+        if (!st.ok())
+            return st;
+        st = checkDerivedSli(*avail, cls + ".availability", ev.availFast,
+                             ev.availSlow, ev.availabilityFiring);
         if (!st.ok())
             return st;
     }

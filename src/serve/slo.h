@@ -122,10 +122,27 @@ struct SloClassEval
 };
 
 /**
+ * The burn-rate rule: from each window's good/bad counts fill its
+ * badFraction and burnRate (against the SLI's objective in @p opts),
+ * then set both multi-window firing flags against opts.pageBurnRate.
+ * SloMonitor applies it to one shard's window scan, the fleet rollup to
+ * the shard sums, and validateSloJson to a document's counts.
+ */
+void finishClassEval(SloClassEval &ev, const SloOptions &opts);
+
+/** The bw.slo/1 members that precede the classes array: schema,
+ *  objectives, windows, page_burn_rate and evaluated_at_us. */
+Json sloHeaderJson(const SloOptions &opts, uint64_t evaluated_at_us);
+
+/** The bw.slo/1 classes array: one member per opts.classes entry, from
+ *  the matching finished evaluation in @p evals. */
+Json sloClassesJson(const SloOptions &opts,
+                    const std::vector<SloClassEval> &evals);
+
+/**
  * Multi-window SLO burn-rate monitor. record() is mutex-guarded (one
- * tiny critical section per completed request — the flight recorder and
- * span tracer own the wait-free hot paths); snapshot()/sloJson() may be
- * called concurrently with recording.
+ * tiny critical section per completed request); snapshot()/sloJson()
+ * may be called concurrently with recording.
  */
 class SloMonitor
 {
@@ -202,7 +219,7 @@ class SloMonitor
     };
 
     SloWindowEval evalWindow(const ClassState &cs, uint64_t window_us,
-                             bool latency, double objective) const;
+                             bool latency) const;
     std::vector<SloClassEval> snapshotLocked() const;
 
     SloOptions opts_;
@@ -215,9 +232,11 @@ class SloMonitor
 
 /**
  * Validate a sloJson() document against the bw.slo/1 schema: required
- * members and types, objectives in (0, 1), at least one class, window
- * evaluations with non-negative counts and consistent burn rates.
- * Returns OK or InvalidArgument naming the first violation.
+ * members and types, objectives in (0, 1), a positive page_burn_rate,
+ * at least one class, and window evaluations with non-negative counts
+ * whose bad_fraction, burn_rate and firing members equal what
+ * finishClassEval derives from those counts. Returns OK or
+ * InvalidArgument naming the first violation.
  */
 Status validateSloJson(const Json &doc);
 

@@ -170,7 +170,6 @@ class NpuTiming
     void noteStructStall(Cycles requested, Cycles granted,
                          obs::ResClass res);
 
-    void execScalar(const Chain &c);
     Cycles execMatrixChain(const Program &prog, const Chain &c,
                            Cycles decode_done, TimingResult &res);
     Cycles execVectorChain(const Program &prog, const Chain &c,

@@ -163,6 +163,82 @@ TEST(FleetRegistry, SloRollupSumsShardsAndValidates)
     EXPECT_EQ(roll.dump(), fleet.sloRollupJson().dump());
 }
 
+TEST(FleetRegistry, OneShardRollupIsTheShardDocumentPlusShards)
+{
+    const uint64_t s = 1000000; // 1 s in us
+    serve::SloMonitor a;
+    for (int i = 0; i < 30; ++i)
+        a.record(3900 * s, i % 2 ? 5.0 : 50.0, 1.0, i % 3 != 0);
+    for (int i = 0; i < 30; ++i)
+        a.record(4000 * s + i, 5.0, i % 4 ? 1.0 : 30.0, true);
+    obs::FleetRegistry fleet;
+    fleet.addShard("s10/0", "s10", nullptr, &a);
+
+    Json shard = a.sloJson();
+    Json want = Json::object();
+    for (size_t i = 0; i < shard.size(); ++i) {
+        want.set(shard.member(i).first, shard.member(i).second);
+        if (shard.member(i).first == "evaluated_at_us")
+            want.set("shards", 1);
+    }
+    EXPECT_EQ(fleet.sloRollupJson().dump(), want.dump());
+}
+
+TEST(FleetRegistry, SloRollupEvaluatesEachShardAtItsOwnHighWaterMark)
+{
+    const uint64_t s = 1000000; // 1 s in us
+    serve::SloMonitor a, b;
+    const uint64_t fast_s = a.options().fastWindowUs / s;
+    // Both shards burn at 1000 s. Shard a stops there; shard b runs on
+    // one fast window longer, so its 1000 s burst is in its slow window
+    // only, while a's is in both of a's windows.
+    for (int i = 0; i < 20; ++i) {
+        a.record(1000 * s, 5.0, 1.0, i % 2 == 0);
+        b.record(1000 * s, 5.0, 30.0, i % 2 == 0);
+    }
+    for (int i = 0; i < 20; ++i)
+        b.record((1000 + fast_s) * s, 5.0, 1.0, true);
+    ASSERT_EQ(b.highWaterUs() - a.highWaterUs(), fast_s * s);
+
+    obs::FleetRegistry fleet;
+    fleet.addShard("s10/0", "s10", nullptr, &a);
+    fleet.addShard("s10/1", "s10", nullptr, &b);
+    Json roll = fleet.sloRollupJson();
+    Status st = serve::validateSloJson(roll);
+    EXPECT_TRUE(st.ok()) << st.toString();
+    EXPECT_EQ(roll.find("evaluated_at_us")->asInt(),
+              static_cast<int64_t>(b.highWaterUs()));
+    EXPECT_EQ(roll.find("shards")->asInt(), 2);
+
+    std::vector<serve::SloClassEval> ea = a.snapshot(), eb = b.snapshot();
+    ASSERT_EQ(ea[0].availFast.bad, 10u);
+    ASSERT_EQ(eb[0].availFast.bad, 0u);
+    ASSERT_EQ(eb[0].availSlow.bad, 10u);
+    const Json *rc = roll.find("classes");
+    ASSERT_EQ(rc->size(), ea.size());
+    for (size_t c = 0; c < ea.size(); ++c) {
+        const struct
+        {
+            const char *sli, *window;
+            const serve::SloWindowEval &a, &b;
+        } windows[] = {
+            {"latency", "fast", ea[c].latencyFast, eb[c].latencyFast},
+            {"latency", "slow", ea[c].latencySlow, eb[c].latencySlow},
+            {"availability", "fast", ea[c].availFast, eb[c].availFast},
+            {"availability", "slow", ea[c].availSlow, eb[c].availSlow},
+        };
+        for (const auto &w : windows) {
+            const Json &j = *rc->at(c).find(w.sli)->find(w.window);
+            EXPECT_EQ(j.find("good")->asInt(),
+                      static_cast<int64_t>(w.a.good + w.b.good))
+                << c << " " << w.sli << "." << w.window;
+            EXPECT_EQ(j.find("bad")->asInt(),
+                      static_cast<int64_t>(w.a.bad + w.b.bad))
+                << c << " " << w.sli << "." << w.window;
+        }
+    }
+}
+
 // --- Streaming exports ---
 
 TEST(RouteStream, WriterRoundTripsThroughValidator)

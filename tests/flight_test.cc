@@ -279,6 +279,77 @@ TEST(Slo, SloJsonDeterministicValidAndBindsMetrics)
     EXPECT_FALSE(serve::validateSloJson(bad).ok());
 }
 
+TEST(Slo, ValidatorRederivesBurnRatesAndFiring)
+{
+    const uint64_t s = 1000000; // 1 s in us
+    // interactive burns both SLIs in both windows: availability 50 bad
+    // of 100, latency 13 breaches of 50 served.
+    serve::SloMonitor mon;
+    for (int i = 0; i < 50; ++i)
+        mon.record(3900 * s, 5.0, 0.0, false);
+    for (int i = 0; i < 50; ++i)
+        mon.record(4000 * s, 5.0, i % 4 ? 1.0 : 30.0, true);
+    const Json doc = Json::parse(mon.sloJson().dump());
+    Status st = serve::validateSloJson(doc);
+    ASSERT_TRUE(st.ok()) << st.toString();
+
+    // @p doc with member @p key of interactive's @p sli (or of its
+    // @p window, when given) replaced by @p v.
+    auto edit = [&doc](const char *sli, const char *window,
+                       const char *key, Json v) {
+        const Json &classes = *doc.find("classes");
+        Json cls = classes.at(0);
+        Json *target = cls.find(sli);
+        if (window)
+            target = target->find(window);
+        target->set(key, std::move(v));
+        Json edited = Json::array();
+        edited.push(std::move(cls));
+        for (size_t i = 1; i < classes.size(); ++i)
+            edited.push(classes.at(i));
+        Json out = doc;
+        out.set("classes", std::move(edited));
+        return out;
+    };
+    const Json &avail = *doc.find("classes")->at(0).find("availability");
+    const Json &lat = *doc.find("classes")->at(0).find("latency");
+    ASSERT_TRUE(avail.find("firing")->asBool());
+    ASSERT_TRUE(lat.find("firing")->asBool());
+    double frac = avail.find("fast")->find("bad_fraction")->asDouble();
+    double burn = avail.find("slow")->find("burn_rate")->asDouble();
+    ASSERT_GT(frac, 0.0);
+    ASSERT_GT(burn, 0.0);
+
+    // Each value below is in range, so only re-deriving it from the
+    // window's counts catches it.
+    EXPECT_FALSE(serve::validateSloJson(
+                     edit("availability", "fast", "bad_fraction", frac / 2))
+                     .ok());
+    EXPECT_FALSE(serve::validateSloJson(
+                     edit("availability", "slow", "burn_rate", burn * 2))
+                     .ok());
+    EXPECT_FALSE(
+        serve::validateSloJson(edit("latency", "fast", "burn_rate", 0.0))
+            .ok());
+    EXPECT_FALSE(
+        serve::validateSloJson(edit("availability", nullptr, "firing",
+                                    false))
+            .ok());
+    EXPECT_FALSE(
+        serve::validateSloJson(edit("latency", nullptr, "firing", false))
+            .ok());
+
+    // page_burn_rate must be positive, and firing follows it.
+    for (Json page : {Json(0.0), Json(-14.4), Json("14.4")}) {
+        Json bad = doc;
+        bad.set("page_burn_rate", std::move(page));
+        EXPECT_FALSE(serve::validateSloJson(bad).ok());
+    }
+    Json above = doc;
+    above.set("page_burn_rate", 2 * burn);
+    EXPECT_FALSE(serve::validateSloJson(above).ok());
+}
+
 // --- Engine acceptance criteria ---
 
 TEST(EngineFlight, ReplayExportsByteIdenticalUnderRejectsAndExpiries)

@@ -800,6 +800,106 @@ TEST(ShardedRing, MoreThreadsThanShardsRaceForFirstAllocation)
         }));
 }
 
+TEST(ShardedRing, ThreadsSharingAShardKeepRecordsWholeWhenItsRingWraps)
+{
+    // 24 recording threads over 16 shards on 256-record rings: at least
+    // eight shards are shared by two threads, and 300 records a thread
+    // wrap every ring, so the claims n and n + 256 of two threads land
+    // on one slot. Every field of a record is derived from its seq; a
+    // record written by two threads at once would mix two seqs.
+    constexpr unsigned kThreads = 24;
+    constexpr uint64_t kEach = 300;
+    constexpr size_t kRing = 256;
+    obs::SpanTracerOptions so;
+    so.shardCapacity = kRing;
+    obs::SpanTracer tracer(so);
+    obs::FlightRecorderOptions fo;
+    fo.shardCapacity = kRing;
+    obs::FlightRecorder flight(fo);
+
+    auto span_of = [](uint64_t seq) {
+        obs::SpanRecord s;
+        s.trace = seq;
+        s.id = static_cast<obs::SpanId>(seq % 3 + 1);
+        s.index = static_cast<uint32_t>(seq * 7);
+        s.startUs = seq * 11;
+        s.endUs = seq * 11 + 5;
+        s.startCycle = seq * 13;
+        s.endCycle = seq * 13 + 9;
+        s.computeCycles = ~seq;
+        return s;
+    };
+    auto flight_of = [](uint64_t seq) {
+        obs::FlightRecord r;
+        r.seq = seq;
+        r.id = seq * 3;
+        r.replica = static_cast<uint32_t>(seq % 5);
+        r.steps = static_cast<uint32_t>(seq * 2);
+        r.admitUs = seq * 17;
+        r.dequeueUs = seq * 17 + 1;
+        r.serviceUs = seq * 17 + 2;
+        r.doneUs = seq * 17 + 3;
+        r.latencyUs = ~seq;
+        return r;
+    };
+
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            while (!go.load(std::memory_order_acquire))
+                std::this_thread::yield();
+            for (uint64_t i = 0; i < kEach; ++i) {
+                uint64_t seq = t * kEach + i + 1;
+                tracer.record(span_of(seq));
+                flight.record(flight_of(seq));
+            }
+        });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread &th : threads)
+        th.join();
+
+    EXPECT_EQ(tracer.recorded(), kThreads * kEach);
+    std::vector<obs::SpanRecord> spans = tracer.collect();
+    EXPECT_EQ(spans.size() + tracer.dropped(), tracer.recorded());
+    EXPECT_GT(tracer.dropped(), 0u);
+    EXPECT_TRUE(std::is_sorted(
+        spans.begin(), spans.end(),
+        [](const obs::SpanRecord &a, const obs::SpanRecord &b) {
+            return a.trace != b.trace ? a.trace < b.trace : a.id < b.id;
+        }));
+    for (const obs::SpanRecord &s : spans) {
+        obs::SpanRecord want = span_of(s.trace);
+        EXPECT_TRUE(s.id == want.id && s.index == want.index &&
+                    s.startUs == want.startUs && s.endUs == want.endUs &&
+                    s.startCycle == want.startCycle &&
+                    s.endCycle == want.endCycle &&
+                    s.computeCycles == want.computeCycles)
+            << "torn span record, trace " << s.trace;
+    }
+
+    EXPECT_EQ(flight.recorded(), kThreads * kEach);
+    std::vector<obs::FlightRecord> records = flight.collect();
+    EXPECT_EQ(records.size() + flight.dropped(), flight.recorded());
+    EXPECT_GT(flight.dropped(), 0u);
+    EXPECT_TRUE(std::is_sorted(
+        records.begin(), records.end(),
+        [](const obs::FlightRecord &a, const obs::FlightRecord &b) {
+            return a.seq < b.seq;
+        }));
+    for (const obs::FlightRecord &r : records) {
+        obs::FlightRecord want = flight_of(r.seq);
+        EXPECT_TRUE(r.id == want.id && r.replica == want.replica &&
+                    r.steps == want.steps && r.admitUs == want.admitUs &&
+                    r.dequeueUs == want.dequeueUs &&
+                    r.serviceUs == want.serviceUs &&
+                    r.doneUs == want.doneUs &&
+                    r.latencyUs == want.latencyUs)
+            << "torn flight record, seq " << r.seq;
+    }
+}
+
 TEST(NpuTimingTrace, RunProfiledMatchesRunAndFeedsChains)
 {
     NpuConfig cfg = smallConfig();
