@@ -902,8 +902,10 @@ Cluster::replayOne(const ClusterRequest &req, ReplayPass &rp)
         rp.seq % opts_.auditEvery == 0)
         auditCheck(rp.seq, req.model, s.group, req.steps,
                    modelServiceMs(req.model, s.group, req.steps));
-    serve::AttemptRecord rec =
-        attemptRecord(at, id, ctx.sampled(), req.steps);
+    serve::AttemptRecord rec(at.seq, id, at.cls, ctx.sampled(),
+                             static_cast<uint32_t>(at.res.replica),
+                             req.steps, at.dispatchS, at.startS, at.startS,
+                             at.doneS, at.latencyMs, at.deadlineMs);
     settle(at, rec, a, rp);
     rec.record(s.flight.get(), {});
     if (ctx.sampled()) {
@@ -980,10 +982,10 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
         at.startS = at.doneS = at.clientDoneS = std::max(t, fail_s);
         at.latencyMs = (at.clientDoneS - t) * 1e3 + eo.networkMs;
         if (fault == FaultClass::ReplicaHang) {
-            at.fcls = obs::FlightClass::DeadlineExpired;
+            at.cls = obs::FlightClass::DeadlineExpired;
             ++s.report.expired;
         } else {
-            at.fcls = obs::FlightClass::Error;
+            at.cls = obs::FlightClass::Error;
             ++s.report.failed;
         }
         ++s.faults[static_cast<size_t>(fault)];
@@ -993,57 +995,28 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
 
     if (!s.queue.admits(t)) {
         at.kind = Attempt::Kind::Rejected;
-        at.fcls = obs::FlightClass::Rejected;
+        at.cls = obs::FlightClass::Rejected;
         ++s.report.rejected;
         return at;
     }
     WeightCharge wc = touchWeights(shard, req.model);
     s.reloadUs += wc.us;
-    double net_s = eo.networkMs / 1e3;
-    at.res = s.queue.reserve(t + net_s / 2);
-    at.startS = at.res.startS;
-    if (serve::VirtualShard::expires(t, at.startS, at.deadlineMs)) {
+    double model_ms = modelServiceMs(req.model, s.group, req.steps);
+    if (cc.slow)
+        model_ms *= cc.slowFactor; // degraded, not dead: stretched
+    static_cast<serve::VirtualShard::Step &>(at) = s.queue.serve(
+        t, eo.networkMs, at.deadlineMs, (model_ms + wc.ms) / 1e3);
+    if (at.cls == obs::FlightClass::DeadlineExpired) {
         at.kind = Attempt::Kind::Expired;
-        at.fcls = obs::FlightClass::DeadlineExpired;
-        at.doneS = at.clientDoneS = at.startS;
-        at.latencyMs = (at.startS - t) * 1e3 + eo.networkMs;
         ++s.report.expired;
         return at;
     }
-
-    double model_ms = modelServiceMs(req.model, s.group, req.steps);
     if (cc.slow) {
-        // Degraded, not dead: the request completes, stretched.
-        model_ms *= cc.slowFactor;
         ++s.faults[static_cast<size_t>(FaultClass::SlowReplica)];
         incidents_.addAffected(cc.incident);
     }
-    at.doneS = at.startS + (model_ms + wc.ms) / 1e3;
-    s.queue.finish(at.res, at.doneS);
     at.kind = Attempt::Kind::Completed;
-    at.fcls = obs::FlightClass::Ok;
-    at.clientDoneS = at.doneS + net_s / 2;
-    at.latencyMs = (at.clientDoneS - t) * 1e3;
     return at;
-}
-
-serve::AttemptRecord
-Cluster::attemptRecord(const Attempt &at, uint64_t id, bool sampled,
-                       unsigned steps)
-{
-    serve::AttemptRecord rec;
-    rec.seq = at.seq;
-    rec.id = id;
-    rec.cls = at.fcls;
-    rec.sampled = sampled;
-    rec.replica = static_cast<uint32_t>(at.res.replica);
-    rec.steps = steps;
-    rec.admitUs = toUs(at.dispatchS);
-    rec.dequeueUs = rec.serviceUs = std::max(toUs(at.startS), rec.admitUs);
-    rec.doneUs = std::max(toUs(at.doneS), rec.dequeueUs);
-    rec.latencyMs = at.latencyMs;
-    rec.deadlineMs = at.deadlineMs;
-    return rec;
 }
 
 void
@@ -1077,7 +1050,7 @@ Cluster::settle(const Attempt &w, serve::AttemptRecord rec,
         break;
     case Attempt::Kind::Faulted:
     default:
-        if (w.fcls == obs::FlightClass::DeadlineExpired)
+        if (w.cls == obs::FlightClass::DeadlineExpired)
             ++cs.expired;
         else
             ++cs.failed;
@@ -1092,31 +1065,24 @@ Cluster::recordAttemptTree(obs::TraceId trace,
                            obs::SpanId parent, const ClusterRequest &req,
                            size_t group)
 {
-    obs::RequestSpans qs;
-    qs.trace = trace;
-    qs.admitUs = rec.admitUs;
-    qs.dequeueUs = qs.serviceUs = rec.dequeueUs;
-    qs.doneUs = rec.doneUs;
-    qs.replica = rec.replica;
-    qs.outcome = obs::flightClassOutcome(rec.cls);
-    obs::SpanId exec =
-        obs::recordRequestTree(*opts_.spanTracer, qs, parent);
     ModelEntry &e = models_[req.model];
-    if (!exec || rec.cls != obs::FlightClass::Ok || e.timed)
-        return; // only served compiled-model requests have chain leaves
-    uint64_t key = svcKey(req.model, group, req.steps);
-    auto it = chainCache_.find(key);
-    if (it == chainCache_.end()) {
-        auto chains = std::make_shared<std::vector<obs::ChainProfile>>();
-        timing::TimingResult tr = e.sessions[group]->timeProfiled(
-            req.steps, chains.get(), opts_.fidelity);
-        it = chainCache_.emplace(key, ChainInfo{tr.totalCycles, chains})
-                 .first;
+    const timing::ProfiledRun *run = nullptr;
+    // Only served compiled-model requests have chain leaves.
+    if (rec.cls == obs::FlightClass::Ok && !e.timed) {
+        auto [it, fresh] =
+            chainCache_.try_emplace(svcKey(req.model, group, req.steps));
+        if (fresh) {
+            auto chains =
+                std::make_shared<std::vector<obs::ChainProfile>>();
+            it->second.result = e.sessions[group]->timeProfiled(
+                req.steps, chains.get(), opts_.fidelity);
+            it->second.chains = std::move(chains);
+        }
+        run = &it->second;
     }
-    const ChainInfo &ci = it->second;
-    if (!ci.chains->empty())
-        obs::recordChainSpans(*opts_.spanTracer, trace, exec, qs.serviceUs,
-                              qs.doneUs, *ci.chains, ci.totalCycles);
+    obs::recordAttemptSpans(*opts_.spanTracer, rec, trace, parent,
+                            run ? run->chains.get() : nullptr,
+                            run ? run->result.totalCycles : 0);
 }
 
 // --- Hedged dispatch (replay) ---
@@ -1211,15 +1177,20 @@ Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
             loser->doneS = std::min(loser->doneS, c);
             ls.queue.finish(loser->res, loser->doneS);
         }
-        loser->fcls = obs::FlightClass::Cancelled;
+        loser->cls = obs::FlightClass::Cancelled;
         loser->latencyMs = (loser->doneS - loser->dispatchS) * 1e3;
         ++ls.report.cancelled;
         ls.lastDone = std::max(ls.lastDone, loser->doneS);
     }
     const Attempt *attempts[2] = {&p, hedged ? &h : nullptr};
     serve::AttemptRecord recs[2];
-    for (size_t i = 0; i < 2 && attempts[i]; ++i)
-        recs[i] = attemptRecord(*attempts[i], id, ctx.sampled(), req.steps);
+    for (size_t i = 0; i < 2 && attempts[i]; ++i) {
+        const Attempt &at = *attempts[i];
+        recs[i] = serve::AttemptRecord(
+            at.seq, id, at.cls, ctx.sampled(),
+            static_cast<uint32_t>(at.res.replica), req.steps, at.dispatchS,
+            at.startS, at.startS, at.doneS, at.latencyMs, at.deadlineMs);
+    }
     settle(w, recs[pWins ? 0 : 1], a, rp);
 
     // Flight records in dispatch order: primary, then hedge.
@@ -1242,7 +1213,7 @@ Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
         root.doneUs = std::max(root.doneUs, recs[1].doneUs);
     root.engine = w.shard;
     root.model = req.model;
-    root.outcome = obs::flightClassOutcome(w.fcls);
+    root.outcome = obs::flightClassOutcome(w.cls);
     obs::SpanId root_id = obs::recordRouteSpan(*tracer, root);
     for (uint32_t i = 0; i < 2 && attempts[i]; ++i) {
         obs::SpanRecord hs;

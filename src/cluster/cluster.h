@@ -601,8 +601,10 @@ class Cluster
 
     /** One dispatch attempt of a routed request against one shard: all
      *  shard-state mutations committed, nothing recorded yet (under
-     *  hedging the winner decides what the caller saw). */
-    struct Attempt
+     *  hedging the winner decides what the caller saw). The step's
+     *  times run from dispatchS; its queue slot is set for Expired and
+     *  Completed attempts only. */
+    struct Attempt : serve::VirtualShard::Step
     {
         enum class Kind : uint8_t
         {
@@ -613,16 +615,9 @@ class Cluster
         };
         Kind kind = Kind::Completed;
         unsigned shard = 0;
-        uint64_t seq = 0;       //!< per-shard flight attempt number
-        double dispatchS = 0;   //!< when this attempt reached the shard
-        double startS = 0;      //!< service start (dequeue)
-        double doneS = 0;       //!< service completion
-        double clientDoneS = 0; //!< when the caller hears the outcome
-        double latencyMs = 0;   //!< caller-observed, from dispatchS
-        double deadlineMs = 0;  //!< resolved against the shard default
-        /** The queue slot (Expired / Completed only). */
-        serve::VirtualShard::Reservation res;
-        obs::FlightClass fcls = obs::FlightClass::Ok;
+        uint64_t seq = 0;      //!< per-shard flight attempt number
+        double dispatchS = 0;  //!< when this attempt reached the shard
+        double deadlineMs = 0; //!< resolved against the shard default
     };
 
     /** Process every transition with tS <= now_s, in stamp order. */
@@ -631,7 +626,9 @@ class Cluster
     void setHealthGauge(size_t shard, double state);
 
     /** Run one dispatch attempt against @p shard at virtual time @p t:
-     *  fault effects, admission, weight touch and the queue slot. */
+     *  fault effects, admission and the weight touch, then the shard's
+     *  batch-1 step over the model's service time plus any reload,
+     *  stretched on a slowed replica. */
     Attempt runAttempt(unsigned shard, double t, const ClusterRequest &req,
                        ReplayPass &rp);
     /** The hedged routed path of replayOne (opts_.hedgeMs >= 0). */
@@ -642,12 +639,8 @@ class Cluster
      *  SLO monitors. */
     void settle(const Attempt &w, serve::AttemptRecord rec,
                 double arrival_s, ReplayPass &rp);
-    /** The flight / SLO record of @p at under request id @p id. */
-    static serve::AttemptRecord attemptRecord(const Attempt &at,
-                                              uint64_t id, bool sampled,
-                                              unsigned steps);
     /** Record @p rec's request tree under span @p parent (chain leaves
-     *  when it completed). */
+     *  when it completed on a compiled model). */
     void recordAttemptTree(obs::TraceId trace,
                            const serve::AttemptRecord &rec,
                            obs::SpanId parent, const ClusterRequest &req,
@@ -678,14 +671,9 @@ class Cluster
     /** (model, group, steps, fidelity) -> simulated service ms. */
     std::unordered_map<uint64_t, double> serviceCache_;
 
-    /** Cached retired-chain profiles for span stitching. */
-    struct ChainInfo
-    {
-        Cycles totalCycles = 0;
-        std::shared_ptr<const std::vector<obs::ChainProfile>> chains;
-    };
-    /** (model, group, steps) -> chain profiles. */
-    std::unordered_map<uint64_t, ChainInfo> chainCache_;
+    /** (model, group, steps) -> the profiled timing run whose chains
+     *  become chain[i] span leaves. */
+    std::unordered_map<uint64_t, timing::ProfiledRun> chainCache_;
 
     std::vector<EngineLoad> loads_; //!< virtualLoads() buffer
 

@@ -182,7 +182,9 @@ bool
 RouteStreamWriter::decision(uint64_t seq, uint32_t model, uint32_t cls,
                             int32_t engine)
 {
-    if (engine < 0) {
+    if (engine == -2) {
+        ++unavailable_;
+    } else if (engine < 0) {
         ++shed_;
         ++shedByClass_[std::min<size_t>(cls, shedByClass_.size() - 1)];
     } else {
@@ -217,6 +219,8 @@ RouteStreamWriter::finish()
     for (uint64_t c : shedByClass_)
         by_class.push(c);
     s.set("shed_by_class", std::move(by_class));
+    if (unavailable_ > 0)
+        s.set("unavailable", unavailable_);
     return emit(ndjsonLine(s));
 }
 
@@ -310,7 +314,7 @@ validateRouteStreamJson(std::istream &in)
     if (!policy || policy->type() != Json::Type::String)
         return Status::invalidArgument("header missing policy");
 
-    uint64_t routed = 0, shed = 0, last_seq = 0;
+    uint64_t routed = 0, shed = 0, unavailable = 0, last_seq = 0;
     size_t lineno = 1;
     std::string line;
     bool saw_summary = false;
@@ -327,21 +331,31 @@ validateRouteStreamJson(std::istream &in)
                 if (!st.ok())
                     return st;
             }
+            // unavailable is written only when nonzero.
+            int64_t sunavail = 0;
+            if (row.contains("unavailable")) {
+                st = requireInt(row, "unavailable", lineno, &sunavail);
+                if (!st.ok())
+                    return st;
+            }
             rows = row.find("rows")->asInt();
             srouted = row.find("routed")->asInt();
             sshed = row.find("shed")->asInt();
             if (static_cast<uint64_t>(srouted) != routed ||
                 static_cast<uint64_t>(sshed) != shed ||
-                static_cast<uint64_t>(rows) != routed + shed)
+                static_cast<uint64_t>(sunavail) != unavailable ||
+                static_cast<uint64_t>(rows) != routed + shed + unavailable)
                 return Status::invalidArgument(detail::format(
                     "summary counters (rows %lld, routed %lld, shed "
-                    "%lld) do not match the %llu routed + %llu shed "
-                    "rows streamed",
+                    "%lld, unavailable %lld) do not match the %llu "
+                    "routed + %llu shed + %llu unavailable rows streamed",
                     static_cast<long long>(rows),
                     static_cast<long long>(srouted),
                     static_cast<long long>(sshed),
+                    static_cast<long long>(sunavail),
                     static_cast<unsigned long long>(routed),
-                    static_cast<unsigned long long>(shed)));
+                    static_cast<unsigned long long>(shed),
+                    static_cast<unsigned long long>(unavailable)));
             const Json *bc = row.find("shed_by_class");
             if (!bc || bc->type() != Json::Type::Array)
                 return Status::invalidArgument(
@@ -374,7 +388,12 @@ validateRouteStreamJson(std::istream &in)
                 "line %zu engine %lld out of range [-2, %lld)", lineno,
                 static_cast<long long>(engine),
                 static_cast<long long>(engines)));
-        engine < 0 ? ++shed : ++routed;
+        if (engine == -2)
+            ++unavailable;
+        else if (engine < 0)
+            ++shed;
+        else
+            ++routed;
     }
     if (!saw_summary)
         return Status::invalidArgument(

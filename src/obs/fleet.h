@@ -136,7 +136,12 @@ using StreamSink = std::function<bool(const std::string &chunk)>;
  *   {"schema":"bw.routestream/1","policy":"...","engines":N}   header
  *   {"seq":1,"model":0,"class":0,"engine":2}                   per row
  *   {"summary":true,"rows":R,"routed":...,"shed":...,
- *    "shed_by_class":[...]}                                    trailer
+ *    "shed_by_class":[...][,"unavailable":U]}                  trailer
+ *
+ * Engine -1 is a front-door shed, counted in shed and shed_by_class;
+ * engine -2 (no healthy shard left) is unavailable, not a shed, as the
+ * Router counts it. The trailer writes unavailable only when some row
+ * was, so a stream without any keeps its bytes.
  *
  * The writer holds O(1) state (counters and a reused row buffer) no
  * matter how many decisions flow through it — this is the export that
@@ -151,8 +156,9 @@ class RouteStreamWriter
     RouteStreamWriter(StreamSink sink, std::string policy,
                       unsigned engines, size_t classes);
 
-    /** Emit one decision row (engine -1 = front-door shed). Returns
-     *  false once the sink has aborted; further calls are no-ops. */
+    /** Emit one decision row (engine -1 = front-door shed, -2 =
+     *  unavailable). Returns false once the sink has aborted; further
+     *  calls are no-ops. */
     bool decision(uint64_t seq, uint32_t model, uint32_t cls,
                   int32_t engine);
 
@@ -160,7 +166,7 @@ class RouteStreamWriter
      *  sink aborted earlier. */
     bool finish();
 
-    uint64_t rows() const { return routed_ + shed_; }
+    uint64_t rows() const { return routed_ + shed_ + unavailable_; }
     uint64_t bytes() const { return bytes_; }
     bool failed() const { return failed_; }
 
@@ -172,6 +178,7 @@ class RouteStreamWriter
     unsigned engines_ = 0;
     uint64_t routed_ = 0;
     uint64_t shed_ = 0;
+    uint64_t unavailable_ = 0;
     uint64_t bytes_ = 0;
     std::vector<uint64_t> shedByClass_;
     bool failed_ = false;

@@ -184,25 +184,12 @@ FlightRecordWriter::write(const FlightRecord &r, Json *traces,
                           SpanTreeCounts *counts)
 {
     scratch_.clear();
-    RequestSpans rs{.trace = r.seq,
-                    .admitUs = r.admitUs,
-                    .dequeueUs = r.dequeueUs,
-                    .serviceUs = r.serviceUs,
-                    .doneUs = r.doneUs,
-                    .replica = r.replica,
-                    .outcome = flightClassOutcome(r.cls)};
     const std::vector<ChainProfile> *chains = nullptr;
     Cycles total = 0;
     bool served = r.cls == FlightClass::Ok || r.cls == FlightClass::Error;
-    if (served && chainsFor_ && chainsFor_(r.steps, &chains, &total) &&
-        chains) {
-        rs.chainCount = static_cast<uint32_t>(chains->size());
-    }
-    SpanId exec = recordRequestTree(scratch_, rs);
-    if (exec != 0 && chains && !chains->empty()) {
-        recordChainSpans(scratch_, rs.trace, exec, r.serviceUs, r.doneUs,
-                         *chains, total);
-    }
+    if (served && chainsFor_ && !chainsFor_(r.steps, &chains, &total))
+        chains = nullptr;
+    recordAttemptSpans(scratch_, r, r.seq, 0, chains, total);
     forEachSpanTree(
         scratch_.collect(),
         [traces](Json &tree) {

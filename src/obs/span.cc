@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "common/logging.h"
+#include "obs/flight.h"
 
 namespace bw {
 namespace obs {
@@ -91,85 +92,17 @@ SpanTracer::collect() const
 
 // --- Canonical request tree ---
 
-SpanId
-recordRequestTree(SpanTracer &tracer, const RequestSpans &rs,
-                  SpanId parent)
-{
-    if (rs.trace == 0)
-        return 0;
-    SpanRecord r;
-    r.trace = rs.trace;
-    r.id = parent + 1;
-    r.parent = parent;
-    r.kind = SpanKind::Request;
-    r.outcome = rs.outcome;
-    r.startUs = rs.admitUs;
-    r.endUs = rs.doneUs;
-    tracer.record(r);
+namespace {
 
-    SpanRecord q;
-    q.trace = rs.trace;
-    q.id = parent + 2;
-    q.parent = r.id;
-    q.kind = SpanKind::QueueWait;
-    q.startUs = rs.admitUs;
-    q.endUs = rs.dequeueUs;
-    tracer.record(q);
-
-    // Errored requests consumed service; only never-served outcomes
-    // (expired in queue, rejected, cancelled) stop at queue_wait.
-    if (rs.outcome != SpanOutcome::Ok && rs.outcome != SpanOutcome::Error)
-        return 0; // never reached service: queue_wait is the story
-
-    SpanRecord d;
-    d.trace = rs.trace;
-    d.id = parent + 3;
-    d.parent = r.id;
-    d.kind = SpanKind::Dispatch;
-    d.startUs = rs.dequeueUs;
-    d.endUs = rs.serviceUs;
-    tracer.record(d);
-
-    SpanRecord e;
-    e.trace = rs.trace;
-    e.id = parent + 4;
-    e.parent = r.id;
-    e.kind = SpanKind::Execute;
-    e.index = rs.replica;
-    e.chainCount = rs.chainCount;
-    e.startUs = rs.serviceUs;
-    e.endUs = rs.doneUs;
-    tracer.record(e);
-    return e.id;
-}
-
-SpanId
-recordRouteSpan(SpanTracer &tracer, const RouteSpan &rs)
-{
-    if (rs.trace == 0)
-        return 0;
-    SpanRecord r;
-    r.trace = rs.trace;
-    r.id = 1;
-    r.parent = 0;
-    r.kind = SpanKind::Route;
-    r.outcome = rs.outcome;
-    r.index = rs.engine;
-    r.chainId = rs.model;
-    r.startUs = rs.admitUs;
-    r.endUs = rs.doneUs;
-    tracer.record(r);
-    return r.id;
-}
-
+/// One chain[i] leaf per profile (capped at the tracer's
+/// maxChainSpans) under execute span @p execute, mapped into
+/// [@p service_us, @p done_us].
 void
 recordChainSpans(SpanTracer &tracer, TraceId trace, SpanId execute,
                  uint64_t service_us, uint64_t done_us,
                  const std::vector<ChainProfile> &chains,
                  Cycles total_cycles)
 {
-    if (trace == 0 || execute == 0 || chains.empty())
-        return;
     uint64_t window = done_us > service_us ? done_us - service_us : 0;
     auto map_cycle = [&](Cycles c) -> uint64_t {
         if (total_cycles == 0 || window == 0)
@@ -213,6 +146,84 @@ recordChainSpans(SpanTracer &tracer, TraceId trace, SpanId execute,
         s.computeCycles = tail > stalls ? tail - stalls : 0;
         tracer.record(s);
     }
+}
+
+} // namespace
+
+void
+recordAttemptSpans(SpanTracer &tracer, const FlightRecord &fr,
+                   TraceId trace, SpanId parent,
+                   const std::vector<ChainProfile> *chains,
+                   Cycles total_cycles)
+{
+    if (trace == 0)
+        return;
+    SpanOutcome outcome = flightClassOutcome(fr.cls);
+    SpanRecord r;
+    r.trace = trace;
+    r.id = parent + 1;
+    r.parent = parent;
+    r.kind = SpanKind::Request;
+    r.outcome = outcome;
+    r.startUs = fr.admitUs;
+    r.endUs = fr.doneUs;
+    tracer.record(r);
+
+    SpanRecord q;
+    q.trace = trace;
+    q.id = parent + 2;
+    q.parent = r.id;
+    q.kind = SpanKind::QueueWait;
+    q.startUs = fr.admitUs;
+    q.endUs = fr.dequeueUs;
+    tracer.record(q);
+
+    // Errored requests consumed service; only never-served outcomes
+    // (expired in queue, rejected, cancelled) stop at queue_wait.
+    if (outcome != SpanOutcome::Ok && outcome != SpanOutcome::Error)
+        return; // never reached service: queue_wait is the story
+
+    SpanRecord d;
+    d.trace = trace;
+    d.id = parent + 3;
+    d.parent = r.id;
+    d.kind = SpanKind::Dispatch;
+    d.startUs = fr.dequeueUs;
+    d.endUs = fr.serviceUs;
+    tracer.record(d);
+
+    SpanRecord e;
+    e.trace = trace;
+    e.id = parent + 4;
+    e.parent = r.id;
+    e.kind = SpanKind::Execute;
+    e.index = fr.replica;
+    e.chainCount = chains ? static_cast<uint32_t>(chains->size()) : 0;
+    e.startUs = fr.serviceUs;
+    e.endUs = fr.doneUs;
+    tracer.record(e);
+    if (chains)
+        recordChainSpans(tracer, trace, e.id, fr.serviceUs, fr.doneUs,
+                         *chains, total_cycles);
+}
+
+SpanId
+recordRouteSpan(SpanTracer &tracer, const RouteSpan &rs)
+{
+    if (rs.trace == 0)
+        return 0;
+    SpanRecord r;
+    r.trace = rs.trace;
+    r.id = 1;
+    r.parent = 0;
+    r.kind = SpanKind::Route;
+    r.outcome = rs.outcome;
+    r.index = rs.engine;
+    r.chainId = rs.model;
+    r.startUs = rs.admitUs;
+    r.endUs = rs.doneUs;
+    tracer.record(r);
+    return r.id;
 }
 
 // --- Span-tree JSON export ---

@@ -196,46 +196,39 @@ class SpanTracer
     ShardedRing<SpanRecord> ring_;
 };
 
-/**
- * Boundary timestamps of one served request, microseconds on the
- * engine's clock. Each boundary is converted from seconds exactly once
- * and shared between adjacent spans, so the direct children of the
- * request span partition it exactly: queue_wait + dispatch + execute
- * == request, to the microsecond, by construction.
- */
-struct RequestSpans
-{
-    TraceId trace = 0;
-    uint64_t admitUs = 0;
-    uint64_t dequeueUs = 0;
-    uint64_t serviceUs = 0; //!< service start (== doneUs when expired)
-    uint64_t doneUs = 0;
-    uint32_t replica = 0;
-    /** Chain profiles available for the request's step count (recorded
-     *  on the execute span; children may be fewer when truncated). */
-    uint32_t chainCount = 0;
-    SpanOutcome outcome = SpanOutcome::Ok;
-};
+struct FlightRecord;
 
 /**
- * Record the canonical request tree. An Ok request records request +
- * queue_wait + dispatch + execute; an expired/cancelled request records
- * request + queue_wait only (it never reached service). Returns the
- * execute span id (0 when no execute span was recorded) for
- * recordChainSpans().
+ * The one writer of an attempt's request span tree, under trace id
+ * @p trace (nothing when 0). A served record (Ok or Error) records
+ * request + queue_wait + dispatch + execute, a never-served one
+ * (expired, rejected, cancelled) request + queue_wait only. Each span
+ * takes its bounds from the record's microsecond stamps, so the
+ * request's direct children partition it exactly: queue_wait +
+ * dispatch + execute == request, to the microsecond.
  *
- * @p parent nests the whole tree under an already recorded span (the
- * cluster front door's route span): span ids shift by @p parent and the
- * request span's parent becomes @p parent instead of being the root.
+ * @p parent nests the tree under an already recorded span (a cluster
+ * route or hedge span): span ids shift by @p parent and the request
+ * span's parent becomes @p parent instead of being the root.
+ *
+ * With @p chains the execute span carries their count (rendered
+ * "chains", with "chains_truncated" once the tracer's maxChainSpans
+ * caps the leaves) and one chain[i] leaf per profile. Chain cycle
+ * intervals over @p total_cycles map proportionally into the execute
+ * span's [serviceUs, doneUs] window; the cycle-exact interval and the
+ * stall breakdown ride along as attributes. Engine, cluster and
+ * flight-export trees are all written here.
  */
-SpanId recordRequestTree(SpanTracer &tracer, const RequestSpans &rs,
-                         SpanId parent = 0);
+void recordAttemptSpans(SpanTracer &tracer, const FlightRecord &r,
+                        TraceId trace, SpanId parent = 0,
+                        const std::vector<ChainProfile> *chains = nullptr,
+                        Cycles total_cycles = 0);
 
 /**
  * One cluster routing decision wrapped around a request: the span
  * covers [admitUs, doneUs] and carries the chosen engine and the
  * resident-model id. Recorded as the trace root (id 1, parentless) —
- * nest the request tree under it via recordRequestTree(..., parent).
+ * nest the request tree under it via recordAttemptSpans(..., parent).
  */
 struct RouteSpan
 {
@@ -249,18 +242,6 @@ struct RouteSpan
 
 /** Record a route root span; returns its id (0 when unsampled). */
 SpanId recordRouteSpan(SpanTracer &tracer, const RouteSpan &rs);
-
-/**
- * Attach chain leaf spans under execute span @p execute of @p trace,
- * one per ChainProfile (capped at the tracer's maxChainSpans). Chain
- * cycle intervals are mapped proportionally into the execute span's
- * [serviceUs, doneUs] window; the cycle-exact interval and the stall
- * breakdown ride along as attributes.
- */
-void recordChainSpans(SpanTracer &tracer, TraceId trace, SpanId execute,
-                      uint64_t service_us, uint64_t done_us,
-                      const std::vector<ChainProfile> &chains,
-                      Cycles total_cycles);
 
 /** Tallies of one span-tree rendering. */
 struct SpanTreeCounts

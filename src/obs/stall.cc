@@ -155,7 +155,11 @@ StallReport::render(size_t top_chains) const
             } else {
                 cause = "-";
             }
-            w.addRow({"@" + std::to_string(p.chain), p.label,
+            // Appending, not "@" + std::string&&: GCC 12 at -O3 warns
+            // a false -Wrestrict on that operator+.
+            std::string head = "@";
+            head += std::to_string(p.chain);
+            w.addRow({std::move(head), p.label,
                       fmtI(p.dataStall), fmtI(p.inputStall),
                       fmtI(p.structStall), cause});
         }

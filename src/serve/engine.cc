@@ -179,25 +179,23 @@ Engine::Engine(std::shared_ptr<const CompiledModel> model,
     opts_.replicas = std::max(1u, opts_.replicas);
     opts_.queueDepth = std::max<size_t>(1, opts_.queueDepth);
     opts_.maxBatch = std::max(1u, opts_.maxBatch);
-    // Written once here so serviceProfileFor() can hand out a shared
-    // read-only profile from any worker without synchronization.
-    overrideProfile_.ms = opts_.serviceMsOverride;
     replicaDebug_.resize(opts_.replicas);
     if (opts_.metricsRegistry)
         bindMetrics();
 }
 
 void
-Engine::recordFlightSlo(uint64_t seq, RequestId id, obs::FlightClass cls,
-                        bool sampled, unsigned replica, unsigned steps,
-                        uint64_t admit_us, uint64_t dequeue_us,
-                        uint64_t service_us, uint64_t done_us,
-                        double deadline_ms, double latency_ms)
+Engine::recordAttempt(const AttemptRecord &rec, obs::TraceId trace)
 {
-    AttemptRecord rec{{seq, id, cls, sampled, replica, steps, admit_us,
-                       dequeue_us, service_us, done_us, /*latencyUs=*/0},
-                      latency_ms, deadline_ms};
     rec.record(opts_.flightRecorder, {opts_.sloMonitor});
+    if (!opts_.spanTracer || trace == 0)
+        return;
+    // Chain leaves go under completed requests only.
+    const timing::ProfiledRun *run =
+        rec.cls == obs::FlightClass::Ok ? chainRun(rec.steps) : nullptr;
+    obs::recordAttemptSpans(*opts_.spanTracer, rec, trace, 0,
+                            run ? run->chains.get() : nullptr,
+                            run ? run->result.totalCycles : 0);
 }
 
 void
@@ -375,11 +373,12 @@ Engine::enqueue(Pending p)
             Status st = Status::queueFull(detail::format(
                 "queue at depth %zu; request rejected (admission "
                 "control)", opts_.queueDepth));
-            uint64_t t_us = toUs(nowS());
-            recordFlightSlo(seq, 0, obs::FlightClass::Rejected, false, 0,
-                            p.steps, t_us, t_us, t_us, t_us, p.deadlineMs,
-                            0.0);
-            noteError(seq, 0, t_us, st.code(), st.message());
+            double now_s = nowS();
+            AttemptRecord rec(seq, 0, obs::FlightClass::Rejected, false, 0,
+                              p.steps, now_s, now_s, now_s, now_s, 0.0,
+                              p.deadlineMs);
+            recordAttempt(rec, 0);
+            noteError(seq, 0, rec.doneUs, st.code(), st.message());
             return st;
         }
         startLocked();
@@ -502,18 +501,12 @@ Engine::serveBatch(unsigned index, FuncMachine *machine,
             emitTrace(obs::EventKind::QueueWait,
                       obs::ResClass::ServeQueue, 0, p.id, p.admitS,
                       dequeue_s);
-            uint64_t admit_us = toUs(p.admitS);
-            uint64_t dq_us = std::max(toUs(dequeue_s), admit_us);
-            if (p.ctx.sampled()) {
-                recordSpans(p.ctx, p.steps, admit_us, dq_us, dq_us,
-                            dq_us, index,
-                            obs::SpanOutcome::DeadlineExpired);
-            }
-            recordFlightSlo(p.seq, p.id, obs::FlightClass::DeadlineExpired,
-                            p.ctx.sampled(), index, p.steps, admit_us,
-                            dq_us, dq_us, dq_us, p.deadlineMs,
-                            r.latencyMs);
-            noteError(p.seq, p.id, dq_us, r.status.code(),
+            AttemptRecord rec(p.seq, p.id, obs::FlightClass::DeadlineExpired,
+                              p.ctx.sampled(), index, p.steps, p.admitS,
+                              dequeue_s, dequeue_s, dequeue_s, r.latencyMs,
+                              p.deadlineMs);
+            recordAttempt(rec, p.ctx.trace);
+            noteError(p.seq, p.id, rec.dequeueUs, r.status.code(),
                       r.status.message());
             p.promise.set_value(std::move(r));
         } else {
@@ -593,23 +586,15 @@ Engine::serveBatch(unsigned index, FuncMachine *machine,
                   0, p.id, p.admitS, dequeue_s);
         emitTrace(obs::EventKind::Service, obs::ResClass::ServeWorker,
                   static_cast<uint16_t>(index), p.id, dequeue_s, done_s);
-        uint64_t admit_us = toUs(p.admitS);
-        uint64_t dq_us = std::max(toUs(dequeue_s), admit_us);
-        uint64_t svc_us = std::max(toUs(service_start_s), dq_us);
-        uint64_t dn_us = std::max(toUs(done_s), svc_us);
-        if (p.ctx.sampled()) {
-            recordSpans(p.ctx, p.steps, admit_us, dq_us, svc_us, dn_us,
-                        index,
-                        served_ok ? obs::SpanOutcome::Ok
-                                  : obs::SpanOutcome::Error);
-        }
-        recordFlightSlo(p.seq, p.id,
-                        served_ok ? obs::FlightClass::Ok
-                                  : obs::FlightClass::Error,
-                        p.ctx.sampled(), index, p.steps, admit_us, dq_us,
-                        svc_us, dn_us, p.deadlineMs, r.latencyMs);
+        AttemptRecord rec(p.seq, p.id,
+                          served_ok ? obs::FlightClass::Ok
+                                    : obs::FlightClass::Error,
+                          p.ctx.sampled(), index, p.steps, p.admitS,
+                          dequeue_s, service_start_s, done_s, r.latencyMs,
+                          p.deadlineMs);
+        recordAttempt(rec, p.ctx.trace);
         if (!served_ok) {
-            noteError(p.seq, p.id, dn_us, r.status.code(),
+            noteError(p.seq, p.id, rec.doneUs, r.status.code(),
                       r.status.message());
         }
         {
@@ -679,12 +664,14 @@ Engine::shutdown()
         collector_.recordCancelled();
         if (live_)
             live_->cancelled->inc();
-        uint64_t admit_us = toUs(p.admitS);
-        uint64_t t_us = std::max(toUs(now_s), admit_us);
-        recordFlightSlo(p.seq, p.id, obs::FlightClass::Cancelled,
-                        p.ctx.sampled(), 0, p.steps, admit_us, t_us,
-                        t_us, t_us, p.deadlineMs, r.latencyMs);
-        noteError(p.seq, p.id, t_us, r.status.code(), r.status.message());
+        // A cancelled request keeps its flight record; only served and
+        // expired requests write span trees.
+        AttemptRecord rec(p.seq, p.id, obs::FlightClass::Cancelled,
+                          p.ctx.sampled(), 0, p.steps, p.admitS, now_s,
+                          now_s, now_s, r.latencyMs, p.deadlineMs);
+        recordAttempt(rec, 0);
+        noteError(p.seq, p.id, rec.doneUs, r.status.code(),
+                  r.status.message());
         p.promise.set_value(std::move(r));
     }
     if (live_)
@@ -899,13 +886,11 @@ Engine::chainProfileFn()
     return [this](uint32_t steps,
                   const std::vector<obs::ChainProfile> **chains,
                   Cycles *total_cycles) {
-        if (steps == 0)
+        const timing::ProfiledRun *run = chainRun(steps);
+        if (!run || !run->chains || run->chains->empty())
             return false;
-        const ServiceProfile &prof = serviceProfileFor(steps);
-        if (!prof.chains || prof.chains->empty())
-            return false;
-        *chains = prof.chains.get();
-        *total_cycles = prof.totalCycles;
+        *chains = run->chains.get();
+        *total_cycles = run->result.totalCycles;
         return true;
     };
 }
@@ -951,14 +936,22 @@ Engine::exposeDebug(metrics::MetricsHttpServer &srv)
 double
 Engine::serviceMsFor(unsigned steps)
 {
-    return serviceProfileFor(steps).ms;
+    if (opts_.serviceMsOverride > 0)
+        return opts_.serviceMsOverride;
+    return profiledRun(steps).result.latencyMs(model_->cfg);
 }
 
-const Engine::ServiceProfile &
-Engine::serviceProfileFor(unsigned steps)
+const timing::ProfiledRun *
+Engine::chainRun(unsigned steps)
 {
-    if (opts_.serviceMsOverride > 0)
-        return overrideProfile_;
+    if (!model_ || opts_.serviceMsOverride > 0 || steps == 0)
+        return nullptr;
+    return &profiledRun(steps);
+}
+
+const timing::ProfiledRun &
+Engine::profiledRun(unsigned steps)
+{
     if (!model_) {
         BW_FATAL("serviceMsFor(%u): no model and no serviceMsOverride",
                  steps);
@@ -977,54 +970,15 @@ Engine::serviceProfileFor(unsigned steps)
                                                model_->cfg);
         timingModel_->setTileBeats(model_->tileBeats);
     }
-    ServiceProfile prof;
     // Both consumers of chain profiles — live span trees and the
     // flight export's reconstructed leaves — need the profiled run
     // (cycle-identical to run(), tested).
-    if (opts_.spanTracer || opts_.flightRecorder) {
-        auto pr = timingModel_->runShared(model_->prologue, model_->step,
-                                          steps);
-        prof.ms = pr.result.latencyMs(model_->cfg);
-        prof.totalCycles = pr.result.totalCycles;
-        prof.chains = std::move(pr.chains);
-    } else {
-        auto res = timingModel_->run(model_->prologue, model_->step,
-                                     steps);
-        prof.ms = res.latencyMs(model_->cfg);
-        prof.totalCycles = res.totalCycles;
-    }
-    return serviceCache_.emplace(steps, std::move(prof)).first->second;
-}
-
-void
-Engine::recordSpans(const obs::TraceContext &ctx, unsigned steps,
-                    uint64_t admit_us, uint64_t dequeue_us,
-                    uint64_t service_us, uint64_t done_us,
-                    unsigned replica, obs::SpanOutcome outcome)
-{
-    obs::SpanTracer *tracer = opts_.spanTracer;
-    if (!tracer || !ctx.sampled())
-        return;
-    obs::RequestSpans rs;
-    rs.trace = ctx.trace;
-    rs.admitUs = admit_us;
-    rs.dequeueUs = dequeue_us;
-    rs.serviceUs = service_us;
-    rs.doneUs = done_us;
-    rs.replica = replica;
-    rs.outcome = outcome;
-    const ServiceProfile *prof = nullptr;
-    if (outcome == obs::SpanOutcome::Ok && model_ &&
-        opts_.serviceMsOverride <= 0) {
-        prof = &serviceProfileFor(steps);
-        if (prof->chains)
-            rs.chainCount = static_cast<uint32_t>(prof->chains->size());
-    }
-    obs::SpanId exec = obs::recordRequestTree(*tracer, rs);
-    if (exec != 0 && prof && prof->chains && !prof->chains->empty()) {
-        obs::recordChainSpans(*tracer, rs.trace, exec, service_us,
-                              done_us, *prof->chains, prof->totalCycles);
-    }
+    timing::ProfiledRun run;
+    if (opts_.spanTracer || opts_.flightRecorder)
+        run = timingModel_->runShared(model_->prologue, model_->step, steps);
+    else
+        run.result = timingModel_->run(model_->prologue, model_->step, steps);
+    return serviceCache_.emplace(steps, std::move(run)).first->second;
 }
 
 // --- Deterministic virtual-time replay ---
@@ -1061,7 +1015,6 @@ Engine::replayUnbatched(const std::vector<double> &arrivals_s,
     uint64_t seq = 0;     // admitted requests only (span trace ids)
     uint64_t attempt = 0; // every submission attempt (flight seq)
     double service_s = service_ms / 1e3;
-    double net_s = opts_.networkMs / 1e3;
     double deadline_ms = opts_.defaultDeadlineMs;
     VirtualShard shard(opts_.replicas, opts_.queueDepth);
     std::vector<double> latencies;
@@ -1073,44 +1026,31 @@ Engine::replayUnbatched(const std::vector<double> &arrivals_s,
         shard.prune(a);
         if (!shard.admits(a)) {
             collector_.recordRejected();
-            uint64_t t_us = toUs(a);
-            recordFlightSlo(attempt, 0, obs::FlightClass::Rejected,
-                            false, 0, steps, t_us, t_us, t_us, t_us,
-                            deadline_ms, 0.0);
+            recordAttempt(AttemptRecord(attempt, 0,
+                                        obs::FlightClass::Rejected, false,
+                                        0, steps, a, a, a, a, 0.0,
+                                        deadline_ms),
+                          0);
             continue;
         }
-        VirtualShard::Reservation res = shard.reserve(a + net_s / 2);
-        double start = res.startS;
-        unsigned r = static_cast<unsigned>(res.replica);
+        VirtualShard::Step st =
+            shard.serve(a, opts_.networkMs, deadline_ms, service_s);
         ++seq; // rejected arrivals never consumed a sequence number
         obs::TraceContext ctx =
             tracer ? tracer->admit(seq) : obs::TraceContext{};
-        uint64_t admit_us = toUs(a);
-        uint64_t start_us = std::max(toUs(start), admit_us);
-        if (VirtualShard::expires(a, start, deadline_ms)) {
+        if (st.cls == obs::FlightClass::Ok) {
+            last_done = std::max(last_done, st.doneS);
+            latencies.push_back(st.latencyMs);
+        } else {
             collector_.recordExpired(); // expires at dequeue; no service
-            recordSpans(ctx, steps, admit_us, start_us, start_us,
-                        start_us, r, obs::SpanOutcome::DeadlineExpired);
-            recordFlightSlo(attempt, seq,
-                            obs::FlightClass::DeadlineExpired,
-                            ctx.sampled(), r, steps, admit_us, start_us,
-                            start_us, start_us, deadline_ms,
-                            (start - a) * 1e3 + opts_.networkMs);
-            continue;
         }
-        double done = start + service_s;
-        shard.finish(res, done);
-        last_done = std::max(last_done, done);
-        double latency_ms = (done + net_s / 2 - a) * 1e3;
-        latencies.push_back(latency_ms);
         // Virtual time dequeues straight into service: the dispatch
         // span is zero-width at the service start.
-        uint64_t done_us = std::max(toUs(done), start_us);
-        recordSpans(ctx, steps, admit_us, start_us, start_us, done_us, r,
-                    obs::SpanOutcome::Ok);
-        recordFlightSlo(attempt, seq, obs::FlightClass::Ok,
-                        ctx.sampled(), r, steps, admit_us, start_us,
-                        start_us, done_us, deadline_ms, latency_ms);
+        recordAttempt(AttemptRecord(attempt, seq, st.cls, ctx.sampled(),
+                                    static_cast<uint32_t>(st.res.replica),
+                                    steps, a, st.startS, st.startS,
+                                    st.doneS, st.latencyMs, deadline_ms),
+                      ctx.trace);
     }
 
     ServeStats stats;
@@ -1146,9 +1086,10 @@ Engine::replayBatched(const std::vector<double> &arrivals_s,
     auto reject = [&](double at) {
         ++attempt;
         collector_.recordRejected();
-        uint64_t t_us = toUs(at);
-        recordFlightSlo(attempt, 0, obs::FlightClass::Rejected, false, 0,
-                        steps, t_us, t_us, t_us, t_us, deadline_ms, 0.0);
+        recordAttempt(AttemptRecord(attempt, 0, obs::FlightClass::Rejected,
+                                    false, 0, steps, at, at, at, at, 0.0,
+                                    deadline_ms),
+                      0);
     };
 
     struct Member
@@ -1203,15 +1144,14 @@ Engine::replayBatched(const std::vector<double> &arrivals_s,
                 served.push_back(m);
                 continue;
             }
-            uint64_t admit_us = toUs(m.a);
-            uint64_t launch_us = std::max(toUs(launch), admit_us);
             collector_.recordExpired();
-            recordSpans(m.ctx, steps, admit_us, launch_us, launch_us,
-                        launch_us, r, obs::SpanOutcome::DeadlineExpired);
-            recordFlightSlo(m.seq, m.id, obs::FlightClass::DeadlineExpired,
-                            m.ctx.sampled(), r, steps, admit_us, launch_us,
-                            launch_us, launch_us, deadline_ms,
-                            (launch - m.a) * 1e3 + net_ms);
+            recordAttempt(AttemptRecord(m.seq, m.id,
+                                        obs::FlightClass::DeadlineExpired,
+                                        m.ctx.sampled(), r, steps, m.a,
+                                        launch, launch, launch,
+                                        (launch - m.a) * 1e3 + net_ms,
+                                        deadline_ms),
+                          m.ctx.trace);
         }
         if (served.empty())
             continue;
@@ -1225,14 +1165,11 @@ Engine::replayBatched(const std::vector<double> &arrivals_s,
         for (const Member &m : served) {
             double latency_ms = (done - m.a) * 1e3 + net_ms;
             latencies.push_back(latency_ms);
-            uint64_t admit_us = toUs(m.a);
-            uint64_t launch_us = std::max(toUs(launch), admit_us);
-            uint64_t done_us = std::max(toUs(done), launch_us);
-            recordSpans(m.ctx, steps, admit_us, launch_us, launch_us,
-                        done_us, r, obs::SpanOutcome::Ok);
-            recordFlightSlo(m.seq, m.id, obs::FlightClass::Ok,
-                            m.ctx.sampled(), r, steps, admit_us, launch_us,
-                            launch_us, done_us, deadline_ms, latency_ms);
+            recordAttempt(AttemptRecord(m.seq, m.id, obs::FlightClass::Ok,
+                                        m.ctx.sampled(), r, steps, m.a,
+                                        launch, launch, done, latency_ms,
+                                        deadline_ms),
+                          m.ctx.trace);
         }
         batch_sum += b;
         ++batches;

@@ -59,6 +59,7 @@ class MetricsHttpServer;
 namespace serve {
 
 class SloMonitor;
+struct AttemptRecord;
 
 using RequestId = uint64_t;
 
@@ -549,36 +550,20 @@ class Engine
     RequestId nextId_ = 1;
     std::vector<std::thread> workers_;
 
-    /** Cached timing-simulator output for one step count: the service
-     *  milliseconds plus (when a span tracer is attached) the retired-
-     *  chain profiles that become chain[i] leaf spans. */
-    struct ServiceProfile
-    {
-        double ms = 0;
-        Cycles totalCycles = 0;
-        std::shared_ptr<const std::vector<obs::ChainProfile>> chains;
-    };
+    /** The model's timing run at @p steps (cached per step count):
+     *  service time plus, when a span tracer or flight recorder is
+     *  attached, the retired-chain profiles behind chain[i] leaves. */
+    const timing::ProfiledRun &profiledRun(unsigned steps);
 
-    /** serviceMsFor() plus the chain profiles (cached per step count). */
-    const ServiceProfile &serviceProfileFor(unsigned steps);
+    /** profiledRun(@p steps) when it can carry chain profiles (a
+     *  compiled model, no serviceMsOverride, steps > 0), else null. */
+    const timing::ProfiledRun *chainRun(unsigned steps);
 
-    /** Record the span tree of one sampled request (threaded and
-     *  replay paths share it); boundaries are microseconds on the
-     *  engine's clock, each converted exactly once so the children
-     *  partition the request span to the microsecond. */
-    void recordSpans(const obs::TraceContext &ctx, unsigned steps,
-                     uint64_t admit_us, uint64_t dequeue_us,
-                     uint64_t service_us, uint64_t done_us,
-                     unsigned replica, obs::SpanOutcome outcome);
-
-    /** Feed the flight recorder and the SLO monitor (either may be
-     *  absent) with one finished submission attempt; timestamps are
-     *  microseconds on the engine's clock (virtual under replay). */
-    void recordFlightSlo(uint64_t seq, RequestId id, obs::FlightClass cls,
-                         bool sampled, unsigned replica, unsigned steps,
-                         uint64_t admit_us, uint64_t dequeue_us,
-                         uint64_t service_us, uint64_t done_us,
-                         double deadline_ms, double latency_ms);
+    /** Feed one finished submission attempt (stamps on the engine's
+     *  clock, virtual under replay) to the flight recorder and the SLO
+     *  monitor, either may be absent, and write its span tree under
+     *  @p trace (0 = none) to the span tracer. */
+    void recordAttempt(const AttemptRecord &rec, obs::TraceId trace);
 
     /** Append to the /debug/errors ring (bounded; oldest evicted). */
     void noteError(uint64_t seq, RequestId id, uint64_t time_us,
@@ -589,16 +574,15 @@ class Engine
     obs::ChainProfileFn chainProfileFn();
 
     std::mutex serviceMsMu_;
-    /** Thin per-step-count front over the timing model: keeps the
-     *  derived milliseconds + shared chain vector per steps value so
-     *  workers share one immutable profile per step count. The actual
-     *  simulation (and, under Fidelity::Cached, the cross-run memo)
-     *  lives in timingModel_. */
-    std::unordered_map<unsigned, ServiceProfile> serviceCache_;
+    /** Thin per-step-count front over the timing model: keeps one
+     *  result + shared chain vector per steps value so workers share
+     *  one immutable profile per step count. The actual simulation
+     *  (and, under Fidelity::Cached, the cross-run memo) lives in
+     *  timingModel_. */
+    std::unordered_map<unsigned, timing::ProfiledRun> serviceCache_;
     /** Lazily built at the options' fidelity tier (under
      *  serviceMsMu_). */
     std::unique_ptr<timing::TimingModel> timingModel_;
-    ServiceProfile overrideProfile_; //!< serviceMsOverride, no chains
 
     StatsCollector collector_;
     std::mutex traceMu_;

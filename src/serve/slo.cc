@@ -169,9 +169,7 @@ SloMonitor::record(uint64_t t_us, double deadline_ms, double latency_ms,
         if (cs.availBreachC)
             cs.availBreachC->inc();
     }
-    if (!sawRecord_ || t_us > highWaterUs_)
-        highWaterUs_ = t_us;
-    sawRecord_ = true;
+    highWaterUs_ = std::max(highWaterUs_, t_us);
 }
 
 SloWindowEval
@@ -179,8 +177,6 @@ SloMonitor::evalWindow(const ClassState &cs, uint64_t window_us,
                        bool latency) const
 {
     SloWindowEval ev;
-    if (!sawRecord_)
-        return ev;
     uint64_t high_bucket = highWaterUs_ / opts_.bucketUs;
     uint64_t span = std::max<uint64_t>(1, window_us / opts_.bucketUs);
     uint64_t first =
@@ -239,7 +235,7 @@ uint64_t
 SloMonitor::highWaterUs() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return sawRecord_ ? highWaterUs_ : 0;
+    return highWaterUs_;
 }
 
 void
@@ -254,7 +250,6 @@ SloMonitor::clear()
         cs.availabilityBreaches = 0;
     }
     highWaterUs_ = 0;
-    sawRecord_ = false;
 }
 
 namespace {

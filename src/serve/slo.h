@@ -226,7 +226,6 @@ class SloMonitor
     mutable std::mutex mu_;
     std::vector<ClassState> classes_;
     uint64_t highWaterUs_ = 0;
-    bool sawRecord_ = false;
     metrics::Registry *registry_ = nullptr;
 };
 

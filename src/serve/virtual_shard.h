@@ -17,14 +17,23 @@
  * its queue depth however long the replay runs, and the per-request
  * path allocates nothing once the ring has grown to that size.
  *
- * AttemptRecord is the matching single writer of what a finished
- * submission attempt leaves behind: its flight record and its SLO
- * sample.
+ * serve() is the whole batch-1 attempt of an admitted request: reserve
+ * a replica once the request has crossed half the network, expire it
+ * at dequeue or hold the replica for its service time. Engine::replay's
+ * unbatched policy and every cluster dispatch attempt call it; the
+ * cluster folds its weight reload and a slowed replica's stretch into
+ * the service time first.
+ *
+ * AttemptRecord is the matching single builder of what a finished
+ * submission attempt leaves behind: its flight record (stamps taken
+ * from seconds once, here) and its SLO sample. Its span tree is
+ * written by obs::recordAttemptSpans from the same record.
  */
 
 #ifndef BW_SERVE_VIRTUAL_SHARD_H
 #define BW_SERVE_VIRTUAL_SHARD_H
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -110,6 +119,28 @@ class VirtualShard
                (start_s - arrival_s) * 1e3 > deadline_ms;
     }
 
+    /** What serve() did with one admitted request. */
+    struct Step
+    {
+        Reservation res;
+        double startS = 0;      //!< service start (dequeue)
+        double doneS = 0;       //!< service end (== startS if expired)
+        double clientDoneS = 0; //!< when the caller hears the outcome
+        double latencyMs = 0;   //!< from arrival, network included
+        obs::FlightClass cls = obs::FlightClass::Ok; //!< or expired
+    };
+
+    /**
+     * The batch-1 attempt of a request admitted at @p arrival_s:
+     * reserve a replica at arrival + @p net_ms / 2, expire the request
+     * at dequeue past @p deadline_ms (the replica stays free), else
+     * hold the replica for @p service_s. The caller hears an expiry at
+     * dequeue plus the whole round trip, a completion half a round
+     * trip after service ends.
+     */
+    Step serve(double arrival_s, double net_ms, double deadline_ms,
+               double service_s);
+
   private:
     double at(size_t i) const { return log_[(head_ + i) & mask_]; }
     void push(double start_s);
@@ -134,11 +165,61 @@ struct AttemptRecord : obs::FlightRecord
     double latencyMs = 0;  //!< as the caller saw it, network included
     double deadlineMs = 0; //!< resolved (0 = none)
 
+    AttemptRecord() = default;
+
+    /** Stamps from seconds: each boundary becomes whole microseconds
+     *  (toUs) once, clamped to the one before it, so admit <= dequeue
+     *  <= service <= done and the span children partition the request
+     *  span exactly. */
+    AttemptRecord(uint64_t seq, uint64_t id, obs::FlightClass cls,
+                  bool sampled, uint32_t replica, uint32_t steps,
+                  double admit_s, double dequeue_s, double service_s,
+                  double done_s, double latency_ms, double deadline_ms);
+
     /** Write the flight record to @p flight (when set) and the SLO
      *  sample to every monitor in @p slos (null entries skipped). */
     void record(obs::FlightRecorder *flight,
                 std::initializer_list<SloMonitor *> slos) const;
 };
+
+// serve() and the record constructor run once per replayed request;
+// out of line they measurably slowed streamed replay.
+
+inline VirtualShard::Step
+VirtualShard::serve(double arrival_s, double net_ms, double deadline_ms,
+                    double service_s)
+{
+    Step st;
+    double net_s = net_ms / 1e3;
+    st.res = reserve(arrival_s + net_s / 2);
+    st.startS = st.res.startS;
+    if (expires(arrival_s, st.startS, deadline_ms)) {
+        st.cls = obs::FlightClass::DeadlineExpired;
+        st.doneS = st.clientDoneS = st.startS;
+        st.latencyMs = (st.startS - arrival_s) * 1e3 + net_ms;
+        return st;
+    }
+    st.doneS = st.startS + service_s;
+    finish(st.res, st.doneS);
+    st.clientDoneS = st.doneS + net_s / 2;
+    st.latencyMs = (st.clientDoneS - arrival_s) * 1e3;
+    return st;
+}
+
+inline AttemptRecord::AttemptRecord(uint64_t seq, uint64_t id,
+                                    obs::FlightClass cls, bool sampled,
+                                    uint32_t replica, uint32_t steps,
+                                    double admit_s, double dequeue_s,
+                                    double service_s, double done_s,
+                                    double latency_ms, double deadline_ms)
+    : obs::FlightRecord{seq, id, cls, sampled, replica, steps},
+      latencyMs(latency_ms), deadlineMs(deadline_ms)
+{
+    admitUs = toUs(admit_s);
+    dequeueUs = std::max(toUs(dequeue_s), admitUs);
+    serviceUs = std::max(toUs(service_s), dequeueUs);
+    doneUs = std::max(toUs(done_s), serviceUs);
+}
 
 } // namespace serve
 } // namespace bw

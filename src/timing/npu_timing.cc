@@ -36,8 +36,8 @@ struct NpuTiming::ChainCtx
 
 NpuTiming::NpuTiming(const NpuConfig &cfg)
     : cfg_(cfg), beats_(cfg.nativeVectorBeats()), tp_(cfg.timing),
-      engines_(cfg.tileEngines), reduceUnits_(cfg.tileEngines),
-      mfuUnits_(cfg.mfus * 3), mvmSched_(cfg.tileEngines),
+      mvmSched_(cfg.tileEngines), engines_(cfg.tileEngines),
+      reduceUnits_(cfg.tileEngines), mfuUnits_(cfg.mfus * 3),
       ivrfWrite_(cfg.tileEngines), asvrfWrite_(cfg.tileEngines),
       mulvrfWrite_(cfg.tileEngines)
 {

@@ -396,6 +396,62 @@ TEST(Cluster, RouteRootedSpanTreesValidate)
     }
 }
 
+TEST(Cluster, ExecuteSpansCarryTheProfiledChainCount)
+{
+    // A served compiled-model request's execute span reports how many
+    // chains the timing profile retired, and flags the leaves as
+    // truncated once the tracer's cap cuts them short.
+    const unsigned steps = 4;
+    Rng rng(5);
+    GirGraph g = makeGru(randomGruWeights(64, 64, rng));
+    ClusterOptions co;
+    ReplicaGroupSpec grp;
+    grp.name = "s10";
+    grp.config = NpuConfig::bwS10();
+    grp.engine.queueDepth = 16;
+    co.groups = {grp};
+    std::vector<obs::ChainProfile> profile;
+    Session::compile(g, grp.config)
+        .timeProfiled(steps, &profile, co.fidelity);
+    ASSERT_GT(profile.size(), 3u);
+
+    for (unsigned cap : {3u, 1000u}) {
+        obs::SpanTracerOptions so;
+        so.sampleEvery = 1;
+        so.maxChainSpans = cap;
+        obs::SpanTracer tracer(so);
+        co.spanTracer = &tracer;
+        Cluster c(co);
+        Expected<uint32_t> gru = c.addModel("gru64", g);
+        ASSERT_TRUE(gru.ok()) << gru.status().toString();
+        std::vector<ClusterRequest> trace;
+        for (int i = 0; i < 3; ++i)
+            trace.push_back(ClusterRequest{0.05 * i, gru.value(), steps,
+                                           0.0});
+        ASSERT_EQ(c.replay(trace).completed, trace.size());
+
+        Json doc = obs::spanTreeJson(tracer);
+        Status st = obs::validateSpanTreeJson(doc);
+        ASSERT_TRUE(st.ok()) << st.toString();
+        const Json *traces = doc.find("traces");
+        ASSERT_EQ(traces->size(), trace.size());
+        for (size_t i = 0; i < traces->size(); ++i) {
+            // route -> request -> {queue_wait, dispatch, execute}
+            const Json &req =
+                traces->at(i).find("root")->find("children")->at(0);
+            const Json &exec = req.find("children")->at(2);
+            ASSERT_EQ(exec.find("name")->asString(), "execute");
+            ASSERT_NE(exec.find("chains"), nullptr);
+            EXPECT_EQ(static_cast<size_t>(exec.find("chains")->asInt()),
+                      profile.size());
+            EXPECT_EQ(exec.find("children")->size(),
+                      std::min<size_t>(cap, profile.size()));
+            EXPECT_EQ(exec.find("chains_truncated") != nullptr,
+                      cap < profile.size());
+        }
+    }
+}
+
 TEST(Cluster, SingleEngineDegeneratesToEngineReplay)
 {
     const double service_ms = 1.1;

@@ -331,6 +331,64 @@ TEST(RouteStream, RowsMatchJsonDumpAtEdgeValues)
     EXPECT_EQ(w.bytes(), out.size());
 }
 
+TEST(RouteStream, TrailerCountsUnavailableRowsAsTheRouterDoes)
+{
+    // One decision sequence with routed, shed (-1) and no-healthy-shard
+    // (-2) rows, streamed through the router's sink: the trailer's
+    // counters must be the router's own.
+    RouterOptions ro;
+    ro.policy = RoutePolicy::SloAware;
+    Router router(ro, 2, 3);
+    std::string out;
+    obs::RouteStreamWriter w(appendTo(out), "slo_aware", 2, 3);
+    router.setDecisionSink([&w](const RouteDecision &d) {
+        w.decision(d.seq, d.model, d.cls, d.engine);
+    });
+    std::vector<EngineLoad> idle(2), full(2), down(2);
+    for (size_t e = 0; e < 2; ++e) {
+        idle[e].queueCapacity = full[e].queueCapacity = 4;
+        full[e].queued = 4;
+        down[e].healthy = false;
+    }
+    uint64_t seq = 0;
+    for (int round = 0; round < 3; ++round) {
+        router.route(++seq, 0, "m", 0, idle); // routed
+        router.route(++seq, 0, "m", 2, full); // shed: a lower class
+        router.route(++seq, 0, "m", 1, down); // -2: nothing healthy
+        router.route(++seq, 0, "m", 2, down);
+    }
+    ASSERT_EQ(router.routed(), 3u);
+    ASSERT_EQ(router.shed(), 3u);
+    ASSERT_EQ(router.unavailable(), 6u);
+    EXPECT_TRUE(w.finish());
+    EXPECT_EQ(w.rows(), seq);
+
+    Json trailer = Json::parse(
+        out.substr(out.rfind('\n', out.size() - 2) + 1));
+    EXPECT_EQ(trailer.find("rows")->asInt(), 12);
+    EXPECT_EQ(trailer.find("routed")->asInt(), 3);
+    EXPECT_EQ(trailer.find("shed")->asInt(), 3);
+    ASSERT_NE(trailer.find("unavailable"), nullptr);
+    EXPECT_EQ(trailer.find("unavailable")->asInt(), 6);
+    const Json *by_class = trailer.find("shed_by_class");
+    ASSERT_NE(by_class, nullptr);
+    ASSERT_EQ(by_class->size(), router.shedByClass().size());
+    for (size_t c = 0; c < by_class->size(); ++c)
+        EXPECT_EQ(static_cast<uint64_t>(by_class->at(c).asInt()),
+                  router.shedByClass()[c]);
+    std::istringstream in(out);
+    Status st = obs::validateRouteStreamJson(in);
+    EXPECT_TRUE(st.ok()) << st.toString();
+
+    // A trailer that files the unavailable rows as sheds is rejected.
+    std::string lied = out;
+    size_t pos = lied.find("\"shed\":3");
+    ASSERT_NE(pos, std::string::npos);
+    lied.replace(pos, 8, "\"shed\":9");
+    std::istringstream in2(lied);
+    EXPECT_FALSE(obs::validateRouteStreamJson(in2).ok());
+}
+
 TEST(SpanStream, RoundTripsAndRejectsTruncation)
 {
     obs::SpanTracerOptions so;
@@ -515,13 +573,12 @@ TEST(SpanStream, RowsMatchTheSpanDocument)
         tracer.record(r);
     };
     auto request = [&tracer](obs::TraceId trace, uint64_t at) {
-        obs::RequestSpans rs;
-        rs.trace = trace;
-        rs.admitUs = at;
-        rs.dequeueUs = at + 5;
-        rs.serviceUs = at + 7;
-        rs.doneUs = at + 30;
-        obs::recordRequestTree(tracer, rs);
+        obs::FlightRecord r;
+        r.admitUs = at;
+        r.dequeueUs = at + 5;
+        r.serviceUs = at + 7;
+        r.doneUs = at + 30;
+        obs::recordAttemptSpans(tracer, r, trace);
     };
     span(2, 4, 1, obs::SpanKind::Execute, 20, 30); // overwritten
     span(1, 1, 0, obs::SpanKind::Request, 0, 10);  // overwritten
@@ -562,13 +619,12 @@ TEST(SpanStream, ValidatorAppliesTheDocumentTraceChecks)
 {
     obs::SpanTracer tracer;
     for (obs::TraceId t = 1; t <= 3; ++t) {
-        obs::RequestSpans rs;
-        rs.trace = t;
-        rs.admitUs = 100 * t;
-        rs.dequeueUs = 100 * t + 10;
-        rs.serviceUs = 100 * t + 20;
-        rs.doneUs = 100 * t + 60;
-        obs::recordRequestTree(tracer, rs);
+        obs::FlightRecord r;
+        r.admitUs = 100 * t;
+        r.dequeueUs = 100 * t + 10;
+        r.serviceUs = 100 * t + 20;
+        r.doneUs = 100 * t + 60;
+        obs::recordAttemptSpans(tracer, r, t);
     }
     std::string out;
     ASSERT_TRUE(obs::streamSpanTreesNdjson(tracer, appendTo(out)).ok());

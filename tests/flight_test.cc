@@ -250,6 +250,27 @@ TEST(Slo, LatencySliCountsOnlyServedRequests)
     EXPECT_EQ(mon.recorded(), 3u);
 }
 
+TEST(Slo, ARecordAtTimeZeroCountsInBothWindows)
+{
+    // t = 0 is a real stamp (a virtual replay's first arrival), not
+    // "nothing recorded yet".
+    serve::SloMonitor mon;
+    mon.record(0, 5.0, 2.0, true);
+    mon.record(0, 5.0, 0.0, false);
+    EXPECT_EQ(mon.highWaterUs(), 0u);
+    auto evals = mon.snapshot();
+    EXPECT_EQ(evals[0].latencyFast.good, 1u);
+    EXPECT_EQ(evals[0].latencySlow.good, 1u);
+    EXPECT_EQ(evals[0].availFast.good, 1u);
+    EXPECT_EQ(evals[0].availFast.bad, 1u);
+    EXPECT_EQ(evals[0].availSlow.good, 1u);
+    EXPECT_EQ(evals[0].availSlow.bad, 1u);
+
+    mon.clear();
+    EXPECT_EQ(mon.highWaterUs(), 0u);
+    EXPECT_EQ(mon.snapshot()[0].availSlow.good, 0u);
+}
+
 TEST(Slo, SloJsonDeterministicValidAndBindsMetrics)
 {
     metrics::Registry reg;

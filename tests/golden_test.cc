@@ -289,7 +289,7 @@ TEST(GoldenExports, ChaoticClusterReplay)
                       {"flight/s5/0", 0x4c2f63cf0acda3b2ull},
                       {"slo/s5/0", 0x889ae4b00a4f1e16ull},
                       {"cluster_slo", 0x5521282909e79bf4ull},
-                      {"spans", 0xbd7b1a5464c2dd22ull},
+                      {"spans", 0x9b847a01ad74fb1aull},
                       {"incidents", 0x7b9a683c29b65b8dull},
                       {"audit", 0x9075b3de1d536b82ull},
                       {"fleet_metrics", 0x4a5b16e9eed3ff2eull},
@@ -309,7 +309,7 @@ TEST(GoldenExports, HedgedChaoticClusterReplay)
                       {"flight/s5/0", 0x26a4210e3adabc24ull},
                       {"slo/s5/0", 0x13049c80939bd017ull},
                       {"cluster_slo", 0x8c0381162c89ed87ull},
-                      {"spans", 0x1833d1a7500f42fbull},
+                      {"spans", 0x9d4b30a3a50b94a9ull},
                       {"incidents", 0xb5ec7941c4e36201ull},
                       {"audit", 0x0c1a6f3c4ea45945ull},
                       {"fleet_metrics", 0x0f259fbfeb2962c2ull},
@@ -355,7 +355,7 @@ TEST(GoldenExports, StreamedClusterReplayNdjson)
                   {
                       {"stats", 0xb2fcd32157b2b1f9ull},
                       {"route", 0xb58723727b7874d7ull},
-                      {"spans", 0x4da6a662d9094b35ull},
+                      {"spans", 0x760815e95a5c68f5ull},
                       {"flight/s10/0", 0x07658c967b234b74ull},
                       {"flight/s10/1", 0x5803f8a42d175059ull},
                       {"flight/s5/0", 0xd1f77852ee2b4af5ull},

@@ -354,18 +354,16 @@ TEST(ChromeTrace, SimRunExportsValidStructure)
 // --- Span tracing. -----------------------------------------------------
 
 /** Canonical Ok-request boundaries reused across the span tests. */
-obs::RequestSpans
-okRequest(obs::TraceId trace)
+obs::FlightRecord
+okRequest()
 {
-    obs::RequestSpans rs;
-    rs.trace = trace;
-    rs.admitUs = 100;
-    rs.dequeueUs = 250;
-    rs.serviceUs = 300;
-    rs.doneUs = 900;
-    rs.replica = 2;
-    rs.chainCount = 2;
-    return rs;
+    obs::FlightRecord r;
+    r.admitUs = 100;
+    r.dequeueUs = 250;
+    r.serviceUs = 300;
+    r.doneUs = 900;
+    r.replica = 2;
+    return r;
 }
 
 /** Two adjacent chain profiles covering [0, 100) cycles. */
@@ -389,6 +387,15 @@ twoChains()
     b.done = 100;
     b.structStall = 10;
     return {a, b};
+}
+
+/** okRequest()'s tree under @p trace with twoChains() leaves, the
+ *  chains spanning 100 cycles. */
+void
+recordOkWithChains(obs::SpanTracer &tracer, obs::TraceId trace)
+{
+    std::vector<obs::ChainProfile> chains = twoChains();
+    recordAttemptSpans(tracer, okRequest(), trace, 0, &chains, 100);
 }
 
 TEST(SpanTracer, HeadSamplingIsAPureFunctionOfSequence)
@@ -471,13 +478,13 @@ TEST(SpanTracer, RingOverwriteCountsDropped)
 TEST(SpanRequestTree, OkTreePartitionsRequestExactly)
 {
     obs::SpanTracer tracer{{}};
-    obs::SpanId exec = recordRequestTree(tracer, okRequest(9));
-    EXPECT_EQ(exec, 4u);
+    recordAttemptSpans(tracer, okRequest(), 9);
 
     auto spans = tracer.collect();
     ASSERT_EQ(spans.size(), 4u);
     const obs::SpanRecord &req = spans[0], &q = spans[1], &d = spans[2],
                           &e = spans[3];
+    EXPECT_EQ(e.id, 4u);
     EXPECT_EQ(req.kind, obs::SpanKind::Request);
     EXPECT_EQ(q.kind, obs::SpanKind::QueueWait);
     EXPECT_EQ(d.kind, obs::SpanKind::Dispatch);
@@ -497,14 +504,13 @@ TEST(SpanRequestTree, OkTreePartitionsRequestExactly)
 TEST(SpanRequestTree, ExpiredRequestRecordsQueueWaitOnly)
 {
     obs::SpanTracer tracer{{}};
-    obs::RequestSpans rs;
-    rs.trace = 3;
-    rs.admitUs = 10;
-    rs.dequeueUs = 40;
-    rs.serviceUs = 40;
-    rs.doneUs = 40;
-    rs.outcome = obs::SpanOutcome::DeadlineExpired;
-    EXPECT_EQ(recordRequestTree(tracer, rs), 0u);
+    obs::FlightRecord r;
+    r.admitUs = 10;
+    r.dequeueUs = 40;
+    r.serviceUs = 40;
+    r.doneUs = 40;
+    r.cls = obs::FlightClass::DeadlineExpired;
+    recordAttemptSpans(tracer, r, 3);
 
     auto spans = tracer.collect();
     ASSERT_EQ(spans.size(), 2u);
@@ -513,21 +519,20 @@ TEST(SpanRequestTree, ExpiredRequestRecordsQueueWaitOnly)
     EXPECT_EQ(spans[1].kind, obs::SpanKind::QueueWait);
 
     // An unsampled request records nothing at all.
-    recordRequestTree(tracer, obs::RequestSpans{});
+    recordAttemptSpans(tracer, okRequest(), 0);
     EXPECT_EQ(tracer.collect().size(), 2u);
 }
 
 TEST(SpanChainSpans, CyclesMapProportionallyIntoExecuteWindow)
 {
     obs::SpanTracer tracer{{}};
-    obs::SpanId exec = recordRequestTree(tracer, okRequest(1));
-    recordChainSpans(tracer, 1, exec, 300, 900, twoChains(), 100);
+    recordOkWithChains(tracer, 1);
 
     auto spans = tracer.collect();
     ASSERT_EQ(spans.size(), 6u);
     const obs::SpanRecord &c0 = spans[4], &c1 = spans[5];
     EXPECT_EQ(c0.kind, obs::SpanKind::Chain);
-    EXPECT_EQ(c0.parent, exec);
+    EXPECT_EQ(c0.parent, spans[3].id); // execute
     EXPECT_EQ(c0.chainKind, 'V');
     EXPECT_EQ(c0.chainId, 2u);
     // [0,50) and [50,100) of 100 cycles over window [300,900]:
@@ -550,9 +555,7 @@ TEST(SpanChainSpans, MaxChainSpansCapsChildren)
     obs::SpanTracerOptions opts;
     opts.maxChainSpans = 1;
     obs::SpanTracer tracer(opts);
-    obs::RequestSpans rs = okRequest(1);
-    obs::SpanId exec = recordRequestTree(tracer, rs);
-    recordChainSpans(tracer, 1, exec, 300, 900, twoChains(), 100);
+    recordOkWithChains(tracer, 1);
     EXPECT_EQ(tracer.collect().size(), 5u); // 4 tree + 1 capped chain
 
     Json doc = obs::spanTreeJson(tracer);
@@ -570,9 +573,8 @@ TEST(SpanTreeJson, ExportValidatesAndOrders)
 {
     obs::SpanTracer tracer{{}};
     // Record trace 5 before trace 2: export must ascend by trace id.
-    obs::SpanId e5 = recordRequestTree(tracer, okRequest(5));
-    recordChainSpans(tracer, 5, e5, 300, 900, twoChains(), 100);
-    recordRequestTree(tracer, okRequest(2));
+    recordOkWithChains(tracer, 5);
+    recordAttemptSpans(tracer, okRequest(), 2);
 
     Json doc = obs::spanTreeJson(tracer);
     Status st = obs::validateSpanTreeJson(doc);
@@ -657,7 +659,7 @@ TEST(SpanTreeJson, LostRootDropsTraceAndCountsIncomplete)
     s.parent = 1;
     s.kind = obs::SpanKind::QueueWait;
     tracer.record(s);
-    recordRequestTree(tracer, okRequest(7)); // plus one intact trace
+    recordAttemptSpans(tracer, okRequest(), 7); // plus one intact trace
 
     Json doc = obs::spanTreeJson(tracer);
     EXPECT_TRUE(obs::validateSpanTreeJson(doc).ok());
@@ -669,8 +671,7 @@ TEST(SpanTreeJson, LostRootDropsTraceAndCountsIncomplete)
 TEST(SpanChromeEvents, AsyncPairsOverlayTimeline)
 {
     obs::SpanTracer tracer{{}};
-    obs::SpanId exec = recordRequestTree(tracer, okRequest(6));
-    recordChainSpans(tracer, 6, exec, 300, 900, twoChains(), 100);
+    recordOkWithChains(tracer, 6);
 
     Json doc = Json::object(); // no traceEvents yet: created on demand
     Status st = obs::appendSpanTreeDocEvents(doc, obs::spanTreeJson(tracer));
@@ -701,8 +702,7 @@ TEST(SpanChromeEvents, AsyncPairsOverlayTimeline)
 TEST(SpanChromeEvents, DocDrivenMergeMatchesRecordDrivenOverlay)
 {
     obs::SpanTracer tracer{{}};
-    obs::SpanId exec = recordRequestTree(tracer, okRequest(4));
-    recordChainSpans(tracer, 4, exec, 300, 900, twoChains(), 100);
+    recordOkWithChains(tracer, 4);
     Json span_doc = obs::spanTreeJson(tracer);
 
     // Events already in the target stay first; the merge appends one
