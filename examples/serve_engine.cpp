@@ -2,14 +2,14 @@
  * @file
  * The concurrent serving engine end to end: a GRU compiled into a
  * bw::Session and served by a pool of accelerator replicas behind a
- * bounded request queue, driven by multi-threaded clients. Shows
+ * bounded request queue, driven by multi-threaded clients. Each
+ * replica serves one request at a time as it arrives (batch 1). Shows
  * admission control (queue-full rejections), per-request deadlines,
  * graceful drain, the thread-safe stats collector, and the
  * deterministic virtual-time replay that ties the engine to the
  * paper-validated analytic serving model.
  *
- * Environment: BW_SERVE_REPLICAS, BW_SERVE_QUEUE_DEPTH,
- * BW_SERVE_POLICY, BW_SERVE_MAX_BATCH, BW_SERVE_TIMEOUT_MS and
+ * Environment: BW_SERVE_REPLICAS, BW_SERVE_QUEUE_DEPTH and
  * BW_SERVE_TIMESCALE override the engine options; BW_STATS_JSON=<path>
  * writes the stats document; BW_SERVE_TRACE=<path> writes a
  * Perfetto-loadable Chrome trace of queue wait vs. service per worker,
@@ -118,10 +118,9 @@ main(int argc, char **argv)
     opts.sloMonitor = &slo;
     auto engine = session.serve(opts);
 
-    std::printf("Engine: %u replicas, queue depth %zu, %s dispatch, "
+    std::printf("Engine: %u replicas, queue depth %zu, batch-1 dispatch, "
                 "model %s\n",
                 opts.replicas, opts.queueDepth,
-                serve::dispatchPolicyName(opts.policy),
                 session.model().name.c_str());
 
     metrics::MetricsHttpServer http(registry);

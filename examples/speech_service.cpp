@@ -51,7 +51,6 @@ main(int argc, char **argv)
     auto arrivals = poissonArrivals(rate, 30.0, arr_rng);
 
     serve::EngineOptions bw_opts;
-    bw_opts.policy = serve::DispatchPolicy::Unbatched;
     bw_opts.networkMs = network_ms;
     bw_opts.queueDepth = arrivals.size(); // unbounded for the load curve
     auto engine = session.serve(bw_opts);

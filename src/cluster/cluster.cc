@@ -1067,8 +1067,8 @@ Cluster::recordAttemptTree(obs::TraceId trace,
 {
     ModelEntry &e = models_[req.model];
     const timing::ProfiledRun *run = nullptr;
-    // Only served compiled-model requests have chain leaves.
-    if (rec.cls == obs::FlightClass::Ok && !e.timed) {
+    // Compiled models have chain profiles; flat-service ones do not.
+    if (!e.timed) {
         auto [it, fresh] =
             chainCache_.try_emplace(svcKey(req.model, group, req.steps));
         if (fresh) {

@@ -42,16 +42,6 @@ envVarDocs()
         {"BW_SERVE_QUEUE_DEPTH",
          "Override serve::EngineOptions::queueDepth (bounded admission "
          "queue; submissions beyond it are rejected QUEUE_FULL)."},
-        {"BW_SERVE_POLICY",
-         "Dispatch policy: 'unbatched' (BW discipline, FIFO one at a "
-         "time) or 'batched' (GPU discipline, accumulate maxBatch or "
-         "timeout)."},
-        {"BW_SERVE_MAX_BATCH",
-         "Override serve::EngineOptions::maxBatch (batched policy batch "
-         "size cap)."},
-        {"BW_SERVE_TIMEOUT_MS",
-         "Override serve::EngineOptions::batchTimeoutMs (batched policy "
-         "accumulation timeout)."},
         {"BW_SERVE_TIMESCALE",
          "Wall-clock seconds a worker really sleeps per simulated "
          "second of timed service (1.0 = real time, 0 = instantaneous; "

@@ -1,9 +1,11 @@
 /**
  * @file
  * The single source of truth for every BW_* environment variable the
- * library and its example binaries honor. The README's "Environment
- * variables" table and `serve_engine --help` both render from this
- * list, so a new variable is documented in one place.
+ * library and its example binaries honor. `serve_engine --help` and
+ * /debug/config render from this list, and a tier-1 test
+ * (EnvDoc.ListMatchesEveryReadAndTheReadmeTable) holds every BW_* read
+ * in src/, examples/ and bench/ and the README's "Environment
+ * variables" table to it.
  */
 
 #ifndef BW_COMMON_ENV_DOC_H

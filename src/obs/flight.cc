@@ -186,8 +186,7 @@ FlightRecordWriter::write(const FlightRecord &r, Json *traces,
     scratch_.clear();
     const std::vector<ChainProfile> *chains = nullptr;
     Cycles total = 0;
-    bool served = r.cls == FlightClass::Ok || r.cls == FlightClass::Error;
-    if (served && chainsFor_ && !chainsFor_(r.steps, &chains, &total))
+    if (chainsFor_ && !chainsFor_(r.steps, &chains, &total))
         chains = nullptr;
     recordAttemptSpans(scratch_, r, r.seq, 0, chains, total);
     forEachSpanTree(

@@ -182,10 +182,10 @@ using ChainProfileFn = std::function<bool(
  * streamFlightNdjson(): the record's bw.flight/1 members (seq, id,
  * class, sampled, replica, steps, admit_us, dequeue_us, service_us,
  * done_us, latency_us) plus its span tree. The tree — request /
- * queue_wait, plus dispatch / execute / chain[i] leaves (via the
- * ChainProfileFn) for served records, trace id = seq — is recorded
- * into a scratch tracer the writer reuses record to record and
- * rendered by forEachSpanTree().
+ * queue_wait, plus dispatch / execute for served records and chain[i]
+ * leaves (via the ChainProfileFn) for completed ones, trace id = seq —
+ * is recorded into a scratch tracer the writer reuses record to record
+ * and rendered by forEachSpanTree().
  */
 class FlightRecordWriter
 {

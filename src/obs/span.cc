@@ -132,18 +132,13 @@ recordChainSpans(SpanTracer &tracer, TraceId trace, SpanId execute,
         s.endCycle = p.done;
         s.startUs = map_cycle(p.dispatchStart);
         s.endUs = std::max(map_cycle(p.done), s.startUs);
-        s.dispatchCycles = p.dispatchDone > p.dispatchStart
-                               ? p.dispatchDone - p.dispatchStart
-                               : 0;
-        s.decodeCycles =
-            p.decodeDone > p.dispatchDone ? p.decodeDone - p.dispatchDone
-                                          : 0;
+        ChainCycles cc = chainCycles(p);
+        s.dispatchCycles = cc.dispatch;
+        s.decodeCycles = cc.decode;
         s.dataStallCycles = p.dataStall;
         s.inputStallCycles = p.inputStall;
         s.structStallCycles = p.structStall;
-        Cycles tail = p.done > p.decodeDone ? p.done - p.decodeDone : 0;
-        Cycles stalls = p.dataStall + p.inputStall + p.structStall;
-        s.computeCycles = tail > stalls ? tail - stalls : 0;
+        s.computeCycles = cc.compute;
         tracer.record(s);
     }
 }
@@ -158,6 +153,10 @@ recordAttemptSpans(SpanTracer &tracer, const FlightRecord &fr,
 {
     if (trace == 0)
         return;
+    // Chain leaves hang under completed requests only: an errored
+    // service did not retire the chains the profile describes.
+    if (fr.cls != FlightClass::Ok)
+        chains = nullptr;
     SpanOutcome outcome = flightClassOutcome(fr.cls);
     SpanRecord r;
     r.trace = trace;

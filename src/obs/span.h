@@ -211,12 +211,13 @@ struct FlightRecord;
  * route or hedge span): span ids shift by @p parent and the request
  * span's parent becomes @p parent instead of being the root.
  *
- * With @p chains the execute span carries their count (rendered
- * "chains", with "chains_truncated" once the tracer's maxChainSpans
- * caps the leaves) and one chain[i] leaf per profile. Chain cycle
- * intervals over @p total_cycles map proportionally into the execute
- * span's [serviceUs, doneUs] window; the cycle-exact interval and the
- * stall breakdown ride along as attributes. Engine, cluster and
+ * With @p chains and an Ok record (an errored one gets none) the
+ * execute span carries their count (rendered "chains", with
+ * "chains_truncated" once the tracer's maxChainSpans caps the leaves)
+ * and one chain[i] leaf per profile. Chain cycle intervals over
+ * @p total_cycles map proportionally into the execute span's
+ * [serviceUs, doneUs] window; the cycle-exact interval and the stall
+ * breakdown ride along as attributes. Engine, cluster and
  * flight-export trees are all written here.
  */
 void recordAttemptSpans(SpanTracer &tracer, const FlightRecord &r,

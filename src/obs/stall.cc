@@ -22,25 +22,20 @@ struct Components
 Components
 chainComponents(const ChainProfile &p)
 {
+    ChainCycles cc = chainCycles(p);
     Components c;
     c.key[0] = "dispatch";
-    c.weight[0] = p.dispatchDone > p.dispatchStart
-                      ? p.dispatchDone - p.dispatchStart
-                      : 0;
+    c.weight[0] = cc.dispatch;
     c.key[1] = "decode";
-    c.weight[1] =
-        p.decodeDone > p.dispatchDone ? p.decodeDone - p.dispatchDone : 0;
+    c.weight[1] = cc.decode;
     c.key[2] = std::string("data_hazard:") + memIdMnemonic(p.dataStallMem);
     c.weight[2] = p.dataStall;
     c.key[3] = "input_wait:netq";
     c.weight[3] = p.inputStall;
     c.key[4] = std::string("structural:") + resClassName(p.structRes);
     c.weight[4] = p.structStall;
-
-    Cycles body = p.done > p.decodeDone ? p.done - p.decodeDone : 0;
-    Cycles waits = p.dataStall + p.inputStall + p.structStall;
     c.key[5] = "compute";
-    c.weight[5] = body > waits ? body - waits : 0;
+    c.weight[5] = cc.compute;
     return c;
 }
 

@@ -114,6 +114,31 @@ struct ChainProfile
     ResClass structRes = ResClass::ControlProcessor;
 };
 
+/** A chain's cycles outside its three stall kinds, each clamped at 0. */
+struct ChainCycles
+{
+    Cycles dispatch = 0; //!< dispatchStart -> dispatchDone
+    Cycles decode = 0;   //!< dispatchDone -> decodeDone
+    Cycles compute = 0;  //!< decodeDone -> done, less the stalls
+};
+
+/** The one split of a ChainProfile into dispatch, decode and compute,
+ *  shared by the stall report and the chain[i] span leaves. */
+inline ChainCycles
+chainCycles(const ChainProfile &p)
+{
+    ChainCycles c;
+    c.dispatch = p.dispatchDone > p.dispatchStart
+                     ? p.dispatchDone - p.dispatchStart
+                     : 0;
+    c.decode =
+        p.decodeDone > p.dispatchDone ? p.decodeDone - p.dispatchDone : 0;
+    Cycles body = p.done > p.decodeDone ? p.done - p.decodeDone : 0;
+    Cycles stalls = p.dataStall + p.inputStall + p.structStall;
+    c.compute = body > stalls ? body - stalls : 0;
+    return c;
+}
+
 /** Receiver of trace events; attach to NpuTiming::setTraceSink(). */
 class TraceSink
 {

@@ -14,16 +14,6 @@
 namespace bw {
 namespace serve {
 
-const char *
-dispatchPolicyName(DispatchPolicy p)
-{
-    switch (p) {
-      case DispatchPolicy::Unbatched: return "unbatched";
-      case DispatchPolicy::Batched: return "batched";
-      default: BW_PANIC("bad DispatchPolicy %d", static_cast<int>(p));
-    }
-}
-
 EngineOptions
 EngineOptions::fromEnv(EngineOptions base)
 {
@@ -32,24 +22,10 @@ EngineOptions::fromEnv(EngineOptions base)
     base.queueDepth = static_cast<size_t>(
         envDouble("BW_SERVE_QUEUE_DEPTH",
                   static_cast<double>(base.queueDepth)));
-    base.maxBatch = static_cast<unsigned>(
-        envDouble("BW_SERVE_MAX_BATCH", base.maxBatch));
-    base.batchTimeoutMs =
-        envDouble("BW_SERVE_TIMEOUT_MS", base.batchTimeoutMs);
     base.timeScale = envDouble("BW_SERVE_TIMESCALE", base.timeScale);
     base.errorRingCapacity = static_cast<size_t>(
         envDouble("BW_DEBUG_RING",
                   static_cast<double>(base.errorRingCapacity)));
-    if (const char *p = std::getenv("BW_SERVE_POLICY")) {
-        std::string s(p);
-        if (s == "batched")
-            base.policy = DispatchPolicy::Batched;
-        else if (s == "unbatched")
-            base.policy = DispatchPolicy::Unbatched;
-        else if (!s.empty())
-            BW_WARN("BW_SERVE_POLICY=%s ignored (want unbatched|batched)",
-                    s.c_str());
-    }
     base.fidelity = timing::fidelityFromEnv(base.fidelity);
     return base;
 }
@@ -65,9 +41,6 @@ StatsCollector::recordCompleted(const Response &r, double admit_s,
     queueWaitsMs_.push_back(r.queueMs);
     serviceMs_.push_back(r.serviceMs);
     ++completed_;
-    
-    if (r.batch > 0)
-        invBatchSum_ += 1.0 / r.batch;
     if (!sawRequest_ || admit_s < firstAdmitS_)
         firstAdmitS_ = admit_s;
     if (!sawRequest_ || done_s > lastDoneS_)
@@ -106,9 +79,6 @@ StatsCollector::snapshot() const
     double span = lastDoneS_ - firstAdmitS_;
     s.throughputRps =
         span > 0 ? static_cast<double>(completed_) / span : 0.0;
-    s.meanBatch = invBatchSum_ > 0
-                      ? static_cast<double>(completed_) / invBatchSum_
-                      : 1.0;
     return s;
 }
 
@@ -178,7 +148,6 @@ Engine::Engine(std::shared_ptr<const CompiledModel> model,
 {
     opts_.replicas = std::max(1u, opts_.replicas);
     opts_.queueDepth = std::max<size_t>(1, opts_.queueDepth);
-    opts_.maxBatch = std::max(1u, opts_.maxBatch);
     replicaDebug_.resize(opts_.replicas);
     if (opts_.metricsRegistry)
         bindMetrics();
@@ -190,9 +159,7 @@ Engine::recordAttempt(const AttemptRecord &rec, obs::TraceId trace)
     rec.record(opts_.flightRecorder, {opts_.sloMonitor});
     if (!opts_.spanTracer || trace == 0)
         return;
-    // Chain leaves go under completed requests only.
-    const timing::ProfiledRun *run =
-        rec.cls == obs::FlightClass::Ok ? chainRun(rec.steps) : nullptr;
+    const timing::ProfiledRun *run = chainRun(rec.steps);
     obs::recordAttemptSpans(*opts_.spanTracer, rec, trace, 0,
                             run ? run->chains.get() : nullptr,
                             run ? run->result.totalCycles : 0);
@@ -411,53 +378,23 @@ Engine::workerLoop(unsigned index)
     std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
         workCv_.wait(lk, [&] { return stopping_ || !queue_.empty(); });
-        if (queue_.empty()) {
-            if (stopping_)
-                return;
-            continue;
-        }
+        if (queue_.empty())
+            return; // stopping, and nothing left to serve
 
-        if (opts_.policy == DispatchPolicy::Batched) {
-            // Accumulate until the batch fills, the oldest queued
-            // request has waited out the timeout, or a flush (drain /
-            // shutdown) is requested.
-            while (!stopping_ && !draining_ && !queue_.empty() &&
-                   queue_.size() < opts_.maxBatch) {
-                double trigger_s =
-                    queue_.front().admitS + opts_.batchTimeoutMs / 1e3;
-                if (nowS() >= trigger_s)
-                    break;
-                auto tp = epoch_ +
-                          std::chrono::duration_cast<
-                              std::chrono::steady_clock::duration>(
-                              std::chrono::duration<double>(trigger_s));
-                workCv_.wait_until(lk, tp);
-            }
-            if (queue_.empty())
-                continue; // another replica took the batch
-        }
-
-        size_t take = opts_.policy == DispatchPolicy::Batched
-                          ? std::min<size_t>(queue_.size(), opts_.maxBatch)
-                          : 1;
-        std::vector<Pending> batch;
-        batch.reserve(take);
-        for (size_t i = 0; i < take; ++i) {
-            batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-        }
+        Pending p = std::move(queue_.front());
+        queue_.pop_front();
         double dequeue_s = nowS();
-        inFlight_ += static_cast<unsigned>(take);
+        ++inFlight_;
         if (live_) {
             live_->queueDepth->set(static_cast<double>(queue_.size()));
             live_->inflight->set(static_cast<double>(inFlight_));
         }
         lk.unlock();
 
-        serveBatch(index, machine.get(), std::move(batch), dequeue_s);
+        serveOne(index, machine.get(), std::move(p), dequeue_s);
 
         lk.lock();
-        inFlight_ -= static_cast<unsigned>(take);
+        --inFlight_;
         if (live_)
             live_->inflight->set(static_cast<double>(inFlight_));
         if (queue_.empty() && inFlight_ == 0)
@@ -466,146 +403,82 @@ Engine::workerLoop(unsigned index)
 }
 
 void
-Engine::serveBatch(unsigned index, FuncMachine *machine,
-                   std::vector<Pending> batch, double dequeue_s)
+Engine::serveOne(unsigned index, FuncMachine *machine, Pending p,
+                 double dequeue_s)
 {
     {
         std::lock_guard<std::mutex> lk(debugMu_);
         ReplicaDebug &rd = replicaDebug_[index];
         rd.busy = true;
-        rd.inflight.clear();
-        for (const Pending &p : batch)
-            rd.inflight.push_back(p.id);
+        rd.inflight.assign(1, p.id);
     }
+    emitTrace(obs::EventKind::QueueWait, obs::ResClass::ServeQueue, 0,
+              p.id, p.admitS, dequeue_s);
 
-    // On-dequeue deadline expiry: requests that waited out their
-    // deadline complete immediately, consuming no service.
-    std::vector<Pending> live;
-    live.reserve(batch.size());
-    uint64_t expired_here = 0;
-    for (Pending &p : batch) {
-        if (VirtualShard::expires(p.admitS, dequeue_s, p.deadlineMs)) {
-            double queue_ms = (dequeue_s - p.admitS) * 1e3;
-            Response r;
-            r.id = p.id;
-            r.status = Status::deadlineExceeded(detail::format(
-                "request waited %.3f ms in queue, deadline %.3f ms",
-                queue_ms, p.deadlineMs));
-            r.queueMs = queue_ms;
-            r.latencyMs = queue_ms + opts_.networkMs;
-            r.worker = index;
-            collector_.recordExpired();
-            ++expired_here;
-            if (live_)
-                live_->expired->inc();
-            emitTrace(obs::EventKind::QueueWait,
-                      obs::ResClass::ServeQueue, 0, p.id, p.admitS,
-                      dequeue_s);
-            AttemptRecord rec(p.seq, p.id, obs::FlightClass::DeadlineExpired,
-                              p.ctx.sampled(), index, p.steps, p.admitS,
-                              dequeue_s, dequeue_s, dequeue_s, r.latencyMs,
-                              p.deadlineMs);
-            recordAttempt(rec, p.ctx.trace);
-            noteError(p.seq, p.id, rec.dequeueUs, r.status.code(),
-                      r.status.message());
-            p.promise.set_value(std::move(r));
-        } else {
-            live.push_back(std::move(p));
-        }
-    }
-    if (live.empty()) {
-        std::lock_guard<std::mutex> lk(debugMu_);
-        ReplicaDebug &rd = replicaDebug_[index];
-        rd.busy = false;
-        rd.inflight.clear();
-        rd.expired += expired_here;
-        return;
-    }
-
-    if (opts_.serviceHook) {
-        for (const Pending &p : live)
+    Response r;
+    r.id = p.id;
+    r.queueMs = (dequeue_s - p.admitS) * 1e3;
+    r.worker = index;
+    double service_start_s = dequeue_s;
+    double done_s = dequeue_s;
+    // On-dequeue deadline expiry: a request that waited out its
+    // deadline completes at once, consuming no service.
+    bool expired = VirtualShard::expires(p.admitS, dequeue_s, p.deadlineMs);
+    if (expired) {
+        r.status = Status::deadlineExceeded(detail::format(
+            "request waited %.3f ms in queue, deadline %.3f ms", r.queueMs,
+            p.deadlineMs));
+        collector_.recordExpired();
+        if (live_)
+            live_->expired->inc();
+    } else {
+        if (opts_.serviceHook)
             opts_.serviceHook(p.id);
-    }
-
-    // Dispatch ends and service begins here: deadline expiry and the
-    // service hook above are batch admin charged to the dispatch span.
-    double service_start_s = nowS();
-
-    // Timed requests charge simulated service milliseconds.
-    double sim_ms = 0;
-    unsigned timed = 0;
-    for (const Pending &p : live) {
+        // Dispatch ends and service begins here: the service hook above
+        // is charged to the dispatch span.
+        service_start_s = nowS();
         if (p.timed) {
-            ++timed;
-            sim_ms += p.serviceMsReq > 0 ? p.serviceMsReq
-                                         : serviceMsFor(p.steps);
+            // Timed requests charge simulated service milliseconds.
+            r.serviceMs = p.serviceMsReq > 0 ? p.serviceMsReq
+                                             : serviceMsFor(p.steps);
+            if (opts_.timeScale > 0) {
+                std::this_thread::sleep_for(
+                    std::chrono::duration<double, std::milli>(
+                        r.serviceMs * opts_.timeScale));
+            }
+        } else {
+            // Functional requests run the replica's real machine.
+            try {
+                model_->resetRequestState(*machine);
+                r.outputs = model_->runSequence(*machine, p.xs);
+            } catch (const Error &e) {
+                r.status = Status::invalidArgument(e.what());
+            }
         }
-    }
-    if (timed > 0 && opts_.batchServiceMs)
-        sim_ms = opts_.batchServiceMs(timed);
-
-    // Functional requests run the real machine, sequentially within
-    // the batch (the replica is one accelerator).
-    std::vector<std::vector<FVec>> outputs(live.size());
-    std::vector<Status> statuses(live.size(), Status());
-    for (size_t i = 0; i < live.size(); ++i) {
-        if (live[i].timed || !machine)
-            continue;
-        try {
-            model_->resetRequestState(*machine);
-            outputs[i] = model_->runSequence(*machine, live[i].xs);
-        } catch (const Error &e) {
-            statuses[i] = Status::invalidArgument(e.what());
-        }
-    }
-    if (sim_ms > 0 && opts_.timeScale > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(
-                sim_ms * opts_.timeScale));
-    }
-
-    double done_s = nowS();
-    double wall_ms = (done_s - dequeue_s) * 1e3;
-    if (live_) {
-        live_->replicaBusyUs[index]->add(static_cast<uint64_t>(
-            std::llround((done_s - dequeue_s) * 1e6)));
-    }
-    for (size_t i = 0; i < live.size(); ++i) {
-        Pending &p = live[i];
-        Response r;
-        r.id = p.id;
-        r.status = statuses[i];
-        r.outputs = std::move(outputs[i]);
-        r.queueMs = (dequeue_s - p.admitS) * 1e3;
-        r.serviceMs = p.timed ? sim_ms : wall_ms;
-        r.latencyMs = r.queueMs + r.serviceMs + opts_.networkMs;
-        r.worker = index;
-        r.batch = static_cast<unsigned>(live.size());
-        bool served_ok = r.status.ok();
-        emitTrace(obs::EventKind::QueueWait, obs::ResClass::ServeQueue,
-                  0, p.id, p.admitS, dequeue_s);
+        done_s = nowS();
+        if (!p.timed)
+            r.serviceMs = (done_s - dequeue_s) * 1e3;
         emitTrace(obs::EventKind::Service, obs::ResClass::ServeWorker,
                   static_cast<uint16_t>(index), p.id, dequeue_s, done_s);
-        AttemptRecord rec(p.seq, p.id,
-                          served_ok ? obs::FlightClass::Ok
-                                    : obs::FlightClass::Error,
-                          p.ctx.sampled(), index, p.steps, p.admitS,
-                          dequeue_s, service_start_s, done_s, r.latencyMs,
-                          p.deadlineMs);
-        recordAttempt(rec, p.ctx.trace);
-        if (!served_ok) {
-            noteError(p.seq, p.id, rec.doneUs, r.status.code(),
-                      r.status.message());
+        if (live_) {
+            live_->replicaBusyUs[index]->add(static_cast<uint64_t>(
+                std::llround((done_s - dequeue_s) * 1e6)));
         }
-        {
-            std::lock_guard<std::mutex> lk(debugMu_);
-            ReplicaDebug &rd = replicaDebug_[index];
-            rd.lastId = p.id;
-            if (served_ok)
-                ++rd.served;
-            else
-                ++rd.errors;
-        }
+    }
+    r.latencyMs = r.queueMs + r.serviceMs + opts_.networkMs;
+
+    obs::FlightClass cls = expired        ? obs::FlightClass::DeadlineExpired
+                           : r.status.ok() ? obs::FlightClass::Ok
+                                           : obs::FlightClass::Error;
+    AttemptRecord rec(p.seq, p.id, cls, p.ctx.sampled(), index, p.steps,
+                      p.admitS, dequeue_s, service_start_s, done_s,
+                      r.latencyMs, p.deadlineMs);
+    recordAttempt(rec, p.ctx.trace);
+    if (!r.status.ok()) {
+        noteError(p.seq, p.id, rec.doneUs, r.status.code(),
+                  r.status.message());
+    }
+    if (!expired) {
         collector_.recordCompleted(r, p.admitS, done_s);
         if (live_) {
             live_->completed->inc();
@@ -613,20 +486,28 @@ Engine::serveBatch(unsigned index, FuncMachine *machine,
             // exemplar: /metrics.json then names a slowest trace per
             // latency bucket for tail forensics.
             if (p.ctx.sampled())
-                live_->latencyMs->recordExemplar(r.latencyMs,
-                                                 p.ctx.trace);
+                live_->latencyMs->recordExemplar(r.latencyMs, p.ctx.trace);
             else
                 live_->latencyMs->record(r.latencyMs);
             live_->queueWaitMs->record(r.queueMs);
         }
-        p.promise.set_value(std::move(r));
     }
-
-    std::lock_guard<std::mutex> dlk(debugMu_);
-    ReplicaDebug &rd = replicaDebug_[index];
-    rd.busy = false;
-    rd.inflight.clear();
-    rd.expired += expired_here;
+    {
+        std::lock_guard<std::mutex> lk(debugMu_);
+        ReplicaDebug &rd = replicaDebug_[index];
+        rd.busy = false;
+        rd.inflight.clear();
+        if (expired) {
+            ++rd.expired;
+        } else {
+            rd.lastId = p.id;
+            if (r.status.ok())
+                ++rd.served;
+            else
+                ++rd.errors;
+        }
+    }
+    p.promise.set_value(std::move(r));
 }
 
 void
@@ -635,7 +516,6 @@ Engine::drain()
     std::unique_lock<std::mutex> lk(mu_);
     accepting_ = false;
     draining_ = true;
-    workCv_.notify_all(); // flush partially accumulated batches
     idleCv_.wait(lk, [&] { return queue_.empty() && inFlight_ == 0; });
 }
 
@@ -699,9 +579,6 @@ Engine::statsJson() const
     Json cfg = Json::object();
     cfg.set("replicas", opts_.replicas);
     cfg.set("queue_depth", static_cast<uint64_t>(opts_.queueDepth));
-    cfg.set("policy", dispatchPolicyName(opts_.policy));
-    cfg.set("max_batch", opts_.maxBatch);
-    cfg.set("batch_timeout_ms", opts_.batchTimeoutMs);
     cfg.set("network_ms", opts_.networkMs);
     cfg.set("time_scale", opts_.timeScale);
     cfg.set("model", model_ ? model_->name : "");
@@ -776,9 +653,6 @@ Engine::debugConfigJson() const
     eng.set("group", opts_.groupLabel);
     eng.set("replicas", opts_.replicas);
     eng.set("queue_depth", static_cast<uint64_t>(opts_.queueDepth));
-    eng.set("policy", dispatchPolicyName(opts_.policy));
-    eng.set("max_batch", opts_.maxBatch);
-    eng.set("batch_timeout_ms", opts_.batchTimeoutMs);
     eng.set("network_ms", opts_.networkMs);
     eng.set("default_deadline_ms", opts_.defaultDeadlineMs);
     eng.set("service_ms_override", opts_.serviceMsOverride);
@@ -990,31 +864,22 @@ Engine::replay(const std::vector<double> &arrivals_s, unsigned steps)
         BW_ASSERT(arrivals_s[i] >= arrivals_s[i - 1],
                   "replay: arrivals must be ascending");
     }
-    double service_ms = serviceMsFor(steps);
+    double service_s = serviceMsFor(steps) / 1e3;
     // Each replay restarts the tracer, the flight recorder and the SLO
     // monitor alongside their replay-local sequence counters, so two
     // replays of one schedule export byte-identically.
-    if (opts_.spanTracer)
-        opts_.spanTracer->clear();
+    obs::SpanTracer *tracer = opts_.spanTracer;
+    if (tracer)
+        tracer->clear();
     if (opts_.flightRecorder)
         opts_.flightRecorder->clear();
     if (opts_.sloMonitor)
         opts_.sloMonitor->clear();
     if (arrivals_s.empty())
         return {};
-    return opts_.policy == DispatchPolicy::Batched
-               ? replayBatched(arrivals_s, service_ms, steps)
-               : replayUnbatched(arrivals_s, service_ms, steps);
-}
 
-ServeStats
-Engine::replayUnbatched(const std::vector<double> &arrivals_s,
-                        double service_ms, unsigned steps)
-{
-    obs::SpanTracer *tracer = opts_.spanTracer;
     uint64_t seq = 0;     // admitted requests only (span trace ids)
     uint64_t attempt = 0; // every submission attempt (flight seq)
-    double service_s = service_ms / 1e3;
     double deadline_ms = opts_.defaultDeadlineMs;
     VirtualShard shard(opts_.replicas, opts_.queueDepth);
     std::vector<double> latencies;
@@ -1058,129 +923,6 @@ Engine::replayUnbatched(const std::vector<double> &arrivals_s,
     double span = last_done - arrivals_s.front();
     stats.throughputRps =
         span > 0 ? static_cast<double>(latencies.size()) / span : 0;
-    return stats;
-}
-
-ServeStats
-Engine::replayBatched(const std::vector<double> &arrivals_s,
-                      double service_ms, unsigned steps)
-{
-    obs::SpanTracer *tracer = opts_.spanTracer;
-    uint64_t seq = 0;     // admitted requests only (span trace ids)
-    uint64_t attempt = 0; // every submission attempt (flight seq)
-    double net_ms = opts_.networkMs;
-    double deadline_ms = opts_.defaultDeadlineMs;
-    // One logged start per admitted request: its batch's launch time.
-    VirtualShard shard(opts_.replicas, opts_.queueDepth);
-    std::vector<double> latencies;
-    latencies.reserve(arrivals_s.size());
-    double last_done = arrivals_s.front();
-    uint64_t batches = 0;
-    double batch_sum = 0;
-
-    auto admits = [&](double at, size_t forming) {
-        shard.prune(at); // arrivals ascend, and so do launches
-        return shard.admits(at, forming);
-    };
-
-    auto reject = [&](double at) {
-        ++attempt;
-        collector_.recordRejected();
-        recordAttempt(AttemptRecord(attempt, 0, obs::FlightClass::Rejected,
-                                    false, 0, steps, at, at, at, at, 0.0,
-                                    deadline_ms),
-                      0);
-    };
-
-    struct Member
-    {
-        double a;              //!< arrival
-        uint64_t id;           //!< admitted id (span trace seq)
-        uint64_t seq;          //!< submission-attempt seq
-        obs::TraceContext ctx;
-    };
-    std::vector<Member> members, served;
-    auto admit = [&](double a) {
-        ++seq; // rejected arrivals never consumed a sequence number
-        ++attempt;
-        members.push_back(
-            {a, seq, attempt,
-             tracer ? tracer->admit(seq) : obs::TraceContext{}});
-    };
-
-    size_t i = 0;
-    const size_t n = arrivals_s.size();
-    while (i < n) {
-        // Find the batch's oldest member (admission-checked).
-        while (i < n && !admits(arrivals_s[i], 0)) {
-            reject(arrivals_s[i]);
-            ++i;
-        }
-        if (i >= n)
-            break;
-        members.clear();
-        admit(arrivals_s[i++]);
-        double trigger = members[0].a + opts_.batchTimeoutMs / 1e3;
-        // Accumulate: requests arriving before the trigger, up to the
-        // batch cap, each admission-checked against queue occupancy.
-        while (i < n && members.size() < opts_.maxBatch &&
-               arrivals_s[i] <= trigger) {
-            if (admits(arrivals_s[i], members.size()))
-                admit(arrivals_s[i]);
-            else
-                reject(arrivals_s[i]);
-            ++i;
-        }
-        bool full = members.size() == opts_.maxBatch;
-        double form = full ? members.back().a : trigger;
-        VirtualShard::Reservation res = shard.reserve(form, members.size());
-        double launch = res.startS;
-        unsigned r = static_cast<unsigned>(res.replica);
-
-        // On-dequeue deadline expiry.
-        served.clear();
-        for (const Member &m : members) {
-            if (!VirtualShard::expires(m.a, launch, deadline_ms)) {
-                served.push_back(m);
-                continue;
-            }
-            collector_.recordExpired();
-            recordAttempt(AttemptRecord(m.seq, m.id,
-                                        obs::FlightClass::DeadlineExpired,
-                                        m.ctx.sampled(), r, steps, m.a,
-                                        launch, launch, launch,
-                                        (launch - m.a) * 1e3 + net_ms,
-                                        deadline_ms),
-                          m.ctx.trace);
-        }
-        if (served.empty())
-            continue;
-
-        unsigned b = static_cast<unsigned>(served.size());
-        double batch_ms = opts_.batchServiceMs ? opts_.batchServiceMs(b)
-                                               : service_ms * b;
-        double done = launch + batch_ms / 1e3;
-        shard.finish(res, done);
-        last_done = std::max(last_done, done);
-        for (const Member &m : served) {
-            double latency_ms = (done - m.a) * 1e3 + net_ms;
-            latencies.push_back(latency_ms);
-            recordAttempt(AttemptRecord(m.seq, m.id, obs::FlightClass::Ok,
-                                        m.ctx.sampled(), r, steps, m.a,
-                                        launch, launch, done, latency_ms,
-                                        deadline_ms),
-                          m.ctx.trace);
-        }
-        batch_sum += b;
-        ++batches;
-    }
-
-    ServeStats stats;
-    summarizeLatencies(stats, latencies);
-    double span = last_done - arrivals_s.front();
-    stats.throughputRps =
-        span > 0 ? static_cast<double>(latencies.size()) / span : 0;
-    stats.meanBatch = batches > 0 ? batch_sum / batches : 1.0;
     return stats;
 }
 

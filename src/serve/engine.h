@@ -6,10 +6,10 @@
  * serve::Engine owns a pool of worker threads — one per simulated
  * accelerator replica — fed from a bounded mutex+condvar request queue
  * with admission control (reject-on-full with StatusCode::QueueFull
- * rather than unbounded growth). The dispatch policy is pluggable:
- * the BW discipline serves requests one at a time, FIFO, as they
- * arrive; the GPU discipline accumulates a batch up to a size cap or a
- * timeout before launching (the Section VII-B3 / Fig. 8 contrast).
+ * rather than unbounded growth). Each worker serves one request at a
+ * time, FIFO, as it arrives: the BW NPU's batch-1 discipline. The
+ * GPU's batch-or-timeout queue it is contrasted with (Section VII-B3 /
+ * Fig. 8) is the analytic serveBatched() in runtime/serving.h.
  * Requests carry optional deadlines checked at dequeue; expired
  * requests complete with DEADLINE_EXCEEDED without consuming service.
  *
@@ -22,10 +22,10 @@
  * track per worker) exportable as a Chrome trace.
  *
  * Engine::replay() is the deterministic virtual-time mode: it pushes a
- * fixed arrival vector through the same admission/policy/deadline
- * machinery with no threads, and reproduces the analytic
- * serveUnbatched()/serveBatched() latencies exactly — tying the
- * threaded engine to the paper-validated queueing model.
+ * fixed arrival vector through the same admission/deadline machinery
+ * with no threads, and reproduces the analytic serveUnbatched()
+ * latencies exactly — tying the threaded engine to the
+ * paper-validated queueing model.
  */
 
 #ifndef BW_SERVE_ENGINE_H
@@ -62,15 +62,6 @@ class SloMonitor;
 struct AttemptRecord;
 
 using RequestId = uint64_t;
-
-/** How queued requests are grouped for service (Fig. 8). */
-enum class DispatchPolicy : uint8_t
-{
-    Unbatched = 0, //!< BW discipline: one request at a time, FIFO
-    Batched,       //!< GPU discipline: accumulate maxBatch or timeout
-};
-
-const char *dispatchPolicyName(DispatchPolicy p);
 
 /**
  * One serving request — the single submission currency of Engine,
@@ -130,13 +121,6 @@ struct EngineOptions
      *  QUEUE_FULL (admission control, not unbounded growth). */
     size_t queueDepth = 64;
 
-    DispatchPolicy policy = DispatchPolicy::Unbatched;
-
-    /** Batched policy: launch when this many requests are queued... */
-    unsigned maxBatch = 8;
-    /** ...or when the oldest queued request has waited this long. */
-    double batchTimeoutMs = 2.0;
-
     /** Datacenter network round trip added to each reported latency
      *  (the bump-in-the-wire NIC neighbor of Section II-A). */
     double networkMs = 0.0;
@@ -173,11 +157,6 @@ struct EngineOptions
      * requests always *report* the unscaled simulated service time.
      */
     double timeScale = 1.0;
-
-    /** Simulated service time for a batch of timed requests (defaults
-     *  to the sum of per-request service times when unset). Also the
-     *  batch service model used by replay() under the Batched policy. */
-    std::function<double(unsigned batch)> batchServiceMs;
 
     /** Test/fault-injection hook, invoked on the worker thread for
      *  each request as its service begins. */
@@ -237,10 +216,8 @@ struct EngineOptions
 
     /**
      * Apply BW_SERVE_* environment overrides to @p base:
-     * BW_SERVE_REPLICAS, BW_SERVE_QUEUE_DEPTH, BW_SERVE_MAX_BATCH,
-     * BW_SERVE_TIMEOUT_MS, BW_SERVE_TIMESCALE, BW_SERVE_POLICY
-     * ("unbatched" | "batched"), BW_DEBUG_RING, and BW_TIMING_MODE
-     * ("cycle" | "fast" | "cached").
+     * BW_SERVE_REPLICAS, BW_SERVE_QUEUE_DEPTH, BW_SERVE_TIMESCALE,
+     * BW_DEBUG_RING, and BW_TIMING_MODE ("cycle" | "fast" | "cached").
      */
     static EngineOptions fromEnv(EngineOptions base);
     static EngineOptions fromEnv();
@@ -262,7 +239,6 @@ struct Response
     double serviceMs = 0;      //!< service span (simulated ms if timed)
     double latencyMs = 0;      //!< admission -> done, plus networkMs
     unsigned worker = 0;       //!< replica that served it
-    unsigned batch = 1;        //!< formed batch the request rode in
 };
 
 /**
@@ -300,10 +276,6 @@ class StatsCollector
     uint64_t rejected_ = 0;
     uint64_t expired_ = 0;
     uint64_t cancelled_ = 0;
-    /** Sum of 1/batch over completed requests: a batch of size b
-     *  contributes b samples of 1/b, so completed_/invBatchSum_ is the
-     *  mean over *batches* of the formed batch size. */
-    double invBatchSum_ = 0;
     double firstAdmitS_ = 0;
     double lastDoneS_ = 0;
     bool sawRequest_ = false;
@@ -433,16 +405,15 @@ class Engine
 
     /**
      * Deterministic virtual-time mode: replay @p arrivals_s (seconds,
-     * ascending) through the engine's admission control, dispatch
-     * policy, and deadline machinery with service times from the
-     * timing simulator at @p steps (or serviceMsOverride). No threads,
-     * bit-reproducible; under the Unbatched policy with one replica,
-     * no deadline and an unbounded queue this reproduces
-     * serveUnbatched() exactly, and under the Batched policy,
-     * serveBatched(). With a spanTracer attached the replay clears the
-     * tracer and records span trees on the virtual clock with ids from
-     * a replay-local counter, so two replays of the same schedule
-     * export byte-identical span-tree JSON (tested).
+     * ascending) through the engine's admission control and deadline
+     * machinery with service times from the timing simulator at
+     * @p steps (or serviceMsOverride). No threads, bit-reproducible;
+     * with one replica, no deadline and an unbounded queue this
+     * reproduces serveUnbatched() exactly. With a spanTracer attached
+     * the replay clears the tracer and records span trees on the
+     * virtual clock with ids from a replay-local counter, so two
+     * replays of the same schedule export byte-identical span-tree
+     * JSON (tested).
      */
     ServeStats replay(const std::vector<double> &arrivals_s,
                       unsigned steps = 1);
@@ -520,12 +491,10 @@ class Engine
     void bindMetrics();
     void startLocked();
     void workerLoop(unsigned index);
-    void serveBatch(unsigned index, FuncMachine *machine,
-                    std::vector<Pending> batch, double dequeue_s);
-    ServeStats replayUnbatched(const std::vector<double> &arrivals_s,
-                               double service_ms, unsigned steps);
-    ServeStats replayBatched(const std::vector<double> &arrivals_s,
-                             double service_ms, unsigned steps);
+    /** Replica @p index's batch-1 step for @p p, dequeued at
+     *  @p dequeue_s: expire it or serve it, then record and answer it. */
+    void serveOne(unsigned index, FuncMachine *machine, Pending p,
+                  double dequeue_s);
 
     /** Seconds since engine construction (steady clock). */
     double nowS() const;

@@ -42,15 +42,14 @@ VirtualShard::inflight(double t) const
 }
 
 VirtualShard::Reservation
-VirtualShard::reserve(double ready_s, size_t slots)
+VirtualShard::reserve(double ready_s)
 {
     Reservation r;
     r.replica = static_cast<size_t>(
         std::min_element(freeS_.begin(), freeS_.end()) - freeS_.begin());
     r.prevFreeS = freeS_[r.replica];
     r.startS = std::max(ready_s, r.prevFreeS);
-    for (size_t i = 0; i < slots; ++i)
-        push(r.startS);
+    push(r.startS);
     return r;
 }
 

@@ -6,9 +6,9 @@
  * arrives (Sections I, VII-B3). Every virtual-time replay in the repo
  * models that one discipline — admit against the queue depth, start on
  * the earliest-free replica, expire the deadline at dequeue — and this
- * file is the only place it is written down. Engine::replay (both
- * dispatch policies), Cluster::replay's single and hedged dispatch and
- * the router's virtual load signal all drive a VirtualShard.
+ * file is the only place it is written down. Engine::replay,
+ * Cluster::replay's single and hedged dispatch and the router's
+ * virtual load signal all drive a VirtualShard.
  *
  * A VirtualShard is a plain value: per-replica free times plus a log of
  * admitted requests' service-start (dequeue) times. A request arriving
@@ -19,10 +19,10 @@
  *
  * serve() is the whole batch-1 attempt of an admitted request: reserve
  * a replica once the request has crossed half the network, expire it
- * at dequeue or hold the replica for its service time. Engine::replay's
- * unbatched policy and every cluster dispatch attempt call it; the
- * cluster folds its weight reload and a slowed replica's stretch into
- * the service time first.
+ * at dequeue or hold the replica for its service time. Engine::replay
+ * and every cluster dispatch attempt call it; the cluster folds its
+ * weight reload and a slowed replica's stretch into the service time
+ * first.
  *
  * AttemptRecord is the matching single builder of what a finished
  * submission attempt leaves behind: its flight record (stamps taken
@@ -79,21 +79,16 @@ class VirtualShard
     /** Replicas still busy at @p t. */
     uint64_t inflight(double t) const;
 
-    /** Whether a request arriving at @p t finds room in the queue, with
-     *  @p pending more admitted requests not yet logged (a forming
-     *  batch). */
-    bool admits(double t, size_t pending = 0) const
-    {
-        return queued(t) + pending < depth_;
-    }
+    /** Whether a request arriving at @p t finds room in the queue. */
+    bool admits(double t) const { return queued(t) < depth_; }
 
     /**
      * Take the earliest-free replica (lowest index on ties) for a
-     * request ready at @p ready_s: it starts at max(ready, free time).
-     * Logs @p slots starts at that time (a batch logs one per member).
-     * The replica's free time is unchanged until finish().
+     * request ready at @p ready_s: it starts at max(ready, free time),
+     * and that start is logged. The replica's free time is unchanged
+     * until finish().
      */
-    Reservation reserve(double ready_s, size_t slots = 1);
+    Reservation reserve(double ready_s);
 
     /** The reserved replica is busy until @p done_s. */
     void finish(const Reservation &r, double done_s)
@@ -101,8 +96,8 @@ class VirtualShard
         freeS_[r.replica] = done_s;
     }
 
-    /** Undo the most recent reserve() (one slot): the replica's free
-     *  time is restored and its start leaves the log. */
+    /** Undo the most recent reserve(): the replica's free time is
+     *  restored and its start leaves the log. */
     void cancel(const Reservation &r);
 
     /** Drop logged starts at or before @p now_s from the front. Call

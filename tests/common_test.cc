@@ -1,17 +1,24 @@
 /**
  * @file
  * Unit tests for the common utilities: bit helpers, units, text tables,
- * stats, logging and the deterministic RNG.
+ * stats, logging, the deterministic RNG and the environment-variable
+ * documentation.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <random>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/bits.h"
+#include "common/env_doc.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -402,6 +409,93 @@ TEST(Rng, GoldenDraws)
         EXPECT_EQ(rng.integer(0, 999), g.i1);
         EXPECT_EQ(rng.gaussian(), g.g1);
         EXPECT_EQ(rng.exponential(2.0), g.x1);
+    }
+}
+
+// --- Environment-variable documentation ---
+
+/// Every BW_* name passed as a string literal to getenv() or envDouble()
+/// in the .h/.cc/.cpp files under src/, examples/ and bench/.
+std::set<std::string>
+environmentReads()
+{
+    namespace fs = std::filesystem;
+    std::set<std::string> names;
+    for (const char *dir : {"src", "examples", "bench"}) {
+        for (const fs::directory_entry &e :
+             fs::recursive_directory_iterator(fs::path(BW_SOURCE_DIR) /
+                                              dir)) {
+            std::string ext = e.path().extension().string();
+            if (!e.is_regular_file() ||
+                (ext != ".h" && ext != ".cc" && ext != ".cpp"))
+                continue;
+            std::ifstream in(e.path());
+            std::string text((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+            for (const char *call : {"getenv(", "envDouble("}) {
+                for (size_t at = text.find(call); at != std::string::npos;
+                     at = text.find(call, at + 1)) {
+                    size_t q = text.find_first_not_of(
+                        " \t\n", at + std::string(call).size());
+                    if (q == std::string::npos ||
+                        text.compare(q, 4, "\"BW_") != 0)
+                        continue;
+                    size_t end = text.find('"', q + 1);
+                    names.insert(text.substr(q + 1, end - q - 1));
+                }
+            }
+        }
+    }
+    return names;
+}
+
+/// The BW_* names in the first column of README.md's environment
+/// table.
+std::set<std::string>
+readmeVariables()
+{
+    std::ifstream in(std::filesystem::path(BW_SOURCE_DIR) / "README.md");
+    std::set<std::string> names;
+    bool in_table = false;
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("| Variable | Effect |", 0) == 0) {
+            in_table = true;
+            continue;
+        }
+        if (!in_table)
+            continue;
+        if (line.rfind('|', 0) != 0)
+            break;
+        std::string first = line.substr(1, line.find('|', 1) - 1);
+        for (size_t at = first.find("`BW_"); at != std::string::npos;
+             at = first.find("`BW_", at + 1)) {
+            size_t end = first.find('`', at + 1);
+            names.insert(first.substr(at + 1, end - at - 1));
+        }
+    }
+    return names;
+}
+
+TEST(EnvDoc, ListMatchesEveryReadAndTheReadmeTable)
+{
+    std::set<std::string> read = environmentReads();
+    std::set<std::string> readme = readmeVariables();
+    ASSERT_GT(read.size(), 10u) << "no sources under " << BW_SOURCE_DIR;
+    std::set<std::string> documented;
+    for (const EnvVarDoc &d : envVarDocs()) {
+        documented.insert(d.name);
+        EXPECT_TRUE(read.count(d.name))
+            << d.name << " is documented but nothing reads it";
+        EXPECT_TRUE(readme.count(d.name))
+            << d.name << " is missing from README.md's table";
+    }
+    for (const std::string &name : read) {
+        EXPECT_TRUE(documented.count(name))
+            << name << " is read but missing from envVarDocs()";
+    }
+    for (const std::string &name : readme) {
+        EXPECT_TRUE(documented.count(name))
+            << name << " is in README.md's table but not in envVarDocs()";
     }
 }
 

@@ -193,6 +193,44 @@ TEST(FlightJson, ExportValidatesAndEmbedsOneTracePerRecord)
     EXPECT_FALSE(obs::validateFlightJson(nospans).ok());
 }
 
+TEST(FlightJson, ErroredRecordHasNoChainLeavesInEitherExport)
+{
+    // One chain source behind both exports: two profiled chains over
+    // 100 cycles.
+    std::vector<obs::ChainProfile> chains(2);
+    chains[0].done = 40;
+    chains[1].dispatchStart = 40;
+    chains[1].done = 100;
+    obs::ChainProfileFn source =
+        [&chains](uint32_t, const std::vector<obs::ChainProfile> **out,
+                  Cycles *total) {
+            *out = &chains;
+            *total = 100;
+            return true;
+        };
+    for (obs::FlightClass cls :
+         {obs::FlightClass::Ok, obs::FlightClass::Error}) {
+        obs::FlightRecord r = rec(1, cls, 100, 40);
+        r.steps = 3;
+        r.dequeueUs = 105;
+        r.serviceUs = 110;
+        obs::SpanTracer tracer;
+        obs::recordAttemptSpans(tracer, r, r.seq, 0, &chains, 100);
+        std::string spans = obs::spanTreeJson(tracer).dump();
+        std::string flight =
+            obs::flightJson({r}, obs::FlightRecorderOptions{}, 1, 0, source)
+                .dump();
+        // Only a completed request shows chain leaves, in both exports.
+        bool ok = cls == obs::FlightClass::Ok;
+        SCOPED_TRACE(obs::flightClassName(cls));
+        for (const std::string *doc : {&spans, &flight}) {
+            EXPECT_NE(doc->find("\"execute\""), std::string::npos);
+            EXPECT_EQ(doc->find("\"chain[0]\"") != std::string::npos, ok);
+            EXPECT_EQ(doc->find("\"chains\"") != std::string::npos, ok);
+        }
+    }
+}
+
 // --- SLO classes and burn rates ---
 
 TEST(Slo, ClassOfWalksTheDeadlineLadder)

@@ -10,11 +10,11 @@
  * queueing kernel, the numbering rules or a recorder must leave every
  * digest here unchanged, or change it on purpose and say why.
  *
- * Scenarios: Engine::replay under both dispatch policies with rejects
- * and expiries (tracer, flight recorder and SLO monitor attached); a
- * single-dispatch Cluster::replay under a fault schedule with weight
- * reloads and the fidelity audit; the same replay hedged; and
- * Cluster::replayStream into the route, span and flight NDJSON writers.
+ * Scenarios: Engine::replay with rejects and expiries (tracer, flight
+ * recorder and SLO monitor attached); a single-dispatch Cluster::replay
+ * under a fault schedule with weight reloads and the fidelity audit;
+ * the same replay hedged; and Cluster::replayStream into the route,
+ * span and flight NDJSON writers.
  */
 
 #include <algorithm>
@@ -84,7 +84,7 @@ appendTo(std::string &out)
 /// Engine replay over a compiled GRU (chain leaves in the span and
 /// flight exports), overloaded so the queue rejects and deadlines expire.
 std::vector<std::pair<std::string, std::string>>
-engineExports(serve::DispatchPolicy policy)
+engineExports()
 {
     Rng rng(31);
     Session session = Session::compile(
@@ -99,12 +99,8 @@ engineExports(serve::DispatchPolicy policy)
     serve::EngineOptions eo;
     eo.replicas = 2;
     eo.queueDepth = 6;
-    eo.policy = policy;
-    eo.maxBatch = 3;
-    eo.batchTimeoutMs = 0.05;
     eo.networkMs = 0.02;
     eo.defaultDeadlineMs = 0.15;
-    eo.batchServiceMs = [](unsigned b) { return 0.04 + 0.03 * b; };
     eo.spanTracer = &tracer;
     eo.flightRecorder = &flight;
     eo.sloMonitor = &slo;
@@ -254,25 +250,13 @@ clusterExports(double hedge_ms)
 
 TEST(GoldenExports, EngineReplayUnbatched)
 {
-    expectDigests(engineExports(serve::DispatchPolicy::Unbatched),
+    expectDigests(engineExports(),
                   {
                       {"stats", 0x2db4795eb0685e93ull},
                       {"collector", 0xe4fd1cd9f768c2bcull},
                       {"spans", 0x0f0ca6d8a06872daull},
                       {"flight", 0x2076064b2c728b5full},
                       {"slo", 0x053b8bcae5c009a3ull},
-                  });
-}
-
-TEST(GoldenExports, EngineReplayBatched)
-{
-    expectDigests(engineExports(serve::DispatchPolicy::Batched),
-                  {
-                      {"stats", 0x120d5f8c0fae83cbull},
-                      {"collector", 0xd0ef9ab0770ebefbull},
-                      {"spans", 0xfe3b9f16f73ff428ull},
-                      {"flight", 0x4f8b4f6b4a9c1d39ull},
-                      {"slo", 0x84936c3b7c1253daull},
                   });
 }
 

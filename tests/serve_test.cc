@@ -4,7 +4,7 @@
  * validation, the bw::Session facade, the concurrent engine (admission
  * control, deadlines, drain/shutdown, thread-safety under concurrent
  * submit), and the deterministic virtual-time replay's equivalence to
- * the analytic serveUnbatched()/serveBatched() models.
+ * the analytic serveUnbatched() model.
  */
 
 #include <gtest/gtest.h>
@@ -218,7 +218,6 @@ TEST(Engine, FunctionalSubmitMatchesSessionInfer)
     ASSERT_TRUE(fut.ok()) << fut.status().toString();
     serve::Response r = fut.take().get();
     ASSERT_TRUE(r.status.ok()) << r.status.toString();
-    EXPECT_EQ(r.batch, 1u);
     ASSERT_EQ(r.outputs.size(), expected.size());
     for (size_t t = 0; t < expected.size(); ++t)
         for (size_t i = 0; i < expected[t].size(); ++i)
@@ -280,10 +279,14 @@ TEST(Engine, QueueFullRejectsAtDepth)
 
     serve::EngineOptions opts;
     opts.replicas = 1;
-    opts.queueDepth = 2;
-    opts.serviceMsOverride = 0.01;
-    opts.timeScale = 0.0;
-    opts.serviceHook = [&](serve::RequestId) {
+    opts.queueDepth = 3;
+    opts.serviceMsOverride = 20.0;
+    // Each queued request really occupies the replica for 2 ms or more,
+    // far longer than the submissions below are apart.
+    opts.timeScale = 0.1;
+    opts.serviceHook = [&](serve::RequestId id) {
+        if (id != 1)
+            return;
         in_service = true;
         std::unique_lock<std::mutex> lk(mu);
         cv.wait(lk, [&] { return release; });
@@ -296,11 +299,14 @@ TEST(Engine, QueueFullRejectsAtDepth)
     while (!in_service)
         std::this_thread::yield();
 
-    // ...so the next two fill the queue to its depth...
-    auto q1 = engine.submit(serve::Request::timed(1));
+    // ...so the next three fill the queue to its depth, with and
+    // without their own service time...
+    auto q1 = engine.submit(serve::Request::timed(1, 0, 30.0));
     auto q2 = engine.submit(serve::Request::timed(1));
+    auto q3 = engine.submit(serve::Request::timed(1, 0, 40.0));
     ASSERT_TRUE(q1.ok());
     ASSERT_TRUE(q2.ok());
+    ASSERT_TRUE(q3.ok());
 
     // ...and the one after that is rejected without being enqueued.
     auto rejected = engine.submit(serve::Request::timed(1));
@@ -314,10 +320,21 @@ TEST(Engine, QueueFullRejectsAtDepth)
     }
     cv.notify_all();
     engine.drain();
-    EXPECT_TRUE(gate.value().get().status.ok());
-    EXPECT_TRUE(q1.value().get().status.ok());
-    EXPECT_TRUE(q2.value().get().status.ok());
-    EXPECT_EQ(engine.collector().completed(), 3u);
+    std::vector<serve::Response> rs;
+    for (auto *f : {&gate, &q1, &q2, &q3})
+        rs.push_back(f->value().get());
+    // Each request reports its own simulated service time...
+    const double want_ms[] = {20.0, 30.0, 20.0, 40.0};
+    for (size_t i = 0; i < rs.size(); ++i) {
+        EXPECT_TRUE(rs[i].status.ok()) << i;
+        EXPECT_DOUBLE_EQ(rs[i].serviceMs, want_ms[i]) << i;
+        EXPECT_DOUBLE_EQ(rs[i].latencyMs, rs[i].queueMs + want_ms[i]) << i;
+    }
+    // ...and the one replica serves the queued ones in submission order
+    // (FIFO), so each waited at least as long as the one before it.
+    for (size_t i = 2; i < rs.size(); ++i)
+        EXPECT_LE(rs[i - 1].queueMs, rs[i].queueMs) << i;
+    EXPECT_EQ(engine.collector().completed(), 4u);
 }
 
 TEST(Engine, DeadlineExpiresOnDequeue)
@@ -398,20 +415,11 @@ TEST(Engine, OptionsFromEnvOverrides)
 {
     ::setenv("BW_SERVE_REPLICAS", "3", 1);
     ::setenv("BW_SERVE_QUEUE_DEPTH", "17", 1);
-    ::setenv("BW_SERVE_POLICY", "batched", 1);
-    ::setenv("BW_SERVE_MAX_BATCH", "5", 1);
-    ::setenv("BW_SERVE_TIMEOUT_MS", "7.5", 1);
     serve::EngineOptions o = serve::EngineOptions::fromEnv();
     EXPECT_EQ(o.replicas, 3u);
     EXPECT_EQ(o.queueDepth, 17u);
-    EXPECT_EQ(o.policy, serve::DispatchPolicy::Batched);
-    EXPECT_EQ(o.maxBatch, 5u);
-    EXPECT_DOUBLE_EQ(o.batchTimeoutMs, 7.5);
     ::unsetenv("BW_SERVE_REPLICAS");
     ::unsetenv("BW_SERVE_QUEUE_DEPTH");
-    ::unsetenv("BW_SERVE_POLICY");
-    ::unsetenv("BW_SERVE_MAX_BATCH");
-    ::unsetenv("BW_SERVE_TIMEOUT_MS");
 }
 
 TEST(Engine, StatsCollectorMeanBatchAveragesOverBatches)
@@ -420,12 +428,10 @@ TEST(Engine, StatsCollectorMeanBatchAveragesOverBatches)
     serve::Response r;
     r.status = Status();
     r.latencyMs = 1.0;
-    r.batch = 2; // one batch of two...
     c.recordCompleted(r, 0.0, 0.001);
-    c.recordCompleted(r, 0.0, 0.001);
-    r.batch = 1; // ...and one singleton: mean batch (2+1)/2
     c.recordCompleted(r, 0.001, 0.002);
-    EXPECT_NEAR(c.snapshot().meanBatch, 1.5, 1e-12);
+    // The engine serves at batch 1: every batch has one request.
+    EXPECT_EQ(c.snapshot().meanBatch, 1.0);
 
     Json j = c.toJson();
     EXPECT_TRUE(j.contains("rejected"));
@@ -444,7 +450,6 @@ TEST(Replay, UnbatchedMatchesAnalyticModel)
     const double service_ms = 1.0, network_ms = 0.1;
 
     serve::EngineOptions opts;
-    opts.policy = serve::DispatchPolicy::Unbatched;
     opts.replicas = 1;
     opts.queueDepth = arrivals.size() + 1;
     opts.serviceMsOverride = service_ms;
@@ -463,31 +468,6 @@ TEST(Replay, UnbatchedMatchesAnalyticModel)
     EXPECT_DOUBLE_EQ(replayed.p99LatencyMs, analytic.p99LatencyMs);
     EXPECT_DOUBLE_EQ(replayed.maxLatencyMs, analytic.maxLatencyMs);
     EXPECT_DOUBLE_EQ(replayed.throughputRps, analytic.throughputRps);
-}
-
-TEST(Replay, BatchedMatchesAnalyticModel)
-{
-    Rng rng(11);
-    auto arrivals = poissonArrivals(1200.0, 3.0, rng);
-    auto batch_ms = [](unsigned b) { return 2.0 + 0.5 * b; };
-
-    serve::EngineOptions opts;
-    opts.policy = serve::DispatchPolicy::Batched;
-    opts.replicas = 1;
-    opts.maxBatch = 8;
-    opts.batchTimeoutMs = 2.0;
-    opts.queueDepth = arrivals.size() + 1;
-    opts.serviceMsOverride = 1.0; // unused: batchServiceMs wins
-    opts.batchServiceMs = batch_ms;
-    serve::Engine engine(opts);
-    ServeStats replayed = engine.replay(arrivals);
-    ServeStats analytic = serveBatched(arrivals, 8, 2.0, batch_ms);
-
-    ASSERT_EQ(replayed.requests, analytic.requests);
-    EXPECT_DOUBLE_EQ(replayed.meanLatencyMs, analytic.meanLatencyMs);
-    EXPECT_DOUBLE_EQ(replayed.p99LatencyMs, analytic.p99LatencyMs);
-    EXPECT_DOUBLE_EQ(replayed.maxLatencyMs, analytic.maxLatencyMs);
-    EXPECT_NEAR(replayed.meanBatch, analytic.meanBatch, 1e-12);
 }
 
 TEST(Replay, AdmissionControlRejectsUnderOverload)
@@ -529,9 +509,9 @@ TEST(VirtualShard, MatchesAPlainDequeAndUpperBound)
 {
     // The kernel's ring log must answer exactly as a std::deque searched
     // with std::upper_bound — the representation it replaced — through
-    // ring growth and wrap-around, multi-slot (batch) reservations,
-    // cancellations, and out-of-order starts (a hedge dispatched later
-    // can log a start past a later arrival's).
+    // ring growth and wrap-around, cancellations, and out-of-order
+    // starts (a hedge dispatched later can log a start past a later
+    // arrival's).
     Rng rng(2024);
     serve::VirtualShard shard(3, 40);
     std::deque<double> log;
@@ -556,17 +536,16 @@ TEST(VirtualShard, MatchesAPlainDequeAndUpperBound)
         }
         if (!shard.admits(now))
             continue;
-        size_t slots = 1 + static_cast<size_t>(rng.uniform(0.0, 3.0));
         double ready = now + rng.uniform(0.0, 1.5);
-        serve::VirtualShard::Reservation res = shard.reserve(ready, slots);
+        serve::VirtualShard::Reservation res = shard.reserve(ready);
         size_t r = static_cast<size_t>(
             std::min_element(free_s.begin(), free_s.end()) -
             free_s.begin());
         ASSERT_EQ(res.replica, r);
         ASSERT_EQ(res.startS, std::max(ready, free_s[r]));
         ASSERT_EQ(res.prevFreeS, free_s[r]);
-        log.insert(log.end(), slots, res.startS);
-        if (slots == 1 && rng.uniform() < 0.2) {
+        log.push_back(res.startS);
+        if (rng.uniform() < 0.2) {
             shard.cancel(res); // a hedge loser cancelled before start
             log.pop_back();
             ++cancelled;
