@@ -219,7 +219,7 @@ main(int argc, char **argv)
         route_writer->finish();
         route_stream_file.close();
         cluster.setDecisionSink({});
-        Status st = obs::validateRouteStreamFile(stream_path);
+        Status st = obs::validateStreamFile(stream_path);
         std::printf("Fleet route stream written to %s "
                     "(%llu rows, %llu bytes): %s\n",
                     stream_path,

@@ -224,6 +224,8 @@ Cluster::Cluster(ClusterOptions opts)
             s->queue = serve::VirtualShard(
                 s->engine->options().replicas,
                 s->engine->options().queueDepth);
+            s->defaultClass = clsMonitor_.classOf(
+                s->engine->options().defaultDeadlineMs);
             shards_.push_back(std::move(s));
         }
     }
@@ -428,24 +430,23 @@ Cluster::modelTiles(uint32_t model, size_t group) const
 double
 Cluster::modelServiceMs(uint32_t model, size_t group, unsigned steps)
 {
-    return priceMs(model, group, steps, opts_.fidelity);
+    return price(model, group, steps, opts_.fidelity).ms;
 }
 
-double
-Cluster::priceMs(uint32_t model, size_t group, unsigned steps,
-                 timing::Fidelity fidelity)
+const Cluster::Price &
+Cluster::price(uint32_t model, size_t group, unsigned steps,
+               timing::Fidelity fidelity)
 {
-    BW_ASSERT(model < models_.size(), "model %u out of range", model);
-    ModelEntry &e = models_[model];
-    if (e.timed)
-        return e.timedMs;
-    uint64_t key = svcKey(model, group, steps, fidelity);
-    auto it = serviceCache_.find(key);
-    if (it != serviceCache_.end())
-        return it->second;
-    double ms = e.sessions[group]->serviceMs(steps, fidelity);
-    serviceCache_.emplace(key, ms);
-    return ms;
+    auto [it, fresh] =
+        priceCache_.try_emplace(svcKey(model, group, steps, fidelity));
+    if (fresh) {
+        it->second.tiles = modelTiles(model, group); // checks the id
+        const ModelEntry &e = models_[model];
+        it->second.ms = e.timed ? e.timedMs
+                                : e.sessions[group]->serviceMs(steps,
+                                                               fidelity);
+    }
+    return it->second;
 }
 
 double
@@ -618,8 +619,8 @@ Cluster::LatencySketch::fill(ServeStats &stats) const
 
 // --- Replay ---
 
-Cluster::ReplayPass
-Cluster::replayReset(bool streaming)
+void
+Cluster::replayReset(ReplayPass &rp, bool streaming)
 {
     BW_ASSERT(!models_.empty(), "replay: no models registered");
     // Full virtual reset: every observer restarts with the trace, so
@@ -627,8 +628,9 @@ Cluster::replayReset(bool streaming)
     // registry's counters and the audit totals are cumulative across
     // replays by design, like any production Prometheus counter; the
     // pass counts in plain tallies and replayFinish publishes them.
+    // The pass sink takes the SLO monitors' and flight recorders'
+    // storage, cleared, until replayFinish hands it back.
     router_->clear();
-    clsMonitor_.clear();
     if (opts_.spanTracer)
         opts_.spanTracer->clear();
     for (size_t i = 0; i < shards_.size(); ++i) {
@@ -644,8 +646,7 @@ Cluster::replayReset(bool streaming)
         s.saw = false;
         s.firstArrival = s.lastDone = 0;
         s.healthy = true;
-        s.flight->clear();
-        s.slo->clear();
+        rp.out.add(s.flight.get(), s.slo.get()); // outlet i is shard i
         s.cache.clear();
         if (opts_.warmStart)
             warm(s);
@@ -724,11 +725,10 @@ Cluster::replayReset(bool streaming)
                 return a.phase < b.phase;
             });
     }
-    ReplayPass rp;
+    rp.front = rp.out.add(nullptr, &clsMonitor_);
     rp.streaming = streaming;
     rp.cs.shedByClass.assign(clsMonitor_.options().classes.size(), 0);
     rp.modelRequests.assign(models_.size(), 0);
-    return rp;
 }
 
 // --- Chaos plane ---
@@ -830,7 +830,8 @@ Cluster::applyTransition(const ChaosTransition &tr)
 ClusterStats
 Cluster::replay(const std::vector<ClusterRequest> &trace)
 {
-    ReplayPass rp = replayReset(false);
+    ReplayPass rp;
+    replayReset(rp, false);
     for (const ClusterRequest &req : trace)
         replayOne(req, rp);
     return replayFinish(rp);
@@ -839,7 +840,8 @@ Cluster::replay(const std::vector<ClusterRequest> &trace)
 ClusterStats
 Cluster::replayStream(const std::function<bool(ClusterRequest *)> &next)
 {
-    ReplayPass rp = replayReset(true);
+    ReplayPass rp;
+    replayReset(rp, true);
     ClusterRequest req;
     while (next(&req))
         replayOne(req, rp);
@@ -877,11 +879,11 @@ Cluster::replayOne(const ClusterRequest &req, ReplayPass &rp)
             ++cs.shed;
             ++cs.shedByClass[cls];
         }
-        clsMonitor_.record(toUs(a), req.deadlineMs, 0.0, false);
+        rp.out.slo(rp.front, cls, toUs(a), 0.0, false);
         return;
     }
     if (opts_.hedgeMs >= 0) {
-        replayHedged(req, rp, static_cast<unsigned>(target));
+        replayHedged(req, cls, rp, static_cast<unsigned>(target));
         return;
     }
 
@@ -906,8 +908,8 @@ Cluster::replayOne(const ClusterRequest &req, ReplayPass &rp)
                              static_cast<uint32_t>(at.res.replica),
                              req.steps, at.dispatchS, at.startS, at.startS,
                              at.doneS, at.latencyMs, at.deadlineMs);
-    settle(at, rec, a, rp);
-    rec.record(s.flight.get(), {});
+    settle(at, rec, req, cls, rp);
+    rp.out.flight(at.shard, rec);
     if (ctx.sampled()) {
         obs::RouteSpan rs;
         rs.trace = ctx.trace;
@@ -922,11 +924,11 @@ Cluster::replayOne(const ClusterRequest &req, ReplayPass &rp)
 }
 
 Cluster::WeightCharge
-Cluster::touchWeights(size_t shard, uint32_t model)
+Cluster::touchWeights(size_t shard, uint32_t model, uint64_t tiles)
 {
     Shard &s = *shards_[shard];
     WeightCharge c;
-    c.touch = s.cache.touch(model, modelTiles(model, s.group));
+    c.touch = s.cache.touch(model, tiles);
     if (c.touch.hit)
         return c;
     // The DRAM traffic happens even if the attempt later loses a hedge
@@ -999,9 +1001,11 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
         ++s.report.rejected;
         return at;
     }
-    WeightCharge wc = touchWeights(shard, req.model);
+    // One lookup prices the attempt: service time and weight tiles.
+    const Price &pr = price(req.model, s.group, req.steps, opts_.fidelity);
+    WeightCharge wc = touchWeights(shard, req.model, pr.tiles);
     s.reloadUs += wc.us;
-    double model_ms = modelServiceMs(req.model, s.group, req.steps);
+    double model_ms = pr.ms;
     if (cc.slow)
         model_ms *= cc.slowFactor; // degraded, not dead: stretched
     static_cast<serve::VirtualShard::Step &>(at) = s.queue.serve(
@@ -1021,8 +1025,9 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
 
 void
 Cluster::settle(const Attempt &w, serve::AttemptRecord rec,
-                double arrival_s, ReplayPass &rp)
+                const ClusterRequest &req, uint32_t cls, ReplayPass &rp)
 {
+    double arrival_s = req.arrivalS;
     // Cluster-level accounting comes from this attempt only — the caller
     // saw exactly one outcome. (Per-shard reports count every attempt.)
     ClusterStats &cs = rp.cs;
@@ -1056,7 +1061,11 @@ Cluster::settle(const Attempt &w, serve::AttemptRecord rec,
             ++cs.failed;
         break;
     }
-    rec.record(nullptr, {ws.slo.get(), &clsMonitor_});
+    // The sample's class is the routed one unless the shard's default
+    // deadline stood in for a missing one.
+    size_t slo_cls = req.deadlineMs > 0 ? cls : ws.defaultClass;
+    for (size_t out : {size_t{w.shard}, rp.front})
+        rp.out.slo(out, slo_cls, rec.doneUs, rec.latencyMs, rec.available());
 }
 
 void
@@ -1111,8 +1120,8 @@ hedgeTarget(const std::vector<EngineLoad> &loads, size_t primary)
 } // namespace
 
 void
-Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
-                      unsigned primary)
+Cluster::replayHedged(const ClusterRequest &req, uint32_t cls,
+                      ReplayPass &rp, unsigned primary)
 {
     // A hedged request takes its id up front: both attempts record
     // under it, whatever their fate.
@@ -1191,11 +1200,11 @@ Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
             static_cast<uint32_t>(at.res.replica), req.steps, at.dispatchS,
             at.startS, at.startS, at.doneS, at.latencyMs, at.deadlineMs);
     }
-    settle(w, recs[pWins ? 0 : 1], a, rp);
+    settle(w, recs[pWins ? 0 : 1], req, cls, rp);
 
     // Flight records in dispatch order: primary, then hedge.
     for (size_t i = 0; i < 2 && attempts[i]; ++i)
-        recs[i].record(shards_[attempts[i]->shard]->flight.get(), {});
+        rp.out.flight(attempts[i]->shard, recs[i]);
     if (!ctx.sampled())
         return;
 
@@ -1240,6 +1249,7 @@ Cluster::replayFinish(ReplayPass &rp)
     // recovers, so the exported timeline pairs every fault with its
     // terminal phase.
     advanceChaos(std::numeric_limits<double>::infinity());
+    rp.out.finish();
     ClusterStats cs = std::move(rp.cs);
     // Per-engine and merged summaries. Vector replay reports exact
     // nearest-rank percentiles, merging each shard's sorted run into the
@@ -1342,7 +1352,7 @@ Cluster::auditCheck(uint64_t seq, uint32_t model, size_t group,
                     unsigned steps, double fast_ms)
 {
     double exact_ms =
-        priceMs(model, group, steps, timing::Fidelity::CycleAccurate);
+        price(model, group, steps, timing::Fidelity::CycleAccurate).ms;
     ++auditChecks_;
     if (auditChecksC_)
         auditChecksC_->inc();
@@ -1435,7 +1445,8 @@ Cluster::submit(uint32_t model, serve::Request req)
     // into the shard's per-request service override.
     auto forward = [&](size_t shard) {
         Shard &s = *shards_[shard];
-        WeightCharge wc = touchWeights(shard, model);
+        WeightCharge wc =
+            touchWeights(shard, model, modelTiles(model, s.group));
         if (ShardMetrics *sm = metricsOf(shard)) {
             if (wc.touch.hit) {
                 sm->cacheHits->inc();

@@ -463,8 +463,13 @@ class Cluster
         metrics::Gauge *queueDepth = nullptr;
         metrics::Gauge *inflight = nullptr;
 
-        /** Virtual-time queue (replay); pruned at every arrival. */
+        /** Virtual-time queue (replay). replayOne prunes its start log
+         *  to each arrival before routing, so the loads and admission
+         *  at that arrival count the log in O(1) while it ascends. */
         serve::VirtualShard queue;
+        /** SLO class of the shard's default deadline (a request with
+         *  none is sampled under it). */
+        size_t defaultClass = 0;
         uint64_t attempt = 0; //!< per-shard flight seq counter
 
         /** Health-check verdict: false once the checker evicts the
@@ -489,6 +494,10 @@ class Cluster
     /** State threaded through one replay pass (vector or streaming). */
     struct ReplayPass
     {
+        /** The flight and SLO outcomes: one outlet per shard, by shard
+         *  index, then the front door's (index front). */
+        serve::OutcomeSink out;
+        size_t front = 0;
         ClusterStats cs;
         uint64_t seq = 0;      //!< every submission (router key)
         uint64_t admitted = 0; //!< admitted ids (span trace ids)
@@ -536,7 +545,7 @@ class Cluster
 
     // Replay decomposition shared by replay() and replayStream(). The
     // pass keeps exact latencies, or (streaming) the bounded sketch.
-    ReplayPass replayReset(bool streaming);
+    void replayReset(ReplayPass &rp, bool streaming);
     void replayOne(const ClusterRequest &req, ReplayPass &rp);
     ClusterStats replayFinish(ReplayPass &rp);
     /** Add one pass's tallies to the cluster registry's counters: the
@@ -561,7 +570,7 @@ class Cluster
     /** Touch @p model's weights on @p shard's cache, charging any DRAM
      *  reload to the shard's report. Counts nothing in the registry:
      *  each caller does (replay once per pass, live per request). */
-    WeightCharge touchWeights(size_t shard, uint32_t model);
+    WeightCharge touchWeights(size_t shard, uint32_t model, uint64_t tiles);
 
     // --- Chaos plane (replay fault injection + incident telemetry). ---
 
@@ -631,14 +640,15 @@ class Cluster
      *  stretched on a slowed replica. */
     Attempt runAttempt(unsigned shard, double t, const ClusterRequest &req,
                        ReplayPass &rp);
-    /** The hedged routed path of replayOne (opts_.hedgeMs >= 0). */
-    void replayHedged(const ClusterRequest &req, ReplayPass &rp,
-                      unsigned primary);
+    /** The hedged routed path of replayOne (opts_.hedgeMs >= 0) for a
+     *  request in deadline class @p cls. */
+    void replayHedged(const ClusterRequest &req, uint32_t cls,
+                      ReplayPass &rp, unsigned primary);
     /** Account the attempt whose outcome the caller saw (record
-     *  @p rec) — counters, latencies, goodput and the shard + cluster
-     *  SLO monitors. */
+     *  @p rec) of @p req, routed in deadline class @p cls — counters,
+     *  latencies, goodput and the shard + cluster SLO samples. */
     void settle(const Attempt &w, serve::AttemptRecord rec,
-                double arrival_s, ReplayPass &rp);
+                const ClusterRequest &req, uint32_t cls, ReplayPass &rp);
     /** Record @p rec's request tree under span @p parent (chain leaves
      *  when it completed on a compiled model). */
     void recordAttemptTree(obs::TraceId trace,
@@ -646,10 +656,16 @@ class Cluster
                            obs::SpanId parent, const ClusterRequest &req,
                            size_t group);
 
-    /** Service milliseconds of @p model on @p group at @p fidelity
-     *  (cached per (model, group, steps, fidelity)). */
-    double priceMs(uint32_t model, size_t group, unsigned steps,
-                   timing::Fidelity fidelity);
+    /** What one attempt of a (model, group, steps) costs. */
+    struct Price
+    {
+        double ms = 0;      //!< service milliseconds
+        uint64_t tiles = 0; //!< weight footprint (modelTiles)
+    };
+    /** The price of @p model on @p group at @p steps and @p fidelity,
+     *  cached per (model, group, steps, fidelity): one lookup. */
+    const Price &price(uint32_t model, size_t group, unsigned steps,
+                       timing::Fidelity fidelity);
     /** Sampled fast-vs-cycle-accurate comparison (replay completed
      *  path). */
     void auditCheck(uint64_t seq, uint32_t model, size_t group,
@@ -668,8 +684,8 @@ class Cluster
     metrics::Gauge *enginesGauge_ = nullptr;
     metrics::Gauge *modelsGauge_ = nullptr;
 
-    /** (model, group, steps, fidelity) -> simulated service ms. */
-    std::unordered_map<uint64_t, double> serviceCache_;
+    /** (model, group, steps, fidelity) -> service ms and tiles. */
+    std::unordered_map<uint64_t, Price> priceCache_;
 
     /** (model, group, steps) -> the profiled timing run whose chains
      *  become chain[i] span leaves. */

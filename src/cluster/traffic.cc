@@ -50,13 +50,37 @@ TrafficStream::TrafficStream(TrafficOptions opts)
     }
 
     // Peak rate bounds the thinning proposal process: diurnal swing at
-    // full amplitude times the largest burst multiplier.
+    // full amplitude times the largest product of the multipliers above
+    // 1 of bursts in force together. Every set of bursts in force at
+    // some t is in force at the latest start among them, so the starts
+    // are the only instants to try.
     peak_ = opts_.baseRps * (1.0 + std::abs(opts_.diurnalAmplitude));
     double burst_peak = 1.0;
-    for (const BurstPhase &b : opts_.bursts)
-        burst_peak = std::max(burst_peak, b.multiplier);
+    for (const BurstPhase &b : opts_.bursts) {
+        double together = std::max(1.0, b.multiplier);
+        for (const BurstPhase &o : opts_.bursts) {
+            if (&o != &b && o.multiplier > 1 && o.startS <= b.startS &&
+                b.startS < o.startS + o.durationS)
+                together *= o.multiplier;
+        }
+        burst_peak = std::max(burst_peak, together);
+    }
     peak_ *= burst_peak;
     BW_ASSERT(peak_ > 0, "traffic peak rate must be positive");
+
+    // A lower bound of the rate for next()'s squeeze: the diurnal
+    // trough times every burst multiplier below 1, or 0 when one is
+    // negative (the rate may clamp to 0). Each factor trafficRateAt
+    // applies is at least its counterpart here, and rounding is
+    // monotone, so the bound holds in floating point too.
+    floor_ = opts_.baseRps *
+             std::max(0.0, 1.0 - std::abs(opts_.diurnalAmplitude));
+    for (const BurstPhase &b : opts_.bursts) {
+        if (b.multiplier < 0)
+            floor_ = 0;
+        else if (b.multiplier < 1)
+            floor_ *= b.multiplier;
+    }
 
     mix_ = opts_.mix;
     if (mix_.empty())
@@ -75,15 +99,16 @@ TrafficStream::next(ClusterRequest *out)
     // Thinning: candidates at the peak rate, accepted with probability
     // rate(t)/peak. Every path consumes Rng draws in a fixed order
     // (gap, accept, then model only on accept), so the trace is a pure
-    // function of the options.
+    // function of the options. A candidate under the rate's lower bound
+    // is accepted without evaluating the rate: the same decision.
     while (true) {
         t_ += rng_.exponential(peak_);
         if (t_ >= opts_.durationS) {
             done_ = true;
             return false;
         }
-        double accept = rng_.uniform();
-        if (accept * peak_ >= trafficRateAt(opts_, t_))
+        double accept = rng_.uniform() * peak_;
+        if (accept >= floor_ && accept >= trafficRateAt(opts_, t_))
             continue;
         double pick = rng_.uniform() * totalW_;
         size_t m = 0;

@@ -111,11 +111,15 @@ class TrafficStream
     /** Requests produced so far. */
     uint64_t produced() const { return produced_; }
 
+    /** The thinning proposal rate: at least trafficRateAt anywhere. */
+    double peakRps() const { return peak_; }
+
   private:
     TrafficOptions opts_;
     std::vector<ModelMix> mix_;
     double totalW_ = 0;
     double peak_ = 0;
+    double floor_ = 0; //!< a lower bound of trafficRateAt
     Rng rng_;
     double t_ = 0;
     bool done_ = false;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Per-thread sharding shared by the metrics registry and the span and
- * flight recorders: one thread-slot counter and one sharded ring.
+ * flight recorders: one thread-slot counter, one plain ring and one
+ * sharded ring of those rings.
  */
 
 #ifndef BW_COMMON_SHARD_RING_H
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 namespace bw {
@@ -21,11 +23,72 @@ namespace bw {
 size_t threadSlot();
 
 /**
- * Sharded ring of POD records. record() locks the calling thread's
- * shard, claims its next slot and writes the record in place; the
- * oldest records of a shard are overwritten once its ring is full. A
- * shard allocates its ring on the first record that lands in it, so a
- * single recording thread pays for one shard, not kShards.
+ * Ring of POD records for one writer, with no lock: record() writes the
+ * record into the next slot, overwriting the oldest once the ring is
+ * full. The slots are allocated on the first record, so a ring nobody
+ * records into costs nothing. ShardedRing puts one behind each shard's
+ * lock; a single-threaded writer may own one outright
+ * (ShardedRing::take).
+ */
+template <typename T>
+class Ring
+{
+  public:
+    Ring() = default;
+    explicit Ring(size_t capacity)
+        : capacity_(std::max<size_t>(1, capacity))
+    {
+    }
+
+    void
+    record(const T &r)
+    {
+        if (!slots_)
+            slots_ = std::make_unique<T[]>(capacity_);
+        slots_[next_] = r;
+        if (++next_ == capacity_)
+            next_ = 0;
+        ++count_;
+    }
+
+    /** Append the kept records, in slot order, to @p out. */
+    void
+    appendTo(std::vector<T> &out) const
+    {
+        size_t kept =
+            static_cast<size_t>(std::min<uint64_t>(count_, capacity_));
+        out.insert(out.end(), slots_.get(), slots_.get() + kept);
+    }
+
+    /** Records offered to record() since clear() (overwritten too). */
+    uint64_t recorded() const { return count_; }
+
+    /** Records lost to overwrite. */
+    uint64_t dropped() const
+    {
+        return count_ > capacity_ ? count_ - capacity_ : 0;
+    }
+
+    /** Drop every record; the slots are kept for reuse. */
+    void
+    clear()
+    {
+        next_ = 0;
+        count_ = 0;
+    }
+
+  private:
+    size_t capacity_ = 1;
+    std::unique_ptr<T[]> slots_; //!< allocated on first record()
+    size_t next_ = 0;            //!< slot the next record() writes
+    uint64_t count_ = 0;
+};
+
+/**
+ * Sharded ring of POD records: one Ring per shard, behind the shard's
+ * lock. record() locks the calling thread's shard and records into its
+ * ring, so a single recording thread allocates one shard's slots, not
+ * kShards.
  *
  * Each shard's mutex is uncontended while no two live threads share a
  * shard; threads whose slot numbers differ by a multiple of kShards do,
@@ -42,6 +105,8 @@ class ShardedRing
     explicit ShardedRing(size_t shard_capacity)
         : capacity_(std::max<size_t>(1, shard_capacity))
     {
+        for (Shard &sh : shards_)
+            sh.ring = Ring<T>(capacity_);
     }
 
     size_t capacity() const { return capacity_; }
@@ -49,11 +114,9 @@ class ShardedRing
     void
     record(const T &r)
     {
-        Shard &sh = shards_[threadSlot() % kShards];
+        Shard &sh = mine();
         std::lock_guard<std::mutex> lk(sh.mu);
-        if (!sh.ring)
-            sh.ring = std::make_unique<T[]>(capacity_);
-        sh.ring[sh.count++ % capacity_] = r;
+        sh.ring.record(r);
     }
 
     /** The kept records of every shard, sorted by @p less. */
@@ -64,9 +127,7 @@ class ShardedRing
         std::vector<T> out;
         for (const Shard &sh : shards_) {
             std::lock_guard<std::mutex> lk(sh.mu);
-            size_t kept = static_cast<size_t>(
-                std::min<uint64_t>(sh.count, capacity_));
-            out.insert(out.end(), sh.ring.get(), sh.ring.get() + kept);
+            sh.ring.appendTo(out);
         }
         std::sort(out.begin(), out.end(), less);
         return out;
@@ -79,7 +140,7 @@ class ShardedRing
         uint64_t n = 0;
         for (const Shard &sh : shards_) {
             std::lock_guard<std::mutex> lk(sh.mu);
-            n += sh.count;
+            n += sh.ring.recorded();
         }
         return n;
     }
@@ -91,8 +152,7 @@ class ShardedRing
         uint64_t d = 0;
         for (const Shard &sh : shards_) {
             std::lock_guard<std::mutex> lk(sh.mu);
-            if (sh.count > capacity_)
-                d += sh.count - capacity_;
+            d += sh.ring.dropped();
         }
         return d;
     }
@@ -103,17 +163,42 @@ class ShardedRing
     {
         for (Shard &sh : shards_) {
             std::lock_guard<std::mutex> lk(sh.mu);
-            sh.count = 0;
+            sh.ring.clear();
         }
+    }
+
+    /**
+     * Clear every shard and hand the calling thread's ring, slots and
+     * all, to a single-threaded writer. Until restore() that shard holds
+     * an empty ring, so concurrent readers stay race-free and see no
+     * records; no second set of slots is allocated.
+     */
+    Ring<T>
+    take()
+    {
+        clear();
+        Shard &sh = mine();
+        std::lock_guard<std::mutex> lk(sh.mu);
+        return std::exchange(sh.ring, Ring<T>(capacity_));
+    }
+
+    /** Give a ring from take() back to the calling thread's shard. */
+    void
+    restore(Ring<T> ring)
+    {
+        Shard &sh = mine();
+        std::lock_guard<std::mutex> lk(sh.mu);
+        sh.ring = std::move(ring);
     }
 
   private:
     struct alignas(64) Shard
     {
         mutable std::mutex mu;
-        std::unique_ptr<T[]> ring; //!< allocated on first record()
-        uint64_t count = 0;        //!< records offered since clear()
+        Ring<T> ring;
     };
+
+    Shard &mine() { return shards_[threadSlot() % kShards]; }
 
     size_t capacity_;
     std::array<Shard, kShards> shards_;

@@ -295,6 +295,46 @@ streamHeader(std::istream &in, const char *schema, Json *header)
     return Status();
 }
 
+/// The rows after a stream's header: @p row checks each row and
+/// @p trailer the summary trailer, both given the line number. A stream
+/// that ends without the trailer, or carries data after it, is invalid.
+template <typename Row, typename Trailer>
+Status
+walkRows(std::istream &in, Row row, Trailer trailer)
+{
+    size_t lineno = 1;
+    std::string line;
+    while (nextLine(in, &line)) {
+        ++lineno;
+        Json j;
+        Status st = parseLine(line, lineno, &j);
+        if (st.ok())
+            st = j.contains("summary") ? trailer(j, lineno) : row(j, lineno);
+        if (!st.ok())
+            return st;
+        if (!j.contains("summary"))
+            continue;
+        if (nextLine(in, &line))
+            return Status::invalidArgument(
+                "trailing data after the summary trailer");
+        return Status();
+    }
+    return Status::invalidArgument(
+        "stream ended without a summary trailer (truncated?)");
+}
+
+/// Move @p last to row key @p key's @p value, which must exceed it.
+Status
+ascend(const char *key, int64_t value, uint64_t *last, size_t lineno)
+{
+    if (static_cast<uint64_t>(value) <= *last)
+        return Status::invalidArgument(
+            detail::format("line %zu %s %lld is not ascending", lineno, key,
+                           static_cast<long long>(value)));
+    *last = static_cast<uint64_t>(value);
+    return Status();
+}
+
 } // namespace
 
 Status
@@ -315,73 +355,60 @@ validateRouteStreamJson(std::istream &in)
         return Status::invalidArgument("header missing policy");
 
     uint64_t routed = 0, shed = 0, unavailable = 0, last_seq = 0;
-    size_t lineno = 1;
-    std::string line;
-    bool saw_summary = false;
-    while (nextLine(in, &line)) {
-        ++lineno;
-        Json row;
-        st = parseLine(line, lineno, &row);
-        if (!st.ok())
-            return st;
-        if (row.contains("summary")) {
-            int64_t rows = 0, srouted = 0, sshed = 0;
-            for (const char *key : {"rows", "routed", "shed"}) {
-                st = requireInt(row, key, lineno);
-                if (!st.ok())
-                    return st;
-            }
-            // unavailable is written only when nonzero.
-            int64_t sunavail = 0;
-            if (row.contains("unavailable")) {
-                st = requireInt(row, "unavailable", lineno, &sunavail);
-                if (!st.ok())
-                    return st;
-            }
-            rows = row.find("rows")->asInt();
-            srouted = row.find("routed")->asInt();
-            sshed = row.find("shed")->asInt();
-            if (static_cast<uint64_t>(srouted) != routed ||
-                static_cast<uint64_t>(sshed) != shed ||
-                static_cast<uint64_t>(sunavail) != unavailable ||
-                static_cast<uint64_t>(rows) != routed + shed + unavailable)
-                return Status::invalidArgument(detail::format(
-                    "summary counters (rows %lld, routed %lld, shed "
-                    "%lld, unavailable %lld) do not match the %llu "
-                    "routed + %llu shed + %llu unavailable rows streamed",
-                    static_cast<long long>(rows),
-                    static_cast<long long>(srouted),
-                    static_cast<long long>(sshed),
-                    static_cast<long long>(sunavail),
-                    static_cast<unsigned long long>(routed),
-                    static_cast<unsigned long long>(shed),
-                    static_cast<unsigned long long>(unavailable)));
-            const Json *bc = row.find("shed_by_class");
-            if (!bc || bc->type() != Json::Type::Array)
-                return Status::invalidArgument(
-                    "summary missing shed_by_class array");
-            uint64_t by_class = 0;
-            for (size_t i = 0; i < bc->size(); ++i)
-                by_class += static_cast<uint64_t>(bc->at(i).asInt());
-            if (by_class != shed)
-                return Status::invalidArgument(
-                    "summary shed_by_class does not sum to shed");
-            saw_summary = true;
-            break;
-        }
-        int64_t seq = 0, engine = 0;
-        for (const char *key : {"seq", "model", "class", "engine"}) {
-            st = requireInt(row, key, lineno);
+    auto trailer = [&](const Json &row, size_t lineno) {
+        for (const char *key : {"rows", "routed", "shed"}) {
+            Status st = requireInt(row, key, lineno);
             if (!st.ok())
                 return st;
         }
-        seq = row.find("seq")->asInt();
-        engine = row.find("engine")->asInt();
-        if (static_cast<uint64_t>(seq) <= last_seq)
+        // unavailable is written only when nonzero.
+        int64_t sunavail = 0;
+        if (row.contains("unavailable")) {
+            Status st = requireInt(row, "unavailable", lineno, &sunavail);
+            if (!st.ok())
+                return st;
+        }
+        int64_t rows = row.find("rows")->asInt();
+        int64_t srouted = row.find("routed")->asInt();
+        int64_t sshed = row.find("shed")->asInt();
+        if (static_cast<uint64_t>(srouted) != routed ||
+            static_cast<uint64_t>(sshed) != shed ||
+            static_cast<uint64_t>(sunavail) != unavailable ||
+            static_cast<uint64_t>(rows) != routed + shed + unavailable)
             return Status::invalidArgument(detail::format(
-                "line %zu seq %lld is not ascending", lineno,
-                static_cast<long long>(seq)));
-        last_seq = static_cast<uint64_t>(seq);
+                "summary counters (rows %lld, routed %lld, shed "
+                "%lld, unavailable %lld) do not match the %llu "
+                "routed + %llu shed + %llu unavailable rows streamed",
+                static_cast<long long>(rows),
+                static_cast<long long>(srouted),
+                static_cast<long long>(sshed),
+                static_cast<long long>(sunavail),
+                static_cast<unsigned long long>(routed),
+                static_cast<unsigned long long>(shed),
+                static_cast<unsigned long long>(unavailable)));
+        const Json *bc = row.find("shed_by_class");
+        if (!bc || bc->type() != Json::Type::Array)
+            return Status::invalidArgument(
+                "summary missing shed_by_class array");
+        uint64_t by_class = 0;
+        for (size_t i = 0; i < bc->size(); ++i)
+            by_class += static_cast<uint64_t>(bc->at(i).asInt());
+        if (by_class != shed)
+            return Status::invalidArgument(
+                "summary shed_by_class does not sum to shed");
+        return Status();
+    };
+    auto rowCheck = [&](const Json &row, size_t lineno) {
+        for (const char *key : {"seq", "model", "class", "engine"}) {
+            Status st = requireInt(row, key, lineno);
+            if (!st.ok())
+                return st;
+        }
+        Status st = ascend("seq", row.find("seq")->asInt(), &last_seq,
+                           lineno);
+        if (!st.ok())
+            return st;
+        int64_t engine = row.find("engine")->asInt();
         // -1 = front-door shed, -2 = no healthy shard (unavailable).
         if (engine < -2 || engine >= engines)
             return Status::invalidArgument(detail::format(
@@ -394,24 +421,9 @@ validateRouteStreamJson(std::istream &in)
             ++shed;
         else
             ++routed;
-    }
-    if (!saw_summary)
-        return Status::invalidArgument(
-            "stream ended without a summary trailer (truncated?)");
-    if (nextLine(in, &line))
-        return Status::invalidArgument(
-            "trailing data after the summary trailer");
-    return Status();
-}
-
-Status
-validateRouteStreamFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        return Status::invalidArgument(
-            detail::format("cannot read %s", path.c_str()));
-    return validateRouteStreamJson(in);
+        return Status();
+    };
+    return walkRows(in, rowCheck, trailer);
 }
 
 // --- Span streaming ---
@@ -463,49 +475,27 @@ validateSpanStreamJson(std::istream &in)
     if (!st.ok())
         return st;
     uint64_t traces = 0, last_trace = 0;
-    size_t lineno = 1;
-    std::string line;
-    bool saw_summary = false;
-    while (nextLine(in, &line)) {
-        ++lineno;
-        Json row;
-        st = parseLine(line, lineno, &row);
+    auto trailer = [&](const Json &row, size_t lineno) {
+        int64_t n = 0;
+        Status st = requireInt(row, "traces", lineno, &n);
         if (!st.ok())
             return st;
-        if (row.contains("summary")) {
-            int64_t n = 0;
-            st = requireInt(row, "traces", lineno, &n);
-            if (!st.ok())
-                return st;
-            if (static_cast<uint64_t>(n) != traces)
-                return Status::invalidArgument(detail::format(
-                    "summary declares %lld traces, stream carried %llu",
-                    static_cast<long long>(n),
-                    static_cast<unsigned long long>(traces)));
-            st = requireInt(row, "spans", lineno);
-            if (!st.ok())
-                return st;
-            saw_summary = true;
-            break;
-        }
-        st = validateSpanTrace(row);
+        if (static_cast<uint64_t>(n) != traces)
+            return Status::invalidArgument(detail::format(
+                "summary declares %lld traces, stream carried %llu",
+                static_cast<long long>(n),
+                static_cast<unsigned long long>(traces)));
+        return requireInt(row, "spans", lineno);
+    };
+    auto rowCheck = [&](const Json &row, size_t lineno) {
+        Status st = validateSpanTrace(row);
         if (!st.ok())
             return atLine(lineno, st);
-        uint64_t trace = static_cast<uint64_t>(row.find("trace")->asInt());
-        if (trace <= last_trace)
-            return Status::invalidArgument(detail::format(
-                "line %zu trace %llu is not ascending", lineno,
-                static_cast<unsigned long long>(trace)));
-        last_trace = trace;
         ++traces;
-    }
-    if (!saw_summary)
-        return Status::invalidArgument(
-            "stream ended without a summary trailer (truncated?)");
-    if (nextLine(in, &line))
-        return Status::invalidArgument(
-            "trailing data after the summary trailer");
-    return Status();
+        return ascend("trace", row.find("trace")->asInt(), &last_trace,
+                      lineno);
+    };
+    return walkRows(in, rowCheck, trailer);
 }
 
 // --- Flight streaming ---
@@ -558,54 +548,35 @@ validateFlightStreamJson(std::istream &in)
             return st;
     }
     uint64_t promoted = 0, last_seq = 0;
-    size_t lineno = 1;
-    std::string line;
-    bool saw_summary = false;
-    while (nextLine(in, &line)) {
-        ++lineno;
-        Json row;
-        st = parseLine(line, lineno, &row);
+    auto trailer = [&](const Json &row, size_t lineno) {
+        int64_t n = 0;
+        Status st = requireInt(row, "promoted", lineno, &n);
         if (!st.ok())
             return st;
-        if (row.contains("summary")) {
-            int64_t n = 0;
-            st = requireInt(row, "promoted", lineno, &n);
+        if (static_cast<uint64_t>(n) != promoted)
+            return Status::invalidArgument(detail::format(
+                "summary declares %lld promoted records, stream "
+                "carried %llu",
+                static_cast<long long>(n),
+                static_cast<unsigned long long>(promoted)));
+        for (const char *key : {"recorded", "dropped"}) {
+            st = requireInt(row, key, lineno);
             if (!st.ok())
                 return st;
-            if (static_cast<uint64_t>(n) != promoted)
-                return Status::invalidArgument(detail::format(
-                    "summary declares %lld promoted records, stream "
-                    "carried %llu",
-                    static_cast<long long>(n),
-                    static_cast<unsigned long long>(promoted)));
-            for (const char *key : {"recorded", "dropped"}) {
-                st = requireInt(row, key, lineno);
-                if (!st.ok())
-                    return st;
-            }
-            saw_summary = true;
-            break;
         }
+        return Status();
+    };
+    auto rowCheck = [&](const Json &row, size_t lineno) {
         int64_t seq = 0;
-        st = validateFlightRecordJson(row, &seq);
+        Status st = validateFlightRecordJson(row, &seq);
         if (st.ok())
             st = validateFlightSpans(row.find("spans"), {seq});
         if (!st.ok())
             return atLine(lineno, st);
-        if (static_cast<uint64_t>(seq) <= last_seq)
-            return Status::invalidArgument(detail::format(
-                "line %zu seq %lld is not ascending", lineno,
-                static_cast<long long>(seq)));
-        last_seq = static_cast<uint64_t>(seq);
         ++promoted;
-    }
-    if (!saw_summary)
-        return Status::invalidArgument(
-            "stream ended without a summary trailer (truncated?)");
-    if (nextLine(in, &line))
-        return Status::invalidArgument(
-            "trailing data after the summary trailer");
-    return Status();
+        return ascend("seq", seq, &last_seq, lineno);
+    };
+    return walkRows(in, rowCheck, trailer);
 }
 
 Status

@@ -194,9 +194,6 @@ class RouteStreamWriter
  */
 Status validateRouteStreamJson(std::istream &in);
 
-/** validateRouteStreamJson over a file. */
-Status validateRouteStreamFile(const std::string &path);
-
 /**
  * Stream the span-tree export as NDJSON, schema bw.spanstream/1: a
  * header line, then one complete trace tree per line (the traces[i]

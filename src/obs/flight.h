@@ -150,6 +150,11 @@ class FlightRecorder
      *  replay sharing one recorder). */
     void clear() { ring_.clear(); }
 
+    /** Clear, and hand the calling thread's ring to a single-threaded
+     *  writer (a replay pass) until restore(): ShardedRing::take. */
+    Ring<FlightRecord> take() { return ring_.take(); }
+    void restore(Ring<FlightRecord> ring) { ring_.restore(std::move(ring)); }
+
   private:
     FlightRecorderOptions opts_;
     ShardedRing<FlightRecord> ring_;

@@ -154,9 +154,19 @@ Engine::Engine(std::shared_ptr<const CompiledModel> model,
 }
 
 void
-Engine::recordAttempt(const AttemptRecord &rec, obs::TraceId trace)
+Engine::recordAttempt(const AttemptRecord &rec, obs::TraceId trace,
+                      OutcomeSink *pass, size_t cls)
 {
-    rec.record(opts_.flightRecorder, {opts_.sloMonitor});
+    if (pass) {
+        pass->flight(0, rec);
+        pass->slo(0, cls, rec.doneUs, rec.latencyMs, rec.available());
+    } else {
+        if (opts_.flightRecorder)
+            opts_.flightRecorder->record(rec);
+        if (opts_.sloMonitor)
+            opts_.sloMonitor->record(rec.doneUs, rec.deadlineMs,
+                                     rec.latencyMs, rec.available());
+    }
     if (!opts_.spanTracer || trace == 0)
         return;
     const timing::ProfiledRun *run = chainRun(rec.steps);
@@ -267,19 +277,22 @@ Engine::emitTrace(obs::EventKind kind, obs::ResClass res,
 void
 Engine::start()
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    startLocked();
+    std::unique_lock<std::mutex> lk(mu_);
+    startLocked(lk);
 }
 
 void
-Engine::startLocked()
+Engine::startLocked(std::unique_lock<std::mutex> &lk)
 {
-    if (started_ || stopping_)
-        return;
-    started_ = true;
-    workers_.reserve(opts_.replicas);
-    for (unsigned i = 0; i < opts_.replicas; ++i)
-        workers_.emplace_back(&Engine::workerLoop, this, i);
+    if (!started_ && !stopping_) {
+        started_ = true;
+        workers_.reserve(opts_.replicas);
+        for (unsigned i = 0; i < opts_.replicas; ++i)
+            workers_.emplace_back(&Engine::workerLoop, this, i);
+    }
+    // Return once every replica has installed its machine and waits for
+    // work, so no request's queue wait pays for the pool's start-up.
+    readyCv_.wait(lk, [&] { return !started_ || ready_ == opts_.replicas; });
 }
 
 Expected<std::future<Response>>
@@ -324,7 +337,9 @@ Engine::enqueue(Pending p)
 {
     std::future<Response> fut = p.promise.get_future();
     {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::unique_lock<std::mutex> lk(mu_);
+        if (accepting_)
+            startLocked(lk);
         if (!accepting_) {
             return Status::unavailable(
                 "engine is draining or shut down");
@@ -348,7 +363,6 @@ Engine::enqueue(Pending p)
             noteError(seq, 0, rec.doneUs, st.code(), st.message());
             return st;
         }
-        startLocked();
         p.id = nextId_++;
         p.seq = nextSeq_++;
         p.admitS = nowS();
@@ -376,6 +390,8 @@ Engine::workerLoop(unsigned index)
     }
 
     std::unique_lock<std::mutex> lk(mu_);
+    ++ready_;
+    readyCv_.notify_all();
     for (;;) {
         workCv_.wait(lk, [&] { return stopping_ || !queue_.empty(); });
         if (queue_.empty())
@@ -867,20 +883,21 @@ Engine::replay(const std::vector<double> &arrivals_s, unsigned steps)
     double service_s = serviceMsFor(steps) / 1e3;
     // Each replay restarts the tracer, the flight recorder and the SLO
     // monitor alongside their replay-local sequence counters, so two
-    // replays of one schedule export byte-identically.
+    // replays of one schedule export byte-identically. The pass sink
+    // holds the recorder's and the monitor's storage until it returns.
     obs::SpanTracer *tracer = opts_.spanTracer;
     if (tracer)
         tracer->clear();
-    if (opts_.flightRecorder)
-        opts_.flightRecorder->clear();
-    if (opts_.sloMonitor)
-        opts_.sloMonitor->clear();
+    OutcomeSink pass;
+    pass.add(opts_.flightRecorder, opts_.sloMonitor);
     if (arrivals_s.empty())
         return {};
 
     uint64_t seq = 0;     // admitted requests only (span trace ids)
     uint64_t attempt = 0; // every submission attempt (flight seq)
     double deadline_ms = opts_.defaultDeadlineMs;
+    size_t cls = opts_.sloMonitor ? opts_.sloMonitor->classOf(deadline_ms)
+                                  : 0;
     VirtualShard shard(opts_.replicas, opts_.queueDepth);
     std::vector<double> latencies;
     latencies.reserve(arrivals_s.size());
@@ -895,7 +912,7 @@ Engine::replay(const std::vector<double> &arrivals_s, unsigned steps)
                                         obs::FlightClass::Rejected, false,
                                         0, steps, a, a, a, a, 0.0,
                                         deadline_ms),
-                          0);
+                          0, &pass, cls);
             continue;
         }
         VirtualShard::Step st =
@@ -915,7 +932,7 @@ Engine::replay(const std::vector<double> &arrivals_s, unsigned steps)
                                     static_cast<uint32_t>(st.res.replica),
                                     steps, a, st.startS, st.startS,
                                     st.doneS, st.latencyMs, deadline_ms),
-                      ctx.trace);
+                      ctx.trace, &pass, cls);
     }
 
     ServeStats stats;

@@ -60,6 +60,7 @@ namespace serve {
 
 class SloMonitor;
 struct AttemptRecord;
+class OutcomeSink;
 
 using RequestId = uint64_t;
 
@@ -307,7 +308,8 @@ class Engine
     /**
      * Spawn the worker pool (idempotent; the first submit() also
      * starts it). Each worker builds and installs its own FuncMachine
-     * replica when the engine has a model.
+     * replica when the engine has a model; start() returns once every
+     * worker has and waits for work.
      */
     void start();
 
@@ -489,7 +491,7 @@ class Engine
 
     Expected<std::future<Response>> enqueue(Pending p);
     void bindMetrics();
-    void startLocked();
+    void startLocked(std::unique_lock<std::mutex> &lk);
     void workerLoop(unsigned index);
     /** Replica @p index's batch-1 step for @p p, dequeued at
      *  @p dequeue_s: expire it or serve it, then record and answer it. */
@@ -510,12 +512,14 @@ class Engine
     mutable std::mutex mu_;
     std::condition_variable workCv_; //!< workers wait for requests
     std::condition_variable idleCv_; //!< drain() waits for quiescence
+    std::condition_variable readyCv_; //!< start() waits for the workers
     std::deque<Pending> queue_;
     bool accepting_ = true;
     bool draining_ = false;
     bool stopping_ = false;
     bool started_ = false;
     unsigned inFlight_ = 0;
+    unsigned ready_ = 0; //!< workers whose machine is installed
     RequestId nextId_ = 1;
     std::vector<std::thread> workers_;
 
@@ -529,10 +533,12 @@ class Engine
     const timing::ProfiledRun *chainRun(unsigned steps);
 
     /** Feed one finished submission attempt (stamps on the engine's
-     *  clock, virtual under replay) to the flight recorder and the SLO
-     *  monitor, either may be absent, and write its span tree under
+     *  clock, virtual under replay) to the replay @p pass in deadline
+     *  class @p cls or, live, to the flight recorder and the SLO
+     *  monitor, either may be absent; and write its span tree under
      *  @p trace (0 = none) to the span tracer. */
-    void recordAttempt(const AttemptRecord &rec, obs::TraceId trace);
+    void recordAttempt(const AttemptRecord &rec, obs::TraceId trace,
+                       OutcomeSink *pass = nullptr, size_t cls = 0);
 
     /** Append to the /debug/errors ring (bounded; oldest evicted). */
     void noteError(uint64_t seq, RequestId id, uint64_t time_us,

@@ -1,6 +1,7 @@
 #include "serve/slo.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/env_doc.h"
 #include "common/logging.h"
@@ -79,6 +80,106 @@ finishClassEval(SloClassEval &ev, const SloOptions &opts)
                             ev.availSlow.burnRate > opts.pageBurnRate;
 }
 
+SloBuckets::SloBuckets(const SloOptions &opts)
+    : bucketUs_(opts.bucketUs), classes_(opts.classes.size())
+{
+    size_t slots =
+        static_cast<size_t>((opts.slowWindowUs + bucketUs_ - 1) / bucketUs_);
+    for (size_t c = 0; c < classes_.size(); ++c) {
+        classes_[c].ring.resize(slots);
+        classes_[c].tag.assign(slots, ~0ull);
+        classes_[c].latencyTargetMs = opts.classes[c].latencyTargetMs;
+    }
+}
+
+SloBuckets::Sample
+SloBuckets::record(size_t cls, uint64_t t_us, double latency_ms,
+                   bool available)
+{
+    ClassState &cs = classes_[cls];
+    if (t_us < cs.curLoUs || t_us >= cs.curHiUs) {
+        // Into another bucket: the only path that divides.
+        uint64_t bucket = t_us / bucketUs_;
+        cs.curSlot = static_cast<size_t>(bucket % cs.ring.size());
+        cs.curLoUs = bucket * bucketUs_;
+        cs.curHiUs = cs.curLoUs + bucketUs_;
+        if (cs.tag[cs.curSlot] != bucket) {
+            cs.ring[cs.curSlot] = Bucket{};
+            cs.tag[cs.curSlot] = bucket;
+        }
+    }
+    Bucket &b = cs.ring[cs.curSlot];
+    ++cs.requests;
+    highWaterUs_ = std::max(highWaterUs_, t_us);
+    if (!available) {
+        ++b.availBad;
+        ++cs.availabilityBreaches;
+        return Sample::Unavailable;
+    }
+    ++b.availGood;
+    if (latency_ms <= cs.latencyTargetMs) {
+        ++b.latGood;
+        return Sample::Good;
+    }
+    ++b.latBad;
+    ++cs.latencyBreaches;
+    return Sample::LatencyBreach;
+}
+
+SloWindowEval
+SloBuckets::evalWindow(const ClassState &cs, uint64_t window_us,
+                       bool latency) const
+{
+    SloWindowEval ev;
+    uint64_t high_bucket = highWaterUs_ / bucketUs_;
+    uint64_t span = std::max<uint64_t>(1, window_us / bucketUs_);
+    uint64_t first =
+        high_bucket >= span - 1 ? high_bucket - (span - 1) : 0;
+    for (size_t slot = 0; slot < cs.ring.size(); ++slot) {
+        uint64_t tag = cs.tag[slot];
+        if (tag == ~0ull || tag < first || tag > high_bucket)
+            continue;
+        const Bucket &b = cs.ring[slot];
+        ev.good += latency ? b.latGood : b.availGood;
+        ev.bad += latency ? b.latBad : b.availBad;
+    }
+    return ev;
+}
+
+std::vector<SloClassEval>
+SloBuckets::evaluate(const SloOptions &opts) const
+{
+    std::vector<SloClassEval> out(opts.classes.size());
+    for (size_t c = 0; c < out.size(); ++c) {
+        SloClassEval &ev = out[c];
+        ev.name = opts.classes[c].name;
+        if (c < classes_.size()) {
+            const ClassState &cs = classes_[c];
+            ev.requests = cs.requests;
+            ev.latencyBreaches = cs.latencyBreaches;
+            ev.availabilityBreaches = cs.availabilityBreaches;
+            ev.latencyFast = evalWindow(cs, opts.fastWindowUs, true);
+            ev.latencySlow = evalWindow(cs, opts.slowWindowUs, true);
+            ev.availFast = evalWindow(cs, opts.fastWindowUs, false);
+            ev.availSlow = evalWindow(cs, opts.slowWindowUs, false);
+        }
+        finishClassEval(ev, opts);
+    }
+    return out;
+}
+
+void
+SloBuckets::clear()
+{
+    for (ClassState &cs : classes_) {
+        std::fill(cs.ring.begin(), cs.ring.end(), Bucket{});
+        std::fill(cs.tag.begin(), cs.tag.end(), ~0ull);
+        cs.requests = cs.latencyBreaches = cs.availabilityBreaches = 0;
+        cs.curLoUs = cs.curHiUs = 0;
+    }
+    highWaterUs_ = 0;
+}
+
 SloMonitor::SloMonitor(SloOptions opts) : opts_(std::move(opts))
 {
     if (opts_.classes.empty())
@@ -86,13 +187,7 @@ SloMonitor::SloMonitor(SloOptions opts) : opts_(std::move(opts))
     opts_.bucketUs = std::max<uint64_t>(1, opts_.bucketUs);
     opts_.fastWindowUs = std::max(opts_.fastWindowUs, opts_.bucketUs);
     opts_.slowWindowUs = std::max(opts_.slowWindowUs, opts_.fastWindowUs);
-    size_t slots = static_cast<size_t>(
-        (opts_.slowWindowUs + opts_.bucketUs - 1) / opts_.bucketUs);
-    classes_.resize(opts_.classes.size());
-    for (ClassState &cs : classes_) {
-        cs.ring.resize(slots);
-        cs.tag.assign(slots, ~0ull);
-    }
+    state_ = SloBuckets(opts_);
 }
 
 void
@@ -100,22 +195,24 @@ SloMonitor::bindMetrics(metrics::Registry *registry)
 {
     std::lock_guard<std::mutex> lk(mu_);
     registry_ = registry;
+    counters_.clear();
     if (!registry_)
         return;
-    for (size_t c = 0; c < classes_.size(); ++c) {
-        metrics::Labels labels{{"class", opts_.classes[c].name}};
-        classes_[c].requestsC = &registry_->counter(
-            "bw_slo_requests_total",
-            "Finished submissions per deadline class", labels);
-        classes_[c].latencyBreachC = &registry_->counter(
-            "bw_slo_latency_breach_total",
-            "Served requests that missed their class latency target",
-            labels);
-        classes_[c].availBreachC = &registry_->counter(
-            "bw_slo_availability_breach_total",
-            "Submissions not served successfully (rejected, expired, "
-            "errored, cancelled)",
-            labels);
+    for (const SloClassSpec &spec : opts_.classes) {
+        metrics::Labels labels{{"class", spec.name}};
+        counters_.push_back(Counters{
+            &registry_->counter("bw_slo_requests_total",
+                                "Finished submissions per deadline class",
+                                labels),
+            &registry_->counter(
+                "bw_slo_latency_breach_total",
+                "Served requests that missed their class latency target",
+                labels),
+            &registry_->counter(
+                "bw_slo_availability_breach_total",
+                "Submissions not served successfully (rejected, expired, "
+                "errored, cancelled)",
+                labels)});
     }
 }
 
@@ -139,117 +236,62 @@ void
 SloMonitor::record(uint64_t t_us, double deadline_ms, double latency_ms,
                    bool available)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     size_t c = classOf(deadline_ms);
-    ClassState &cs = classes_[c];
-    uint64_t bucket = t_us / opts_.bucketUs;
-    size_t slot = static_cast<size_t>(bucket % cs.ring.size());
-    if (cs.tag[slot] != bucket) {
-        cs.ring[slot] = Bucket{};
-        cs.tag[slot] = bucket;
-    }
-    Bucket &b = cs.ring[slot];
-    ++cs.requests;
-    if (cs.requestsC)
-        cs.requestsC->inc();
-    if (available) {
-        ++b.availGood;
-        bool lat_ok = latency_ms <= opts_.classes[c].latencyTargetMs;
-        if (lat_ok) {
-            ++b.latGood;
-        } else {
-            ++b.latBad;
-            ++cs.latencyBreaches;
-            if (cs.latencyBreachC)
-                cs.latencyBreachC->inc();
-        }
-    } else {
-        ++b.availBad;
-        ++cs.availabilityBreaches;
-        if (cs.availBreachC)
-            cs.availBreachC->inc();
-    }
-    highWaterUs_ = std::max(highWaterUs_, t_us);
-}
-
-SloWindowEval
-SloMonitor::evalWindow(const ClassState &cs, uint64_t window_us,
-                       bool latency) const
-{
-    SloWindowEval ev;
-    uint64_t high_bucket = highWaterUs_ / opts_.bucketUs;
-    uint64_t span = std::max<uint64_t>(1, window_us / opts_.bucketUs);
-    uint64_t first =
-        high_bucket >= span - 1 ? high_bucket - (span - 1) : 0;
-    for (size_t slot = 0; slot < cs.ring.size(); ++slot) {
-        uint64_t tag = cs.tag[slot];
-        if (tag == ~0ull || tag < first || tag > high_bucket)
-            continue;
-        const Bucket &b = cs.ring[slot];
-        ev.good += latency ? b.latGood : b.availGood;
-        ev.bad += latency ? b.latBad : b.availBad;
-    }
-    return ev;
-}
-
-std::vector<SloClassEval>
-SloMonitor::snapshotLocked() const
-{
-    std::vector<SloClassEval> out;
-    out.reserve(classes_.size());
-    for (size_t c = 0; c < classes_.size(); ++c) {
-        const ClassState &cs = classes_[c];
-        SloClassEval ev;
-        ev.name = opts_.classes[c].name;
-        ev.requests = cs.requests;
-        ev.latencyBreaches = cs.latencyBreaches;
-        ev.availabilityBreaches = cs.availabilityBreaches;
-        ev.latencyFast = evalWindow(cs, opts_.fastWindowUs, true);
-        ev.latencySlow = evalWindow(cs, opts_.slowWindowUs, true);
-        ev.availFast = evalWindow(cs, opts_.fastWindowUs, false);
-        ev.availSlow = evalWindow(cs, opts_.slowWindowUs, false);
-        finishClassEval(ev, opts_);
-        out.push_back(std::move(ev));
-    }
-    return out;
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!state_.holdsRings())
+        return; // a replay pass holds the buckets (take())
+    SloBuckets::Sample s = state_.record(c, t_us, latency_ms, available);
+    if (counters_.empty())
+        return;
+    counters_[c].requests->inc();
+    if (s == SloBuckets::Sample::LatencyBreach)
+        counters_[c].latencyBreach->inc();
+    else if (s == SloBuckets::Sample::Unavailable)
+        counters_[c].availBreach->inc();
 }
 
 std::vector<SloClassEval>
 SloMonitor::snapshot() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return snapshotLocked();
-}
-
-uint64_t
-SloMonitor::recorded() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    uint64_t n = 0;
-    for (const ClassState &cs : classes_)
-        n += cs.requests;
-    return n;
+    return state_.evaluate(opts_);
 }
 
 uint64_t
 SloMonitor::highWaterUs() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return highWaterUs_;
+    return state_.highWaterUs();
 }
 
 void
 SloMonitor::clear()
 {
     std::lock_guard<std::mutex> lk(mu_);
-    for (ClassState &cs : classes_) {
-        std::fill(cs.ring.begin(), cs.ring.end(), Bucket{});
-        std::fill(cs.tag.begin(), cs.tag.end(), ~0ull);
-        cs.requests = 0;
-        cs.latencyBreaches = 0;
-        cs.availabilityBreaches = 0;
+    state_.clear();
+}
+
+SloBuckets
+SloMonitor::take()
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    state_.clear();
+    return std::exchange(state_, SloBuckets());
+}
+
+void
+SloMonitor::restore(SloBuckets buckets)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    state_ = std::move(buckets);
+    if (counters_.empty())
+        return;
+    std::vector<SloClassEval> evals = state_.evaluate(opts_);
+    for (size_t c = 0; c < counters_.size(); ++c) {
+        counters_[c].requests->add(evals[c].requests);
+        counters_[c].latencyBreach->add(evals[c].latencyBreaches);
+        counters_[c].availBreach->add(evals[c].availabilityBreaches);
     }
-    highWaterUs_ = 0;
 }
 
 namespace {
@@ -323,48 +365,45 @@ SloMonitor::sloJson() const
     uint64_t high_us;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        evals = snapshotLocked();
-        high_us = highWaterUs_;
+        evals = state_.evaluate(opts_);
+        high_us = state_.highWaterUs();
     }
 
     // Refresh the bound burn-rate gauges from this evaluation (the
     // scrape path lands here via the /slo.json handler).
-    if (registry_) {
-        for (const SloClassEval &ev : evals) {
-            const struct
-            {
-                const char *slo;
-                const char *window;
-                const SloWindowEval *w;
-            } gauges[] = {
-                {"latency", "fast", &ev.latencyFast},
-                {"latency", "slow", &ev.latencySlow},
-                {"availability", "fast", &ev.availFast},
-                {"availability", "slow", &ev.availSlow},
-            };
-            for (const auto &g : gauges) {
+    for (const SloClassEval &ev : evals) {
+        if (!registry_)
+            break;
+        const struct
+        {
+            const char *slo;
+            const SloWindowEval &fast, &slow;
+            bool firing;
+        } slis[] = {
+            {"latency", ev.latencyFast, ev.latencySlow, ev.latencyFiring},
+            {"availability", ev.availFast, ev.availSlow,
+             ev.availabilityFiring}};
+        for (const auto &sli : slis) {
+            for (const auto &[window, w] :
+                 {std::pair<const char *, const SloWindowEval *>{
+                      "fast", &sli.fast},
+                  {"slow", &sli.slow}}) {
                 registry_
                     ->gauge("bw_slo_burn_rate",
                             "SLO burn rate over the trailing window "
                             "(1.0 = budget consumed exactly at the "
                             "sustainable rate)",
                             {{"class", ev.name},
-                             {"slo", g.slo},
-                             {"window", g.window}})
-                    .set(g.w->burnRate);
+                             {"slo", sli.slo},
+                             {"window", window}})
+                    .set(w->burnRate);
             }
             registry_
                 ->gauge("bw_slo_firing",
                         "1 when both window burn rates exceed the page "
                         "threshold",
-                        {{"class", ev.name}, {"slo", "latency"}})
-                .set(ev.latencyFiring ? 1.0 : 0.0);
-            registry_
-                ->gauge("bw_slo_firing",
-                        "1 when both window burn rates exceed the page "
-                        "threshold",
-                        {{"class", ev.name}, {"slo", "availability"}})
-                .set(ev.availabilityFiring ? 1.0 : 0.0);
+                        {{"class", ev.name}, {"slo", sli.slo}})
+                .set(sli.firing ? 1.0 : 0.0);
         }
     }
 

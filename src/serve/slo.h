@@ -140,64 +140,48 @@ Json sloClassesJson(const SloOptions &opts,
                     const std::vector<SloClassEval> &evals);
 
 /**
- * Multi-window SLO burn-rate monitor. record() is mutex-guarded (one
- * tiny critical section per completed request); snapshot()/sloJson()
- * may be called concurrently with recording.
+ * The recorded state of one SLO monitor, with no lock: per-class bucket
+ * rings over the slow window, lifetime counters and the high-water mark
+ * of recorded time. SloMonitor is one of these behind a mutex; a replay
+ * pass owns one outright between SloMonitor::take() and restore(). A
+ * default-constructed SloBuckets holds nothing and evaluates to zeros.
  */
-class SloMonitor
+class SloBuckets
 {
   public:
-    explicit SloMonitor(SloOptions opts = {});
+    /** What record() counted the submission as. */
+    enum class Sample : uint8_t
+    {
+        Good,          //!< served inside the class latency target
+        LatencyBreach, //!< served, but slower than the target
+        Unavailable,   //!< not served successfully
+    };
 
-    const SloOptions &options() const { return opts_; }
+    SloBuckets() = default;
 
-    /**
-     * Bind bw_slo_* metrics into @p registry (non-owning; must outlive
-     * the monitor): bw_slo_requests_total / bw_slo_latency_breach_total
-     * / bw_slo_availability_breach_total counters per class, updated on
-     * record(); bw_slo_burn_rate gauges per (class, slo, window) and
-     * bw_slo_firing gauges per (class, slo), refreshed on every
-     * snapshot()/sloJson().
-     */
-    void bindMetrics(metrics::Registry *registry);
-
-    /** Deadline class index of a request submitted with @p deadline_ms
-     *  (0 = no deadline). */
-    size_t classOf(double deadline_ms) const;
+    /** Empty buckets for @p opts (as SloMonitor normalizes them). */
+    explicit SloBuckets(const SloOptions &opts);
 
     /**
-     * Record one finished submission at time @p t_us on the feeding
-     * clock. @p available = the request was served successfully
-     * (rejects, expiries, errors, cancellations are unavailable);
-     * @p latency_ms is consulted for the latency SLI only when
-     * available.
+     * Record one finished submission of deadline class @p cls at
+     * @p t_us on the feeding clock. @p available = the request was
+     * served successfully; @p latency_ms is consulted for the latency
+     * SLI only when available.
      */
-    void record(uint64_t t_us, double deadline_ms, double latency_ms,
-                bool available);
+    Sample record(size_t cls, uint64_t t_us, double latency_ms,
+                  bool available);
 
-    /** Evaluate every class at the monitor's high-water time. */
-    std::vector<SloClassEval> snapshot() const;
+    /** Evaluate every class of @p opts at the high-water time. */
+    std::vector<SloClassEval> evaluate(const SloOptions &opts) const;
 
-    /** Total submissions recorded (all classes). */
-    uint64_t recorded() const;
+    uint64_t highWaterUs() const { return highWaterUs_; }
 
-    /** High-water mark of recorded time on the feeding clock, in
-     *  microseconds (0 before the first record()) — the evaluated_at_us
-     *  every export is pinned to. */
-    uint64_t highWaterUs() const;
+    /** False for a default-constructed SloBuckets, which records
+     *  nothing. */
+    bool holdsRings() const { return !classes_.empty(); }
 
-    /** Drop all recorded state (e.g. between a live run and a
-     *  deterministic replay sharing one monitor). */
+    /** Drop every recorded submission; the rings are kept. */
     void clear();
-
-    /**
-     * The /slo.json document, schema bw.slo/1: objectives, windows,
-     * and per-class lifetime counters plus fast/slow burn-rate
-     * evaluations for both SLIs. Evaluated at the high-water mark of
-     * recorded time — deterministic for deterministic input. Also
-     * refreshes the bound gauges.
-     */
-    Json sloJson() const;
 
   private:
     struct Bucket
@@ -210,22 +194,103 @@ class SloMonitor
     {
         std::vector<Bucket> ring;  //!< slowWindow / bucket slots
         std::vector<uint64_t> tag; //!< absolute bucket number per slot
+        double latencyTargetMs = 0;
+        /** The last bucket recorded into: its slot and time range. */
+        size_t curSlot = 0;
+        uint64_t curLoUs = 0, curHiUs = 0;
         uint64_t requests = 0;
         uint64_t latencyBreaches = 0;
         uint64_t availabilityBreaches = 0;
-        metrics::Counter *requestsC = nullptr;
-        metrics::Counter *latencyBreachC = nullptr;
-        metrics::Counter *availBreachC = nullptr;
     };
 
     SloWindowEval evalWindow(const ClassState &cs, uint64_t window_us,
                              bool latency) const;
-    std::vector<SloClassEval> snapshotLocked() const;
+
+    uint64_t bucketUs_ = 1;
+    std::vector<ClassState> classes_;
+    uint64_t highWaterUs_ = 0;
+};
+
+/**
+ * Multi-window SLO burn-rate monitor: SloBuckets behind a mutex.
+ * record() holds it for one tiny critical section per completed
+ * request; snapshot()/sloJson() may be called concurrently with
+ * recording.
+ */
+class SloMonitor
+{
+  public:
+    explicit SloMonitor(SloOptions opts = {});
+
+    const SloOptions &options() const { return opts_; }
+
+    /**
+     * Bind bw_slo_* metrics into @p registry (non-owning; must outlive
+     * the monitor): bw_slo_requests_total / bw_slo_latency_breach_total
+     * / bw_slo_availability_breach_total counters per class, updated on
+     * record() and, for a replay pass, once at restore(); bw_slo_burn_rate
+     * gauges per (class, slo, window) and bw_slo_firing gauges per
+     * (class, slo), refreshed on every snapshot()/sloJson().
+     */
+    void bindMetrics(metrics::Registry *registry);
+
+    /** Deadline class index of a request submitted with @p deadline_ms
+     *  (0 = no deadline). */
+    size_t classOf(double deadline_ms) const;
+
+    /**
+     * Record one finished submission at time @p t_us on the feeding
+     * clock (SloBuckets::record, in class classOf(@p deadline_ms)).
+     * Dropped while a replay pass holds the buckets.
+     */
+    void record(uint64_t t_us, double deadline_ms, double latency_ms,
+                bool available);
+
+    /** Evaluate every class at the monitor's high-water time. */
+    std::vector<SloClassEval> snapshot() const;
+
+    /** High-water mark of recorded time on the feeding clock, in
+     *  microseconds (0 before the first record()) — the evaluated_at_us
+     *  every export is pinned to. */
+    uint64_t highWaterUs() const;
+
+    /** Drop all recorded state (e.g. between a live run and a
+     *  deterministic replay sharing one monitor). */
+    void clear();
+
+    /**
+     * Clear the monitor and hand its buckets to a single-threaded
+     * writer (a replay pass) under one lock. Until restore() the
+     * monitor holds nothing: concurrent exports stay race-free and
+     * evaluate to zeros, and no second set of rings is allocated.
+     */
+    SloBuckets take();
+
+    /** Take back buckets from take() under one lock, adding what they
+     *  recorded to the bound counters. */
+    void restore(SloBuckets buckets);
+
+    /**
+     * The /slo.json document, schema bw.slo/1: objectives, windows,
+     * and per-class lifetime counters plus fast/slow burn-rate
+     * evaluations for both SLIs. Evaluated at the high-water mark of
+     * recorded time — deterministic for deterministic input. Also
+     * refreshes the bound gauges.
+     */
+    Json sloJson() const;
+
+  private:
+    struct Counters
+    {
+        metrics::Counter *requests = nullptr;
+        metrics::Counter *latencyBreach = nullptr;
+        metrics::Counter *availBreach = nullptr;
+    };
 
     SloOptions opts_;
     mutable std::mutex mu_;
-    std::vector<ClassState> classes_;
-    uint64_t highWaterUs_ = 0;
+    SloBuckets state_;
+    std::vector<Counters> counters_; //!< per class, empty when unbound
     metrics::Registry *registry_ = nullptr;
 };
 

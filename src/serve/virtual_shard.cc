@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "serve/slo.h"
-
 namespace bw {
 namespace serve {
 
@@ -16,10 +14,13 @@ VirtualShard::VirtualShard(unsigned replicas, size_t queue_depth)
 size_t
 VirtualShard::queued(double t) const
 {
-    // std::upper_bound's probe sequence over the logical ring: the log
-    // is ascending under one arrival clock, and a hedge's later start
-    // may break that order — probing exactly as upper_bound does keeps
-    // the count identical to a search over a plain deque.
+    // An ascending log holds only starts after t once t precedes its
+    // front, which is every query at the time of the last prune().
+    if (ascending_ && (size_ == 0 || t < at(0)))
+        return size_;
+    // Otherwise std::upper_bound's probe sequence over the logical
+    // ring: probing exactly as upper_bound does keeps the count of an
+    // unsorted, hedged log identical to a search over a plain deque.
     size_t first = 0;
     size_t len = size_;
     while (len > 0) {
@@ -75,6 +76,7 @@ VirtualShard::prune(double now_s)
 void
 VirtualShard::push(double start_s)
 {
+    ascending_ = ascending() && (size_ == 0 || start_s >= at(size_ - 1));
     if (size_ == log_.size()) {
         std::vector<double> grown(log_.size() * 2);
         for (size_t i = 0; i < size_; ++i)
@@ -87,22 +89,29 @@ VirtualShard::push(double start_s)
     ++size_;
 }
 
-void
-AttemptRecord::record(obs::FlightRecorder *flight,
-                      std::initializer_list<SloMonitor *> slos) const
+size_t
+OutcomeSink::add(obs::FlightRecorder *flight, SloMonitor *slo)
 {
-    if (flight) {
-        obs::FlightRecord fr = *this;
-        fr.latencyUs = latencyMs > 0 ? static_cast<uint64_t>(
-                                           std::llround(latencyMs * 1e3))
-                                     : 0;
-        flight->record(fr);
+    Outlet &o = outlets_.emplace_back();
+    o.flight = flight;
+    if (flight)
+        o.ring = flight->take();
+    o.slo = slo;
+    if (slo)
+        o.buckets = slo->take();
+    return outlets_.size() - 1;
+}
+
+void
+OutcomeSink::finish()
+{
+    for (Outlet &o : outlets_) {
+        if (o.flight)
+            o.flight->restore(std::move(o.ring));
+        if (o.slo)
+            o.slo->restore(std::move(o.buckets));
     }
-    for (SloMonitor *slo : slos) {
-        if (slo)
-            slo->record(doneUs, deadlineMs, latencyMs,
-                        cls == obs::FlightClass::Ok);
-    }
+    outlets_.clear();
 }
 
 } // namespace serve

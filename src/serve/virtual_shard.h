@@ -27,7 +27,8 @@
  * AttemptRecord is the matching single builder of what a finished
  * submission attempt leaves behind: its flight record (stamps taken
  * from seconds once, here) and its SLO sample. Its span tree is
- * written by obs::recordAttemptSpans from the same record.
+ * written by obs::recordAttemptSpans from the same record. A replay
+ * pass writes records and samples through one OutcomeSink.
  */
 
 #ifndef BW_SERVE_VIRTUAL_SHARD_H
@@ -37,15 +38,13 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <vector>
 
 #include "obs/flight.h"
+#include "serve/slo.h"
 
 namespace bw {
 namespace serve {
-
-class SloMonitor;
 
 /** Seconds -> whole microseconds (rounded; 0 for non-positive input):
  *  the one conversion behind every engine and cluster record stamp. */
@@ -73,8 +72,14 @@ class VirtualShard
 
     size_t queueDepth() const { return depth_; }
 
-    /** Admitted requests not yet dequeued at @p t. */
+    /** Admitted requests not yet dequeued at @p t: O(1) for a query
+     *  no earlier than the last prune() while the log is ascending. */
     size_t queued(double t) const;
+
+    /** Whether the start log is known to be ascending. Starts logged
+     *  under one arrival clock are; a hedge's later start can break
+     *  the order, which then holds again once the log drains. */
+    bool ascending() const { return ascending_ || size_ == 0; }
 
     /** Replicas still busy at @p t. */
     uint64_t inflight(double t) const;
@@ -146,6 +151,7 @@ class VirtualShard
     size_t mask_ = 0;
     size_t head_ = 0;
     size_t size_ = 0;
+    bool ascending_ = true; //!< no logged start precedes the one before
 };
 
 /**
@@ -165,16 +171,71 @@ struct AttemptRecord : obs::FlightRecord
     /** Stamps from seconds: each boundary becomes whole microseconds
      *  (toUs) once, clamped to the one before it, so admit <= dequeue
      *  <= service <= done and the span children partition the request
-     *  span exactly. */
+     *  span exactly; latencyUs is latencyMs rounded likewise. */
     AttemptRecord(uint64_t seq, uint64_t id, obs::FlightClass cls,
                   bool sampled, uint32_t replica, uint32_t steps,
                   double admit_s, double dequeue_s, double service_s,
                   double done_s, double latency_ms, double deadline_ms);
 
-    /** Write the flight record to @p flight (when set) and the SLO
-     *  sample to every monitor in @p slos (null entries skipped). */
-    void record(obs::FlightRecorder *flight,
-                std::initializer_list<SloMonitor *> slos) const;
+    /** The SLO sample's availability: served successfully. */
+    bool available() const { return cls == obs::FlightClass::Ok; }
+};
+
+/**
+ * The outcome writer of one replay pass (Engine::replay,
+ * Cluster::replay and replayStream): one outlet per shard, plus one for
+ * the cluster's front door, each a flight ring and SLO buckets. Adding
+ * an outlet takes its recorder's and monitor's storage, cleared, each
+ * under one lock (FlightRecorder::take, SloMonitor::take); finish() or
+ * the destructor hands it all back the same way, and the monitors
+ * publish their bound counters then, once per pass. So no second copy
+ * is alive, a concurrent export sees an empty recorder or monitor until
+ * the pass ends, and nothing on the per-request path locks or touches
+ * an atomic. One thread drives a sink, from construction to finish().
+ */
+class OutcomeSink
+{
+  public:
+    OutcomeSink() = default;
+    OutcomeSink(const OutcomeSink &) = delete;
+    OutcomeSink &operator=(const OutcomeSink &) = delete;
+    ~OutcomeSink() { finish(); }
+
+    /** Take @p flight's and @p slo's storage (either may be null) for
+     *  the next outlet; returns its index, counting from 0. */
+    size_t add(obs::FlightRecorder *flight, SloMonitor *slo);
+
+    /** Write @p rec's flight record to outlet @p out's ring. */
+    void flight(size_t out, const AttemptRecord &rec)
+    {
+        Outlet &o = outlets_[out];
+        if (o.flight)
+            o.ring.record(rec);
+    }
+
+    /** Record one SLO sample of deadline class @p cls into outlet
+     *  @p out's buckets (SloBuckets::record). */
+    void slo(size_t out, size_t cls, uint64_t t_us, double latency_ms,
+             bool available)
+    {
+        Outlet &o = outlets_[out];
+        if (o.slo)
+            o.buckets.record(cls, t_us, latency_ms, available);
+    }
+
+    /** Hand every taken storage back (idempotent). */
+    void finish();
+
+  private:
+    struct Outlet
+    {
+        obs::FlightRecorder *flight = nullptr;
+        Ring<obs::FlightRecord> ring;
+        SloMonitor *slo = nullptr;
+        SloBuckets buckets;
+    };
+
+    std::vector<Outlet> outlets_;
 };
 
 // serve() and the record constructor run once per replayed request;
@@ -214,6 +275,9 @@ inline AttemptRecord::AttemptRecord(uint64_t seq, uint64_t id,
     dequeueUs = std::max(toUs(dequeue_s), admitUs);
     serviceUs = std::max(toUs(service_s), dequeueUs);
     doneUs = std::max(toUs(done_s), serviceUs);
+    latencyUs = latency_ms > 0
+                    ? static_cast<uint64_t>(std::llround(latency_ms * 1e3))
+                    : 0;
 }
 
 } // namespace serve

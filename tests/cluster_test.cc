@@ -5,8 +5,10 @@
  * weight cache, and the Cluster replay determinism/degeneracy contracts.
  */
 
+#include <atomic>
 #include <cstdlib>
 #include <map>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -90,6 +92,76 @@ TEST(Traffic, RateModulation)
             ++before;
     }
     EXPECT_GT(in, 2 * before);
+}
+
+TEST(Traffic, OverlappingBurstsReachTheirProduct)
+{
+    // A 1.5x and a 2x burst overlap on [1, 3): the rate there is 3x
+    // base, above either burst alone, so the thinning proposal must run
+    // at least that fast or every candidate is accepted and the overlap
+    // under-generates.
+    TrafficOptions opts;
+    opts.baseRps = 1000;
+    opts.durationS = 4.0;
+    opts.seed = 11;
+    opts.bursts.push_back(BurstPhase{0.0, 3.0, 1.5});
+    opts.bursts.push_back(BurstPhase{1.0, 3.0, 2.0});
+    EXPECT_NEAR(trafficRateAt(opts, 2.0), 3000.0, 1e-9);
+    EXPECT_GE(TrafficStream(opts).peakRps(), 3000.0);
+    size_t in = 0;
+    for (const ClusterRequest &r : generateTraffic(opts))
+        in += r.arrivalS >= 1.0 && r.arrivalS < 3.0;
+    // Poisson: within 5 sigma of the integrated rate, 6000.
+    double want = 3000.0 * 2.0;
+    EXPECT_NEAR(static_cast<double>(in), want, 5.0 * std::sqrt(want));
+}
+
+TEST(Traffic, SqueezeKeepsEveryThinningDecision)
+{
+    // The stream skips the rate for candidates under its lower bound;
+    // a plain thinning loop over the same draws must give the same
+    // trace, for bursts above and below 1, a negative multiplier and a
+    // diurnal swing past full amplitude.
+    std::vector<TrafficOptions> cases(4);
+    cases[0].diurnalAmplitude = 0.4;
+    cases[0].diurnalPeriodS = 0.3;
+    cases[0].bursts = {{0.1, 0.2, 0.5}, {0.15, 0.3, 3.0}};
+    cases[1].bursts = {{0.2, 0.1, 0.25}, {0.5, 0.1, 0.8}};
+    cases[2].diurnalAmplitude = -0.7;
+    cases[2].diurnalPeriodS = 0.2;
+    cases[2].bursts = {{0.3, 0.2, -1.0}, {0.1, 0.5, 2.0}};
+    cases[3].diurnalAmplitude = 1.3;
+    cases[3].diurnalPeriodS = 0.5;
+    for (size_t c = 0; c < cases.size(); ++c) {
+        TrafficOptions &opts = cases[c];
+        opts.baseRps = 4000;
+        opts.durationS = 1.0;
+        opts.seed = 3 + c;
+        opts.mix = {ModelMix{0, 1.0, 1, 0.0}, ModelMix{1, 2.0, 3, 5.0}};
+        TrafficStream stream(opts);
+        ClusterRequest got;
+        // The reference draws from its own generator in the stream's
+        // order (gap, accept, then model only on accept) at the
+        // stream's peak rate.
+        Rng rng(opts.seed);
+        double t = 0;
+        size_t n = 0;
+        while (true) {
+            t += rng.exponential(stream.peakRps());
+            if (t >= opts.durationS)
+                break;
+            if (rng.uniform() * stream.peakRps() >= trafficRateAt(opts, t))
+                continue;
+            double pick = rng.uniform() * 3.0;
+            uint32_t model = pick < 1.0 ? 0 : 1;
+            ASSERT_TRUE(stream.next(&got)) << "case " << c << " row " << n;
+            EXPECT_EQ(got.arrivalS, t) << "case " << c << " row " << n;
+            EXPECT_EQ(got.model, model) << "case " << c << " row " << n;
+            ++n;
+        }
+        EXPECT_FALSE(stream.next(&got)) << "case " << c;
+        EXPECT_GT(n, 100u) << "case " << c;
+    }
 }
 
 // --- WeightCache ---
@@ -366,6 +438,61 @@ TEST(Cluster, ReplayIsByteIdenticallyDeterministic)
     uint64_t accounted =
         s1.completed + s1.shed + s1.rejected + s1.expired;
     EXPECT_EQ(accounted, s1.submitted);
+}
+
+TEST(Cluster, ExportsStayWholeWhileReplayHoldsTheMonitors)
+{
+    // A replay pass takes every shard's and the front door's SLO and
+    // flight storage at its start and hands it back at its end. Scrapes
+    // running alongside must never see a torn document (CI runs this
+    // under TSan), and the pass must leave the documents a replay with
+    // no scraper leaves.
+    Cluster c(smallClusterOptions());
+    addSmallModels(c);
+    std::vector<ClusterRequest> trace =
+        generateTraffic(smallTraffic(20000, 1.0));
+    std::atomic<bool> scraping{false}, done{false};
+    std::thread replayer([&] {
+        while (!scraping)
+            std::this_thread::yield();
+        c.replay(trace);
+        c.replay(trace);
+        done = true;
+    });
+    size_t scrapes = 0;
+    scraping = true;
+    while (!done) {
+        for (unsigned e = 0; e < c.engineCount(); ++e) {
+            Status st = serve::validateSloJson(c.engineSloJson(e));
+            EXPECT_TRUE(st.ok()) << st.toString();
+            st = obs::validateFlightJson(c.engineFlightJson(e));
+            EXPECT_TRUE(st.ok()) << st.toString();
+        }
+        Status st = serve::validateSloJson(c.fleetSloJson());
+        EXPECT_TRUE(st.ok()) << st.toString();
+        ++scrapes;
+    }
+    replayer.join();
+    EXPECT_GT(scrapes, 0u);
+
+    std::vector<std::string> scraped;
+    for (unsigned e = 0; e < c.engineCount(); ++e) {
+        scraped.push_back(c.engineSloJson(e).dump());
+        scraped.push_back(c.engineFlightJson(e).dump());
+    }
+    scraped.push_back(c.fleetSloJson().dump());
+    scraped.push_back(c.sloJson().dump());
+    c.replay(trace);
+    size_t i = 0;
+    for (unsigned e = 0; e < c.engineCount(); ++e) {
+        EXPECT_EQ(scraped[i++], c.engineSloJson(e).dump()) << e;
+        EXPECT_EQ(scraped[i++], c.engineFlightJson(e).dump()) << e;
+    }
+    EXPECT_EQ(scraped[i++], c.fleetSloJson().dump());
+    EXPECT_EQ(scraped[i++], c.sloJson().dump());
+    EXPECT_GT(c.engineSloJson(0).find("classes")->at(0).find("requests")
+                  ->asInt(),
+              0);
 }
 
 TEST(Cluster, RouteRootedSpanTreesValidate)

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,16 @@
 
 namespace bw {
 namespace {
+
+/** Submissions @p mon recorded, over every class. */
+uint64_t
+sloRequests(const serve::SloMonitor &mon)
+{
+    uint64_t n = 0;
+    for (const serve::SloClassEval &ev : mon.snapshot())
+        n += ev.requests;
+    return n;
+}
 
 /** Small test target: N=16, plenty of storage, high-precision BFP. */
 NpuConfig
@@ -285,7 +296,7 @@ TEST(Slo, LatencySliCountsOnlyServedRequests)
     EXPECT_EQ(evals[0].latencyBreaches, 1u);
     EXPECT_EQ(evals[0].latencyFast.good + evals[0].latencyFast.bad, 2u);
     EXPECT_EQ(evals[0].availabilityBreaches, 1u);
-    EXPECT_EQ(mon.recorded(), 3u);
+    EXPECT_EQ(sloRequests(mon), 3u);
 }
 
 TEST(Slo, ARecordAtTimeZeroCountsInBothWindows)
@@ -422,6 +433,8 @@ TEST(EngineFlight, ReplayExportsByteIdenticalUnderRejectsAndExpiries)
         arrivals.push_back(i * 0.0002);
     obs::FlightRecorder flight;
     serve::SloMonitor slo;
+    metrics::Registry reg;
+    slo.bindMetrics(&reg);
     obs::SpanTracer tracer;
     serve::EngineOptions opts;
     opts.serviceMsOverride = 1.0;
@@ -444,11 +457,34 @@ TEST(EngineFlight, ReplayExportsByteIdenticalUnderRejectsAndExpiries)
     std::string flight1 = f1.value().dump();
     std::string slo1 = slo.sloJson().dump();
 
+    // The bound bw_slo_* counters are cumulative: a replay pass adds
+    // what it recorded once, when it hands the buckets back.
+    auto sloCounters = [&reg] {
+        std::map<std::string, uint64_t> sums;
+        for (const metrics::MetricSnapshot &m : reg.collect()) {
+            if (m.type == metrics::MetricType::Counter)
+                sums[m.name] += static_cast<uint64_t>(m.value);
+        }
+        return sums;
+    };
+    std::map<std::string, uint64_t> once = sloCounters();
+    uint64_t lat_breaches = 0, avail_breaches = 0;
+    for (const serve::SloClassEval &ev : slo.snapshot()) {
+        lat_breaches += ev.latencyBreaches;
+        avail_breaches += ev.availabilityBreaches;
+    }
+    EXPECT_EQ(once["bw_slo_requests_total"], arrivals.size());
+    EXPECT_EQ(once["bw_slo_latency_breach_total"], lat_breaches);
+    EXPECT_EQ(once["bw_slo_availability_breach_total"], avail_breaches);
+    EXPECT_GT(avail_breaches, 0u);
+
     engine.replay(arrivals); // clears recorder + monitor, renumbers
     std::string flight2 = engine.flightJson().value().dump();
     std::string slo2 = slo.sloJson().dump();
     EXPECT_EQ(flight1, flight2);
     EXPECT_EQ(slo1, slo2);
+    for (const auto &[name, v] : sloCounters())
+        EXPECT_EQ(v, 2 * once[name]) << name;
 
     Json doc = Json::parse(flight2);
     Status st = obs::validateFlightJson(doc);
@@ -458,7 +494,7 @@ TEST(EngineFlight, ReplayExportsByteIdenticalUnderRejectsAndExpiries)
     // Every submission attempt reached the SLO monitor, and every
     // reject shows up both in the rejected counter and in the promoted
     // set (never admitted -> id 0).
-    EXPECT_EQ(slo.recorded(), arrivals.size());
+    EXPECT_EQ(sloRequests(slo), arrivals.size());
     const Json *promoted = doc.find("promoted");
     uint64_t rejected = 0, expired = 0;
     for (size_t i = 0; i < promoted->size(); ++i) {
@@ -612,7 +648,7 @@ TEST(EngineFlight, ThreadedEngineRecordsEveryCompletion)
     engine.drain();
 
     EXPECT_EQ(flight.recorded(), 6u);
-    EXPECT_EQ(slo.recorded(), 6u);
+    EXPECT_EQ(sloRequests(slo), 6u);
     Json doc = engine.flightJson().value();
     Status st = obs::validateFlightJson(doc);
     EXPECT_TRUE(st.ok()) << st.toString();

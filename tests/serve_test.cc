@@ -332,7 +332,9 @@ TEST(Engine, QueueFullRejectsAtDepth)
     }
     // ...and the one replica serves the queued ones in submission order
     // (FIFO), so each waited at least as long as the one before it.
-    for (size_t i = 2; i < rs.size(); ++i)
+    // The head request's wait holds no worker start-up: start() has
+    // returned before any submission is admitted.
+    for (size_t i = 1; i < rs.size(); ++i)
         EXPECT_LE(rs[i - 1].queueMs, rs[i].queueMs) << i;
     EXPECT_EQ(engine.collector().completed(), 4u);
 }
@@ -524,6 +526,9 @@ TEST(VirtualShard, MatchesAPlainDequeAndUpperBound)
         shard.prune(now);
         while (!log.empty() && log.front() <= now)
             log.pop_front();
+        if (shard.ascending()) {
+            ASSERT_TRUE(std::is_sorted(log.begin(), log.end())) << step;
+        }
         for (double t : {now, now + rng.uniform(0.0, 2.0)}) {
             size_t want = static_cast<size_t>(
                 log.end() - std::upper_bound(log.begin(), log.end(), t));
@@ -557,6 +562,39 @@ TEST(VirtualShard, MatchesAPlainDequeAndUpperBound)
     }
     EXPECT_GT(deepest, 32u);
     EXPECT_GT(cancelled, 0u);
+
+    // A scripted log on a fresh shard: ascending, unsorted after a
+    // cancel and an out-of-order start, ascending again once it drains.
+    // queued() answers an ascending log in O(1); it must still match
+    // the deque at every step, and ascending() must track the order.
+    serve::VirtualShard two(2, 8);
+    log.clear();
+    auto check = [&](const char *at, bool ascending) {
+        ASSERT_EQ(two.ascending(), ascending) << at;
+        for (double t : {0.0, 0.7, 1.0, 1.2, 2.5, 3.5, 5.0}) {
+            size_t want = static_cast<size_t>(
+                log.end() - std::upper_bound(log.begin(), log.end(), t));
+            ASSERT_EQ(two.queued(t), want) << at << " t=" << t;
+        }
+    };
+    check("empty", true);
+    two.finish(two.reserve(1.0), 1.5); // replica 0 starts at 1.0
+    log.push_back(1.0);
+    check("one start", true);
+    two.cancel(two.reserve(2.0)); // replica 1's start at 2.0 is undone
+    check("cancelled", true);
+    two.finish(two.reserve(0.5), 0.9); // replica 1 starts before 1.0
+    log.push_back(0.5);
+    check("out of order", false);
+    two.prune(0.7); // stops at the front's 1.0: 0.5 stays behind it
+    check("pruned to the front", false);
+    two.prune(1.2);
+    log.clear();
+    check("drained", true);
+    two.finish(two.reserve(3.0), 3.5);
+    two.finish(two.reserve(4.0), 4.5);
+    log.assign({3.0, 4.0});
+    check("ascending again", true);
 }
 
 // --- Request-scoped span tracing through the engine ---
