@@ -463,25 +463,26 @@ validateDoc(const char *path)
         schema && schema->type() == Json::Type::String
             ? schema->asString()
             : "";
-    Status st;
-    if (tag == "bw.spans/1")
-        st = obs::validateSpanTreeJson(doc);
-    else if (tag == "bw.flight/1")
-        st = obs::validateFlightJson(doc);
-    else if (tag == "bw.slo/1")
-        st = serve::validateSloJson(doc);
-    else if (tag == "bw.route/1")
-        st = cluster::validateRouteJson(doc);
-    else if (tag == "bw.incident/1")
-        st = obs::validateIncidentJson(doc);
-    else {
+    const struct
+    {
+        const char *tag;
+        Status (*validate)(const Json &);
+    } docs[] = {{obs::kSpansSchema, obs::validateSpanTreeJson},
+                {obs::kFlightSchema, obs::validateFlightJson},
+                {serve::kSloSchema, serve::validateSloJson},
+                {cluster::kRouteSchema, cluster::validateRouteJson},
+                {obs::kIncidentSchema, obs::validateIncidentJson}};
+    auto it = std::find_if(std::begin(docs), std::end(docs),
+                           [&tag](const auto &d) { return tag == d.tag; });
+    if (it == std::end(docs)) {
         std::fprintf(stderr,
-                     "bw_spans: %s: unknown schema tag '%s' (want "
-                     "bw.spans/1, bw.flight/1, bw.slo/1, bw.route/1 "
-                     "or bw.incident/1)\n",
-                     path, tag.c_str());
+                     "bw_spans: %s: unknown schema tag '%s' (want %s, %s, "
+                     "%s, %s or %s)\n",
+                     path, tag.c_str(), docs[0].tag, docs[1].tag,
+                     docs[2].tag, docs[3].tag, docs[4].tag);
         return 2;
     }
+    Status st = it->validate(doc);
     if (!st.ok()) {
         std::fprintf(stderr, "bw_spans: %s: %s\n", path,
                      st.toString().c_str());

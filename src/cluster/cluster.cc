@@ -1586,8 +1586,8 @@ Cluster::debugClusterJson() const
     j.set("engines", static_cast<uint64_t>(shards_.size()));
     j.set("model_count", static_cast<uint64_t>(models_.size()));
     j.set("policy", routePolicyName(router_->options().policy));
-    j.set("routed", router_->routed());
-    j.set("shed", router_->shed());
+    j.set("routed", router_->tally().routed);
+    j.set("shed", router_->tally().shed);
     Json groups = Json::array();
     for (const ReplicaGroupSpec &g : opts_.groups) {
         Json gj = Json::object();

@@ -79,12 +79,12 @@ RouterOptions::defaultShedAt(size_t classes)
 Router::Router(RouterOptions opts, unsigned engines, size_t slo_classes)
     : opts_(std::move(opts)),
       engines_(engines > 0 ? engines : 1),
-      shedByClass_(slo_classes > 0 ? slo_classes : 1, 0)
+      tally_(slo_classes)
 {
-    shedAt_ = opts_.shedAt.empty()
-                  ? RouterOptions::defaultShedAt(shedByClass_.size())
-                  : opts_.shedAt;
-    shedAt_.resize(shedByClass_.size(), shedAt_.back());
+    size_t classes = tally_.shedByClass.size();
+    shedAt_ = opts_.shedAt.empty() ? RouterOptions::defaultShedAt(classes)
+                                   : opts_.shedAt;
+    shedAt_.resize(classes, shedAt_.back());
 
     unsigned vnodes = std::max(1u, opts_.virtualNodes);
     ring_.reserve(static_cast<size_t>(engines_) * vnodes);
@@ -187,14 +187,7 @@ Router::route(uint64_t seq, uint32_t model,
     }
     }
 
-    if (engine == -2) {
-        ++unavailable_;
-    } else if (engine < 0) {
-        ++shed_;
-        ++shedByClass_[std::min<size_t>(cls, shedByClass_.size() - 1)];
-    } else {
-        ++routed_;
-    }
+    tally_.add(engine, cls);
     RouteDecision decision{seq, model, cls, engine};
     if (sink_)
         sink_(decision); // streaming export sees every decision
@@ -208,106 +201,61 @@ Router::route(uint64_t seq, uint32_t model,
 Json
 Router::decisionsJson() const
 {
-    Json j = Json::object();
-    j.set("schema", "bw.route/1");
-    j.set("policy", routePolicyName(opts_.policy));
-    j.set("engines", engines_);
-    j.set("routed", routed_);
-    j.set("shed", shed_);
-    j.set("unavailable", unavailable_);
-    j.set("log_dropped", logDropped_);
-    Json by_class = Json::array();
-    for (uint64_t c : shedByClass_)
-        by_class.push(c);
-    j.set("shed_by_class", std::move(by_class));
     Json rows = Json::array();
     rows.reserve(log_.size());
     for (const RouteDecision &d : log_) {
-        Json r = Json::object();
-        r.reserve(4);
-        r.set("seq", d.seq);
-        r.set("model", d.model);
-        r.set("class", d.cls);
-        r.set("engine", d.engine);
-        rows.push(std::move(r));
+        Json out = Json::object();
+        out.reserve(4);
+        BW_ROUTE_ROW_FIELDS(BW_FIELD_SET, d)
+        rows.push(std::move(out));
     }
-    j.set("decisions", std::move(rows));
-    return j;
+    return BW_FIELDS_JSON(BW_ROUTE_DOC_FIELDS, routePolicyName(opts_.policy),
+                          engines_, tally_, logDropped_, std::move(rows));
 }
 
 void
 Router::clear()
 {
     log_.clear();
-    routed_ = 0;
-    shed_ = 0;
-    unavailable_ = 0;
+    tally_ = obs::RouteTally(tally_.shedByClass.size());
     logDropped_ = 0;
-    std::fill(shedByClass_.begin(), shedByClass_.end(), 0);
 }
 
 Status
 validateRouteJson(const Json &doc)
 {
-    const Json *schema = doc.find("schema");
-    if (!schema || schema->type() != Json::Type::String ||
-        schema->asString() != "bw.route/1")
-        return Status::invalidArgument("schema tag is not bw.route/1");
-    for (const char *key :
-         {"policy", "engines", "routed", "shed", "unavailable",
-          "log_dropped", "shed_by_class", "decisions"}) {
-        if (!doc.contains(key))
-            return Status::invalidArgument(
-                detail::format("missing field '%s'", key));
-    }
-    if (!routePolicyFromName(doc.find("policy")->asString()).ok())
+    Status st = BW_CHECK_FIELDS(doc, BW_ROUTE_DOC_FIELDS, _, _, _, _, _);
+    if (!st.ok())
+        return st;
+    const std::string &policy = doc.find("policy")->asString();
+    if (!routePolicyFromName(policy).ok())
         return Status::invalidArgument(
-            detail::format("unknown policy '%s'",
-                           doc.find("policy")->asString().c_str()));
-    int64_t engines = doc.find("engines")->asInt();
-    if (engines < 1)
-        return Status::invalidArgument("engines must be >= 1");
-    uint64_t routed = 0, shed = 0, unavailable = 0;
-    const Json *rows = doc.find("decisions");
-    for (size_t i = 0; i < rows->size(); ++i) {
-        const Json &r = rows->at(i);
-        for (const char *key : {"seq", "model", "class", "engine"}) {
-            if (!r.contains(key))
-                return Status::invalidArgument(detail::format(
-                    "decision %zu missing field '%s'", i, key));
-        }
-        int64_t engine = r.find("engine")->asInt();
-        if (engine < -2 || engine >= engines)
-            return Status::invalidArgument(detail::format(
-                "decision %zu engine %lld out of range [-2, %lld)", i,
-                static_cast<long long>(engine),
-                static_cast<long long>(engines)));
-        if (engine == -2)
-            ++unavailable;
-        else if (engine < 0)
-            ++shed;
-        else
-            ++routed;
+            detail::format("unknown policy '%s'", policy.c_str()));
+    const Json &rows = *doc.find("decisions");
+    obs::RouteTally logged;
+    for (size_t i = 0; i < rows.size(); ++i) {
+        st = obs::tallyRouteRow(rows.at(i), doc.find("engines")->asInt(),
+                                &logged);
+        if (!st.ok())
+            return obs::prefixed(detail::format("decision %zu", i), st);
     }
-    uint64_t dropped =
-        static_cast<uint64_t>(doc.find("log_dropped")->asInt());
-    uint64_t logged_total = routed + shed + unavailable + dropped;
-    uint64_t counted =
-        static_cast<uint64_t>(doc.find("routed")->asInt()) +
-        static_cast<uint64_t>(doc.find("shed")->asInt()) +
-        static_cast<uint64_t>(doc.find("unavailable")->asInt());
-    if (logged_total != counted)
+    auto count = [&doc](const char *key) {
+        return static_cast<uint64_t>(doc.find(key)->asInt());
+    };
+    uint64_t dropped = count("log_dropped");
+    uint64_t counted = count("routed") + count("shed") + count("unavailable");
+    if (logged.total() + dropped != counted)
         return Status::invalidArgument(detail::format(
             "decision rows (%llu) + dropped (%llu) != routed + shed + "
             "unavailable (%llu)",
-            static_cast<unsigned long long>(routed + shed + unavailable),
+            static_cast<unsigned long long>(logged.total()),
             static_cast<unsigned long long>(dropped),
             static_cast<unsigned long long>(counted)));
     uint64_t by_class = 0;
-    const Json *bc = doc.find("shed_by_class");
-    for (size_t i = 0; i < bc->size(); ++i)
-        by_class += static_cast<uint64_t>(bc->at(i).asInt());
-    if (by_class != static_cast<uint64_t>(doc.find("shed")->asInt()))
+    const Json &bc = *doc.find("shed_by_class");
+    for (size_t i = 0; i < bc.size(); ++i)
+        by_class += static_cast<uint64_t>(bc.at(i).asInt());
+    if (by_class != count("shed"))
         return Status::invalidArgument(
             "shed_by_class does not sum to shed");
     return Status();

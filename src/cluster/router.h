@@ -37,9 +37,24 @@
 
 #include "common/json.h"
 #include "common/status.h"
+#include "obs/route.h"
 
 namespace bw {
 namespace cluster {
+
+inline constexpr const char *kRouteSchema = "bw.route/1";
+
+using obs::RouteDecision;
+
+/// The bw.route/1 document (Router::decisionsJson) over RouteTally t.
+#define BW_ROUTE_DOC_FIELDS(N, policy, engines, t, dropped, rows)        \
+    BW_ROUTE_HEADER_FIELDS(N, cluster::kRouteSchema, policy, engines)    \
+    N("routed", t.routed, Uint, always)                                  \
+    N("shed", t.shed, Uint, always)                                      \
+    N("unavailable", t.unavailable, Uint, always)                        \
+    N("log_dropped", dropped, Uint, always)                              \
+    N("shed_by_class", obs::countsJson(t.shedByClass), Counts, always)   \
+    N("decisions", rows, Arr, always)
 
 /** Front-door routing policies. */
 enum class RoutePolicy : uint8_t
@@ -91,17 +106,6 @@ struct EngineLoad
     bool healthy = true;
 };
 
-/** One logged routing decision. */
-struct RouteDecision
-{
-    uint64_t seq = 0;   //!< cluster-wide submission number (1-based)
-    uint32_t model = 0;
-    uint32_t cls = 0;   //!< deadline class index (SloMonitor ladder)
-    /** Target engine; -1 = shed at the front door, -2 = no healthy
-     *  engine left (the request is unavailable, not load-shed). */
-    int32_t engine = -1;
-};
-
 /**
  * The front-door router. Not thread-safe: the cluster serializes
  * decisions (replay is single-threaded; live submits take the cluster
@@ -130,14 +134,8 @@ class Router
     /** Effective shed threshold for class @p cls. */
     double shedThreshold(uint32_t cls) const;
 
-    uint64_t routed() const { return routed_; }
-    uint64_t shed() const { return shed_; }
-    /** Decisions that found no healthy engine (engine = -2). */
-    uint64_t unavailable() const { return unavailable_; }
-    const std::vector<uint64_t> &shedByClass() const
-    {
-        return shedByClass_;
-    }
+    /** Routed / shed (per class) / unavailable decision counts. */
+    const obs::RouteTally &tally() const { return tally_; }
     const std::vector<RouteDecision> &decisions() const
     {
         return log_;
@@ -185,11 +183,8 @@ class Router
     std::vector<double> shedAt_; //!< resolved per-class thresholds
     std::vector<RingPoint> ring_;
     std::vector<RouteDecision> log_;
-    uint64_t routed_ = 0;
-    uint64_t shed_ = 0;
-    uint64_t unavailable_ = 0;
+    obs::RouteTally tally_;
     uint64_t logDropped_ = 0;
-    std::vector<uint64_t> shedByClass_;
     std::function<void(const RouteDecision &)> sink_;
 };
 

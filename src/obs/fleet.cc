@@ -24,12 +24,7 @@ FleetRegistry::addShard(std::string shard, std::string group,
                         const metrics::Registry *registry,
                         const serve::SloMonitor *slo)
 {
-    FleetShardSource s;
-    s.shard = std::move(shard);
-    s.group = std::move(group);
-    s.registry = registry;
-    s.slo = slo;
-    shards_.push_back(std::move(s));
+    shards_.push_back({std::move(shard), std::move(group), registry, slo});
 }
 
 std::vector<metrics::MetricSnapshot>
@@ -131,38 +126,31 @@ FleetRegistry::sloRollupJson() const
             a.requests += ev.requests;
             a.latencyBreaches += ev.latencyBreaches;
             a.availabilityBreaches += ev.availabilityBreaches;
-            auto sum = [](serve::SloWindowEval &into,
-                          const serve::SloWindowEval &from) {
-                into.good += from.good;
-                into.bad += from.bad;
-            };
-            sum(a.latencyFast, ev.latencyFast);
-            sum(a.latencySlow, ev.latencySlow);
-            sum(a.availFast, ev.availFast);
-            sum(a.availSlow, ev.availSlow);
+            for (auto [into, from] :
+                 {std::pair{&a.latency.fast, &ev.latency.fast},
+                  {&a.latency.slow, &ev.latency.slow},
+                  {&a.availability.fast, &ev.availability.fast},
+                  {&a.availability.slow, &ev.availability.slow}}) {
+                into->good += from->good;
+                into->bad += from->bad;
+            }
         }
     }
     for (serve::SloClassEval &a : agg)
         serve::finishClassEval(a, opts);
 
-    Json doc = serve::sloHeaderJson(opts, high_us);
-    doc.set("shards", static_cast<uint64_t>(shards_.size()));
-    doc.set("classes", serve::sloClassesJson(opts, agg));
-    return doc;
+    return serve::sloDocJson(opts, high_us, agg, shards_.size());
 }
 
 // --- RouteStreamWriter ---
 
 RouteStreamWriter::RouteStreamWriter(StreamSink sink, std::string policy,
                                      unsigned engines, size_t classes)
-    : sink_(std::move(sink)), engines_(engines),
-      shedByClass_(classes > 0 ? classes : 1, 0)
+    : sink_(std::move(sink)), tally_(classes)
 {
-    Json h = Json::object();
-    h.set("schema", "bw.routestream/1");
-    h.set("policy", std::move(policy));
-    h.set("engines", engines_);
-    emit(ndjsonLine(h));
+    emit(ndjsonLine(BW_FIELDS_JSON(BW_ROUTE_HEADER_FIELDS,
+                                   kRouteStreamSchema, std::move(policy),
+                                   engines)));
 }
 
 bool
@@ -182,24 +170,17 @@ bool
 RouteStreamWriter::decision(uint64_t seq, uint32_t model, uint32_t cls,
                             int32_t engine)
 {
-    if (engine == -2) {
-        ++unavailable_;
-    } else if (engine < 0) {
-        ++shed_;
-        ++shedByClass_[std::min<size_t>(cls, shedByClass_.size() - 1)];
-    } else {
-        ++routed_;
-    }
-    // The bytes Json::dump writes for the same four members (a seq
-    // above INT64_MAX wraps as Json(uint64_t) wraps it).
-    row_.assign("{\"seq\":");
-    appendJsonInt(row_, static_cast<int64_t>(seq));
-    row_ += ",\"model\":";
-    appendJsonInt(row_, model);
-    row_ += ",\"class\":";
-    appendJsonInt(row_, cls);
-    row_ += ",\"engine\":";
-    appendJsonInt(row_, engine);
+    const RouteDecision d{seq, model, cls, engine};
+    tally_.add(engine, cls);
+    // The bytes Json::dump writes for the row's members (a seq above
+    // INT64_MAX wraps as Json(uint64_t) wraps it).
+#define BW_ROUTE_ROW_APPEND(key, value, type, presence)                  \
+    row_ += ",\"" key "\":";                                             \
+    appendJsonInt(row_, static_cast<int64_t>(value));
+    row_.clear();
+    BW_ROUTE_ROW_FIELDS(BW_ROUTE_ROW_APPEND, d)
+#undef BW_ROUTE_ROW_APPEND
+    row_[0] = '{';
     row_ += "}\n";
     return emit(row_);
 }
@@ -210,18 +191,7 @@ RouteStreamWriter::finish()
     if (finished_)
         return !failed_;
     finished_ = true;
-    Json s = Json::object();
-    s.set("summary", true);
-    s.set("rows", rows());
-    s.set("routed", routed_);
-    s.set("shed", shed_);
-    Json by_class = Json::array();
-    for (uint64_t c : shedByClass_)
-        by_class.push(c);
-    s.set("shed_by_class", std::move(by_class));
-    if (unavailable_ > 0)
-        s.set("unavailable", unavailable_);
-    return emit(ndjsonLine(s));
+    return emit(ndjsonLine(BW_FIELDS_JSON(BW_ROUTE_TRAILER_FIELDS, tally_)));
 }
 
 // --- Stream validators ---
@@ -257,82 +227,68 @@ parseLine(const std::string &line, size_t lineno, Json *out)
     return Status();
 }
 
-Status
-requireInt(const Json &obj, const char *key, size_t lineno,
-           int64_t *out = nullptr)
-{
-    const Json *v = obj.find(key);
-    if (!v || !v->isNumber())
-        return Status::invalidArgument(detail::format(
-            "line %zu missing numeric field '%s'", lineno, key));
-    if (out)
-        *out = v->asInt();
-    return Status();
-}
-
 /** @p st, its message prefixed with the stream line it came from. */
 Status
 atLine(size_t lineno, const Status &st)
 {
-    return Status::invalidArgument(
-        detail::format("line %zu: %s", lineno, st.message().c_str()));
+    return prefixed(detail::format("line %zu", lineno), st);
 }
 
+/// Walk a stream line by line: @p header checks the header line,
+/// @p row each row and @p trailer the summary trailer. A stream that
+/// ends without the trailer, or carries data after it, is invalid.
+template <typename Header, typename Row, typename Trailer>
 Status
-streamHeader(std::istream &in, const char *schema, Json *header)
+walkStream(std::istream &in, Header header, Row row, Trailer trailer)
 {
-    std::string line;
-    if (!nextLine(in, &line))
-        return Status::invalidArgument("empty stream (no header line)");
-    Status st = parseLine(line, 1, header);
-    if (!st.ok())
-        return st;
-    const Json *tag = header->find("schema");
-    if (!tag || tag->type() != Json::Type::String ||
-        tag->asString() != schema)
-        return Status::invalidArgument(
-            detail::format("header schema tag is not %s", schema));
-    return Status();
-}
-
-/// The rows after a stream's header: @p row checks each row and
-/// @p trailer the summary trailer, both given the line number. A stream
-/// that ends without the trailer, or carries data after it, is invalid.
-template <typename Row, typename Trailer>
-Status
-walkRows(std::istream &in, Row row, Trailer trailer)
-{
-    size_t lineno = 1;
+    size_t lineno = 0;
+    bool summary = false;
     std::string line;
     while (nextLine(in, &line)) {
-        ++lineno;
-        Json j;
-        Status st = parseLine(line, lineno, &j);
-        if (st.ok())
-            st = j.contains("summary") ? trailer(j, lineno) : row(j, lineno);
-        if (!st.ok())
-            return st;
-        if (!j.contains("summary"))
-            continue;
-        if (nextLine(in, &line))
+        if (summary)
             return Status::invalidArgument(
                 "trailing data after the summary trailer");
-        return Status();
+        Json j;
+        Status st = parseLine(line, ++lineno, &j);
+        summary = lineno > 1 && j.contains("summary");
+        if (st.ok())
+            st = atLine(lineno, lineno == 1 ? header(j)
+                                : summary   ? trailer(j)
+                                            : row(j));
+        if (!st.ok())
+            return st;
     }
-    return Status::invalidArgument(
-        "stream ended without a summary trailer (truncated?)");
+    if (lineno == 0)
+        return Status::invalidArgument("empty stream (no header line)");
+    return summary ? Status()
+                   : Status::invalidArgument("stream ended without a "
+                                             "summary trailer (truncated?)");
 }
 
 /// Move @p last to row key @p key's @p value, which must exceed it.
 Status
-ascend(const char *key, int64_t value, uint64_t *last, size_t lineno)
+ascend(const char *key, int64_t value, uint64_t *last)
 {
     if (static_cast<uint64_t>(value) <= *last)
-        return Status::invalidArgument(
-            detail::format("line %zu %s %lld is not ascending", lineno, key,
-                           static_cast<long long>(value)));
+        return Status::invalidArgument(detail::format(
+            "%s %lld is not ascending", key, static_cast<long long>(value)));
     *last = static_cast<uint64_t>(value);
     return Status();
+}
+
+/// A trailer count @p key (0 when left out) that must equal the
+/// @p counted rows.
+Status
+matches(const Json &trailer, const char *key, uint64_t counted)
+{
+    const Json *v = trailer.find(key);
+    int64_t declared = v ? v->asInt() : 0;
+    if (static_cast<uint64_t>(declared) == counted)
+        return Status();
+    return Status::invalidArgument(detail::format(
+        "summary declares %lld %s, stream carried %llu",
+        static_cast<long long>(declared), key,
+        static_cast<unsigned long long>(counted)));
 }
 
 } // namespace
@@ -340,90 +296,42 @@ ascend(const char *key, int64_t value, uint64_t *last, size_t lineno)
 Status
 validateRouteStreamJson(std::istream &in)
 {
-    Json header;
-    Status st = streamHeader(in, "bw.routestream/1", &header);
-    if (!st.ok())
-        return st;
     int64_t engines = 0;
-    st = requireInt(header, "engines", 1, &engines);
-    if (!st.ok())
+    RouteTally streamed;
+    uint64_t last_seq = 0;
+    auto header = [&engines](const Json &h) {
+        Status st = BW_CHECK_FIELDS(h, BW_ROUTE_HEADER_FIELDS,
+                                    kRouteStreamSchema, _, _);
+        engines = st.ok() ? h.find("engines")->asInt() : 0;
         return st;
-    if (engines < 1)
-        return Status::invalidArgument("header engines must be >= 1");
-    const Json *policy = header.find("policy");
-    if (!policy || policy->type() != Json::Type::String)
-        return Status::invalidArgument("header missing policy");
-
-    uint64_t routed = 0, shed = 0, unavailable = 0, last_seq = 0;
-    auto trailer = [&](const Json &row, size_t lineno) {
-        for (const char *key : {"rows", "routed", "shed"}) {
-            Status st = requireInt(row, key, lineno);
-            if (!st.ok())
-                return st;
+    };
+    auto trailer = [&](const Json &row) {
+        Status st = BW_CHECK_FIELDS(row, BW_ROUTE_TRAILER_FIELDS, _);
+        for (auto [key, counted] :
+             {std::pair<const char *, uint64_t>{"rows", streamed.total()},
+              {"routed", streamed.routed},
+              {"shed", streamed.shed},
+              {"unavailable", streamed.unavailable}}) {
+            if (st.ok())
+                st = matches(row, key, counted);
         }
-        // unavailable is written only when nonzero.
-        int64_t sunavail = 0;
-        if (row.contains("unavailable")) {
-            Status st = requireInt(row, "unavailable", lineno, &sunavail);
-            if (!st.ok())
-                return st;
-        }
-        int64_t rows = row.find("rows")->asInt();
-        int64_t srouted = row.find("routed")->asInt();
-        int64_t sshed = row.find("shed")->asInt();
-        if (static_cast<uint64_t>(srouted) != routed ||
-            static_cast<uint64_t>(sshed) != shed ||
-            static_cast<uint64_t>(sunavail) != unavailable ||
-            static_cast<uint64_t>(rows) != routed + shed + unavailable)
-            return Status::invalidArgument(detail::format(
-                "summary counters (rows %lld, routed %lld, shed "
-                "%lld, unavailable %lld) do not match the %llu "
-                "routed + %llu shed + %llu unavailable rows streamed",
-                static_cast<long long>(rows),
-                static_cast<long long>(srouted),
-                static_cast<long long>(sshed),
-                static_cast<long long>(sunavail),
-                static_cast<unsigned long long>(routed),
-                static_cast<unsigned long long>(shed),
-                static_cast<unsigned long long>(unavailable)));
-        const Json *bc = row.find("shed_by_class");
-        if (!bc || bc->type() != Json::Type::Array)
-            return Status::invalidArgument(
-                "summary missing shed_by_class array");
+        if (!st.ok())
+            return st;
         uint64_t by_class = 0;
-        for (size_t i = 0; i < bc->size(); ++i)
-            by_class += static_cast<uint64_t>(bc->at(i).asInt());
-        if (by_class != shed)
+        const Json &bc = *row.find("shed_by_class");
+        for (size_t i = 0; i < bc.size(); ++i)
+            by_class += static_cast<uint64_t>(bc.at(i).asInt());
+        if (by_class != streamed.shed)
             return Status::invalidArgument(
                 "summary shed_by_class does not sum to shed");
         return Status();
     };
-    auto rowCheck = [&](const Json &row, size_t lineno) {
-        for (const char *key : {"seq", "model", "class", "engine"}) {
-            Status st = requireInt(row, key, lineno);
-            if (!st.ok())
-                return st;
-        }
-        Status st = ascend("seq", row.find("seq")->asInt(), &last_seq,
-                           lineno);
-        if (!st.ok())
-            return st;
-        int64_t engine = row.find("engine")->asInt();
-        // -1 = front-door shed, -2 = no healthy shard (unavailable).
-        if (engine < -2 || engine >= engines)
-            return Status::invalidArgument(detail::format(
-                "line %zu engine %lld out of range [-2, %lld)", lineno,
-                static_cast<long long>(engine),
-                static_cast<long long>(engines)));
-        if (engine == -2)
-            ++unavailable;
-        else if (engine < 0)
-            ++shed;
-        else
-            ++routed;
-        return Status();
+    auto rowCheck = [&](const Json &row) {
+        Status st = tallyRouteRow(row, engines, &streamed);
+        return st.ok() ? ascend("seq", row.find("seq")->asInt(), &last_seq)
+                       : st;
     };
-    return walkRows(in, rowCheck, trailer);
+    return walkStream(in, header, rowCheck, trailer);
 }
 
 // --- Span streaming ---
@@ -434,9 +342,7 @@ streamSpanTreesNdjson(const std::vector<SpanRecord> &spans,
 {
     if (!sink)
         return Status::invalidArgument("span stream: null sink");
-    Json header = Json::object();
-    header.set("schema", "bw.spanstream/1");
-    if (!sink(ndjsonLine(header)))
+    if (!sink(ndjsonLine(BW_FIELDS_JSON(BW_SPAN_STREAM_HEADER_FIELDS))))
         return Status::unavailable("span stream: sink aborted");
 
     // One trace per line, from the formatter behind spanTreeJson —
@@ -448,14 +354,8 @@ streamSpanTreesNdjson(const std::vector<SpanRecord> &spans,
             &counts))
         return Status::unavailable("span stream: sink aborted");
 
-    Json summary = Json::object();
-    summary.set("summary", true);
-    summary.set("traces", counts.traces);
-    summary.set("spans", counts.spans);
-    summary.set("dropped", dropped);
-    if (counts.incomplete > 0)
-        summary.set("incomplete_traces", counts.incomplete);
-    if (!sink(ndjsonLine(summary)))
+    if (!sink(ndjsonLine(
+            BW_FIELDS_JSON(BW_SPAN_STREAM_TRAILER_FIELDS, counts, dropped))))
         return Status::unavailable("span stream: sink aborted");
     return Status();
 }
@@ -470,32 +370,22 @@ streamSpanTreesNdjson(const SpanTracer &tracer, const StreamSink &sink)
 Status
 validateSpanStreamJson(std::istream &in)
 {
-    Json header;
-    Status st = streamHeader(in, "bw.spanstream/1", &header);
-    if (!st.ok())
-        return st;
-    uint64_t traces = 0, last_trace = 0;
-    auto trailer = [&](const Json &row, size_t lineno) {
-        int64_t n = 0;
-        Status st = requireInt(row, "traces", lineno, &n);
-        if (!st.ok())
-            return st;
-        if (static_cast<uint64_t>(n) != traces)
-            return Status::invalidArgument(detail::format(
-                "summary declares %lld traces, stream carried %llu",
-                static_cast<long long>(n),
-                static_cast<unsigned long long>(traces)));
-        return requireInt(row, "spans", lineno);
+    auto header = [](const Json &h) {
+        return BW_CHECK_FIELDS(h, BW_SPAN_STREAM_HEADER_FIELDS);
     };
-    auto rowCheck = [&](const Json &row, size_t lineno) {
+    uint64_t traces = 0, last_trace = 0;
+    auto trailer = [&](const Json &row) {
+        Status st = BW_CHECK_FIELDS(row, BW_SPAN_STREAM_TRAILER_FIELDS, _, _);
+        return st.ok() ? matches(row, "traces", traces) : st;
+    };
+    auto rowCheck = [&](const Json &row) {
         Status st = validateSpanTrace(row);
         if (!st.ok())
-            return atLine(lineno, st);
+            return st;
         ++traces;
-        return ascend("trace", row.find("trace")->asInt(), &last_trace,
-                      lineno);
+        return ascend("trace", row.find("trace")->asInt(), &last_trace);
     };
-    return walkRows(in, rowCheck, trailer);
+    return walkStream(in, header, rowCheck, trailer);
 }
 
 // --- Flight streaming ---
@@ -505,11 +395,9 @@ streamFlightNdjson(const FlightRecorder &recorder, const StreamSink &sink)
 {
     if (!sink)
         return Status::invalidArgument("flight stream: null sink");
-    Json header = Json::object();
-    header.set("schema", "bw.flightstream/1");
-    header.set("window_us", recorder.options().windowUs);
-    header.set("slowest_k", recorder.options().slowestK);
-    if (!sink(ndjsonLine(header)))
+    if (!sink(ndjsonLine(BW_FIELDS_JSON(BW_FLIGHT_HEADER_FIELDS,
+                                        kFlightStreamSchema,
+                                        recorder.options()))))
         return Status::unavailable("flight stream: sink aborted");
 
     // One record per line: the record as flightJson writes it, with
@@ -519,18 +407,16 @@ streamFlightNdjson(const FlightRecorder &recorder, const StreamSink &sink)
     for (const FlightRecord &r : promoted) {
         Json traces = Json::array();
         SpanTreeCounts counts;
-        Json row = writer.write(r, &traces, &counts);
-        row.set("spans", spanTreeDoc(std::move(traces), counts, 0));
-        if (!sink(ndjsonLine(row)))
+        Json out = writer.write(r, &traces, &counts);
+        BW_FLIGHT_ROW_FIELDS(BW_FIELD_SET,
+                             spanTreeDoc(std::move(traces), counts, 0))
+        if (!sink(ndjsonLine(out)))
             return Status::unavailable("flight stream: sink aborted");
     }
 
-    Json summary = Json::object();
-    summary.set("summary", true);
-    summary.set("promoted", static_cast<uint64_t>(promoted.size()));
-    summary.set("recorded", recorder.recorded());
-    summary.set("dropped", recorder.dropped());
-    if (!sink(ndjsonLine(summary)))
+    if (!sink(ndjsonLine(BW_FIELDS_JSON(
+            BW_FLIGHT_STREAM_TRAILER_FIELDS, promoted.size(),
+            recorder.recorded(), recorder.dropped()))))
         return Status::unavailable("flight stream: sink aborted");
     return Status();
 }
@@ -538,45 +424,29 @@ streamFlightNdjson(const FlightRecorder &recorder, const StreamSink &sink)
 Status
 validateFlightStreamJson(std::istream &in)
 {
-    Json header;
-    Status st = streamHeader(in, "bw.flightstream/1", &header);
-    if (!st.ok())
-        return st;
-    for (const char *key : {"window_us", "slowest_k"}) {
-        st = requireInt(header, key, 1);
-        if (!st.ok())
-            return st;
-    }
-    uint64_t promoted = 0, last_seq = 0;
-    auto trailer = [&](const Json &row, size_t lineno) {
-        int64_t n = 0;
-        Status st = requireInt(row, "promoted", lineno, &n);
-        if (!st.ok())
-            return st;
-        if (static_cast<uint64_t>(n) != promoted)
-            return Status::invalidArgument(detail::format(
-                "summary declares %lld promoted records, stream "
-                "carried %llu",
-                static_cast<long long>(n),
-                static_cast<unsigned long long>(promoted)));
-        for (const char *key : {"recorded", "dropped"}) {
-            st = requireInt(row, key, lineno);
-            if (!st.ok())
-                return st;
-        }
-        return Status();
+    auto header = [](const Json &h) {
+        return BW_CHECK_FIELDS(h, BW_FLIGHT_HEADER_FIELDS,
+                               kFlightStreamSchema, _);
     };
-    auto rowCheck = [&](const Json &row, size_t lineno) {
+    uint64_t promoted = 0, last_seq = 0;
+    auto trailer = [&](const Json &row) {
+        Status st =
+            BW_CHECK_FIELDS(row, BW_FLIGHT_STREAM_TRAILER_FIELDS, _, _, _);
+        return st.ok() ? matches(row, "promoted", promoted) : st;
+    };
+    auto rowCheck = [&](const Json &row) {
         int64_t seq = 0;
         Status st = validateFlightRecordJson(row, &seq);
         if (st.ok())
-            st = validateFlightSpans(row.find("spans"), {seq});
+            st = BW_CHECK_FIELDS(row, BW_FLIGHT_ROW_FIELDS, _);
+        if (st.ok())
+            st = validateFlightSpans(*row.find("spans"), {seq});
         if (!st.ok())
-            return atLine(lineno, st);
+            return st;
         ++promoted;
-        return ascend("seq", seq, &last_seq, lineno);
+        return ascend("seq", seq, &last_seq);
     };
-    return walkRows(in, rowCheck, trailer);
+    return walkStream(in, header, rowCheck, trailer);
 }
 
 Status
@@ -597,17 +467,22 @@ validateStreamFile(const std::string &path)
     std::string schema = tag && tag->type() == Json::Type::String
                              ? tag->asString()
                              : "";
-    std::ifstream in(path); // validators consume from the header on
-    if (schema == "bw.routestream/1")
-        return validateRouteStreamJson(in);
-    if (schema == "bw.spanstream/1")
-        return validateSpanStreamJson(in);
-    if (schema == "bw.flightstream/1")
-        return validateFlightStreamJson(in);
+    const struct
+    {
+        const char *tag;
+        Status (*validate)(std::istream &);
+    } streams[] = {{kRouteStreamSchema, validateRouteStreamJson},
+                   {kSpanStreamSchema, validateSpanStreamJson},
+                   {kFlightStreamSchema, validateFlightStreamJson}};
+    for (const auto &s : streams) {
+        if (schema != s.tag)
+            continue;
+        std::ifstream in(path); // validators consume from the header on
+        return s.validate(in);
+    }
     return Status::invalidArgument(detail::format(
-        "unknown stream schema tag '%s' (want bw.routestream/1, "
-        "bw.spanstream/1 or bw.flightstream/1)",
-        schema.c_str()));
+        "unknown stream schema tag '%s' (want %s, %s or %s)",
+        schema.c_str(), streams[0].tag, streams[1].tag, streams[2].tag));
 }
 
 } // namespace obs

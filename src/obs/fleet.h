@@ -54,11 +54,44 @@
 #include "common/status.h"
 #include "metrics/metrics.h"
 #include "obs/flight.h"
+#include "obs/route.h"
 #include "obs/span.h"
 #include "serve/slo.h"
 
 namespace bw {
 namespace obs {
+
+inline constexpr const char *kRouteStreamSchema = "bw.routestream/1";
+inline constexpr const char *kSpanStreamSchema = "bw.spanstream/1";
+inline constexpr const char *kFlightStreamSchema = "bw.flightstream/1";
+
+/// The member that marks a stream's summary trailer line.
+#define BW_STREAM_SUMMARY_FIELDS(N) N("summary", true, Bool, always)
+
+/// The bw.routestream/1 trailer over RouteTally t.
+#define BW_ROUTE_TRAILER_FIELDS(N, t)                                    \
+    BW_STREAM_SUMMARY_FIELDS(N)                                          \
+    N("rows", t.total(), Uint, always)                                   \
+    N("routed", t.routed, Uint, always)                                  \
+    N("shed", t.shed, Uint, always)                                      \
+    N("shed_by_class", countsJson(t.shedByClass), Counts, always)        \
+    N("unavailable", t.unavailable, Uint, when(t.unavailable > 0))
+
+/// The bw.spanstream/1 header line and trailer.
+#define BW_SPAN_STREAM_HEADER_FIELDS(N)                                  \
+    N("schema", obs::kSpanStreamSchema, Tag(obs::kSpanStreamSchema), always)
+#define BW_SPAN_STREAM_TRAILER_FIELDS(N, counts, dropped)                \
+    BW_STREAM_SUMMARY_FIELDS(N)                                          \
+    N("traces", counts.traces, Uint, always)                             \
+    BW_SPAN_TALLY_FIELDS(N, counts, dropped)
+
+/// A bw.flightstream/1 row's member after the record's own, and the
+/// stream's trailer.
+#define BW_FLIGHT_ROW_FIELDS(N, spans) N("spans", spans, Obj, always)
+#define BW_FLIGHT_STREAM_TRAILER_FIELDS(N, promoted, recorded, dropped)  \
+    BW_STREAM_SUMMARY_FIELDS(N)                                          \
+    N("promoted", promoted, Uint, always)                                \
+    BW_FLIGHT_TALLY_FIELDS(N, recorded, dropped)
 
 /** One engine shard's observability sources (all non-owning). */
 struct FleetShardSource
@@ -107,8 +140,8 @@ class FleetRegistry
      * Fleet SLO rollup, schema bw.slo/1 (validateSloJson-clean):
      * per-class lifetime counters and window good/bad sums across every
      * registered shard monitor, finished by serve::finishClassEval and
-     * written by serve::sloHeaderJson / sloClassesJson with a "shards"
-     * member after evaluated_at_us. Objectives, windows and the class
+     * written by serve::sloDocJson with a "shards" member after
+     * evaluated_at_us. Objectives, windows and the class
      * ladder come from the first shard monitor (the cluster shares one
      * SloOptions across shards). evaluated_at_us is the fleet-wide
      * high-water mark.
@@ -166,7 +199,7 @@ class RouteStreamWriter
      *  sink aborted earlier. */
     bool finish();
 
-    uint64_t rows() const { return routed_ + shed_ + unavailable_; }
+    uint64_t rows() const { return tally_.total(); }
     uint64_t bytes() const { return bytes_; }
     bool failed() const { return failed_; }
 
@@ -175,12 +208,8 @@ class RouteStreamWriter
 
     StreamSink sink_;
     std::string row_; //!< decision()'s line, reused row to row
-    unsigned engines_ = 0;
-    uint64_t routed_ = 0;
-    uint64_t shed_ = 0;
-    uint64_t unavailable_ = 0;
+    RouteTally tally_;
     uint64_t bytes_ = 0;
-    std::vector<uint64_t> shedByClass_;
     bool failed_ = false;
     bool finished_ = false;
 };

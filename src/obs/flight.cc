@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <iterator>
 
 #include "common/logging.h"
 
@@ -10,8 +9,6 @@ namespace bw {
 namespace obs {
 
 namespace {
-
-constexpr const char *kSchema = "bw.flight/1";
 
 constexpr auto seqOrder = [](const FlightRecord &a, const FlightRecord &b) {
     return a.seq < b.seq;
@@ -143,25 +140,6 @@ promoteFlightRecords(std::vector<FlightRecord> records,
 
 namespace {
 
-/** One promoted record's bw.flight/1 members, in export order. */
-Json
-flightRecordJson(const FlightRecord &r)
-{
-    Json e = Json::object();
-    e.set("seq", r.seq);
-    e.set("id", r.id);
-    e.set("class", flightClassName(r.cls));
-    e.set("sampled", r.sampled);
-    e.set("replica", r.replica);
-    e.set("steps", r.steps);
-    e.set("admit_us", r.admitUs);
-    e.set("dequeue_us", r.dequeueUs);
-    e.set("service_us", r.serviceUs);
-    e.set("done_us", r.doneUs);
-    e.set("latency_us", r.latencyUs);
-    return e;
-}
-
 /** Room for one record's tree: request, queue_wait, dispatch, execute
  *  and the capped chain leaves. */
 SpanTracerOptions
@@ -196,7 +174,7 @@ FlightRecordWriter::write(const FlightRecord &r, Json *traces,
             return true;
         },
         counts);
-    return flightRecordJson(r);
+    return BW_FIELDS_JSON(BW_FLIGHT_RECORD_FIELDS, r);
 }
 
 Json
@@ -204,13 +182,6 @@ flightJson(const std::vector<FlightRecord> &promoted,
            const FlightRecorderOptions &opts, uint64_t recorded,
            uint64_t dropped, const ChainProfileFn &chains_for)
 {
-    Json doc = Json::object();
-    doc.set("schema", kSchema);
-    doc.set("window_us", opts.windowUs);
-    doc.set("slowest_k", opts.slowestK);
-    doc.set("recorded", recorded);
-    doc.set("dropped", dropped);
-
     // One span tree per promoted record (trace id = seq) in a bw.spans/1
     // document: the span evidence head sampling would have dropped.
     Json list = Json::array();
@@ -219,9 +190,9 @@ flightJson(const std::vector<FlightRecord> &promoted,
     FlightRecordWriter writer(chains_for);
     for (const FlightRecord &r : promoted)
         list.push(writer.write(r, &traces, &counts));
-    doc.set("promoted", std::move(list));
-    doc.set("spans", spanTreeDoc(std::move(traces), counts, 0));
-    return doc;
+    return BW_FIELDS_JSON(BW_FLIGHT_DOC_FIELDS, opts, recorded, dropped,
+                          std::move(list),
+                          spanTreeDoc(std::move(traces), counts, 0));
 }
 
 Json
@@ -242,57 +213,32 @@ failFlight(const std::string &why)
     return Status::invalidArgument("flight document: " + why);
 }
 
-bool
-knownClass(const std::string &s)
-{
-    for (int c = 0; c < static_cast<int>(FlightClass::NumFlightClasses);
-         ++c) {
-        if (s == flightClassName(static_cast<FlightClass>(c)))
-            return true;
-    }
-    return false;
-}
-
 } // namespace
 
 Status
 validateFlightRecordJson(const Json &r, int64_t *seq)
 {
-    if (r.type() != Json::Type::Object)
-        return failFlight("promoted entry is not an object");
-    // seq, id, replica, steps, admit, dequeue, service, done, latency.
-    const char *const keys[] = {"seq",        "id",         "replica",
-                                "steps",      "admit_us",   "dequeue_us",
-                                "service_us", "done_us",    "latency_us"};
-    int64_t v[std::size(keys)];
-    for (size_t i = 0; i < std::size(keys); ++i) {
-        const Json *m = r.find(keys[i]);
-        if (!m || m->type() != Json::Type::Int || m->asInt() < 0)
-            return failFlight(std::string("record missing non-negative "
-                                          "integer '") + keys[i] + "'");
-        v[i] = m->asInt();
-    }
-    const Json *cls = r.find("class");
-    if (!cls || cls->type() != Json::Type::String ||
-        !knownClass(cls->asString()))
-        return failFlight("record missing known class name");
-    if (v[4] > v[5] || v[5] > v[6] || v[6] > v[7])
+    Status st = BW_CHECK_FIELDS(r, BW_FLIGHT_RECORD_FIELDS, _);
+    if (!st.ok())
+        return failFlight("record: " + st.message());
+    auto at = [&r](const char *key) { return r.find(key)->asInt(); };
+    *seq = at("seq");
+    if (at("admit_us") > at("dequeue_us") ||
+        at("dequeue_us") > at("service_us") ||
+        at("service_us") > at("done_us"))
         return failFlight(detail::format(
             "record seq %lld timestamps out of order",
-            static_cast<long long>(v[0])));
-    *seq = v[0];
+            static_cast<long long>(*seq)));
     return Status();
 }
 
 Status
-validateFlightSpans(const Json *spans, const std::set<int64_t> &seqs)
+validateFlightSpans(const Json &spans, const std::set<int64_t> &seqs)
 {
-    if (!spans)
-        return failFlight("missing embedded spans document");
-    Status st = validateSpanTreeJson(*spans);
+    Status st = validateSpanTreeJson(spans);
     if (!st.ok())
         return st;
-    const Json *traces = spans->find("traces");
+    const Json *traces = spans.find("traces");
     std::set<int64_t> span_traces;
     for (size_t i = 0; i < traces->size(); ++i)
         span_traces.insert(traces->at(i).find("trace")->asInt());
@@ -305,28 +251,15 @@ validateFlightSpans(const Json *spans, const std::set<int64_t> &seqs)
 Status
 validateFlightJson(const Json &doc)
 {
-    if (doc.type() != Json::Type::Object)
-        return failFlight("not an object");
-    const Json *schema = doc.find("schema");
-    if (!schema || schema->type() != Json::Type::String ||
-        schema->asString() != kSchema) {
-        return failFlight(std::string("schema is not '") + kSchema + "'");
-    }
-    for (const char *key : {"window_us", "recorded", "dropped"}) {
-        const Json *v = doc.find(key);
-        if (!v || v->type() != Json::Type::Int || v->asInt() < 0)
-            return failFlight(std::string("missing non-negative "
-                                          "integer '") + key + "'");
-    }
-    const Json *promoted = doc.find("promoted");
-    if (!promoted || promoted->type() != Json::Type::Array)
-        return failFlight("missing promoted array");
-
+    Status st = BW_CHECK_FIELDS(doc, BW_FLIGHT_DOC_FIELDS, _, _, _, _, _);
+    if (!st.ok())
+        return failFlight(st.message());
+    const Json &promoted = *doc.find("promoted");
     std::set<int64_t> seqs;
     int64_t prev_seq = 0;
-    for (size_t i = 0; i < promoted->size(); ++i) {
+    for (size_t i = 0; i < promoted.size(); ++i) {
         int64_t seq = 0;
-        Status st = validateFlightRecordJson(promoted->at(i), &seq);
+        st = validateFlightRecordJson(promoted.at(i), &seq);
         if (!st.ok())
             return st;
         if (seq <= prev_seq)
@@ -334,7 +267,7 @@ validateFlightJson(const Json &doc)
         prev_seq = seq;
         seqs.insert(seq);
     }
-    return validateFlightSpans(doc.find("spans"), seqs);
+    return validateFlightSpans(*doc.find("spans"), seqs);
 }
 
 } // namespace obs

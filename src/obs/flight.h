@@ -41,11 +41,14 @@
 #include "common/shard_ring.h"
 #include "common/status.h"
 #include "common/units.h"
+#include "obs/fields.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 
 namespace bw {
 namespace obs {
+
+inline constexpr const char *kFlightSchema = "bw.flight/1";
 
 /** Anomaly class of one recorded request (why it may be promoted). */
 enum class FlightClass : uint8_t
@@ -59,6 +62,12 @@ enum class FlightClass : uint8_t
 };
 
 const char *flightClassName(FlightClass c);
+
+namespace field {
+inline constexpr FieldType FlightClassName = Name([](const std::string &s) {
+    return knownName(s, flightClassName, FlightClass::NumFlightClasses);
+});
+} // namespace field
 
 /** SpanOutcome rendered on the record's reconstructed span tree. */
 SpanOutcome flightClassOutcome(FlightClass c);
@@ -92,6 +101,21 @@ struct FlightRecord
      *  (includes configured network time); the slowest-K ranking key. */
     uint64_t latencyUs = 0;
 };
+
+/// One promoted record: a bw.flight/1 promoted[i] entry, and the head
+/// of a bw.flightstream/1 row.
+#define BW_FLIGHT_RECORD_FIELDS(N, r)                                    \
+    N("seq", r.seq, Uint, always)                                        \
+    N("id", r.id, Uint, always)                                          \
+    N("class", flightClassName(r.cls), FlightClassName, always)          \
+    N("sampled", r.sampled, Bool, always)                                \
+    N("replica", r.replica, Uint, always)                                \
+    N("steps", r.steps, Uint, always)                                    \
+    N("admit_us", r.admitUs, Uint, always)                               \
+    N("dequeue_us", r.dequeueUs, Uint, always)                           \
+    N("service_us", r.serviceUs, Uint, always)                           \
+    N("done_us", r.doneUs, Uint, always)                                 \
+    N("latency_us", r.latencyUs, Uint, always)
 
 /** FlightRecorder configuration. */
 struct FlightRecorderOptions
@@ -171,6 +195,23 @@ class FlightRecorder
 std::vector<FlightRecord> promoteFlightRecords(
     std::vector<FlightRecord> records, const FlightRecorderOptions &opts);
 
+/// The recorder options heading a bw.flight/1 document or a
+/// bw.flightstream/1 header line, and the recorder tallies both carry.
+#define BW_FLIGHT_HEADER_FIELDS(N, tag, opts)                            \
+    N("schema", tag, Tag(tag), always)                                   \
+    N("window_us", opts.windowUs, Uint, always)                          \
+    N("slowest_k", opts.slowestK, Uint, always)
+#define BW_FLIGHT_TALLY_FIELDS(N, recorded, dropped)                     \
+    N("recorded", recorded, Uint, always)                                \
+    N("dropped", dropped, Uint, always)
+
+/// The bw.flight/1 document.
+#define BW_FLIGHT_DOC_FIELDS(N, opts, recorded, dropped, promoted, spans) \
+    BW_FLIGHT_HEADER_FIELDS(N, obs::kFlightSchema, opts)                 \
+    BW_FLIGHT_TALLY_FIELDS(N, recorded, dropped)                         \
+    N("promoted", promoted, Arr, always)                                 \
+    N("spans", spans, Obj, always)
+
 /**
  * Supplies retired-chain profiles for a promoted record's span tree:
  * given the record's step count, returns the profiles and total cycles,
@@ -231,26 +272,24 @@ Json flightJson(const FlightRecorder &recorder,
 
 /**
  * Validate one promoted record — a bw.flight/1 promoted entry or a
- * bw.flightstream/1 row: non-negative integer seq, id, replica, steps,
- * admit_us, dequeue_us, service_us, done_us and latency_us, a known
- * class name, and admit <= dequeue <= service <= done. Stores the
- * record's seq in @p seq. Returns OK or InvalidArgument naming the
- * first violation.
+ * bw.flightstream/1 row: BW_FLIGHT_RECORD_FIELDS, and admit <= dequeue
+ * <= service <= done. Stores the record's seq in @p seq. Returns OK or
+ * InvalidArgument naming the first violation.
  */
 Status validateFlightRecordJson(const Json &record, int64_t *seq);
 
 /**
- * Validate an embedded bw.spans/1 document (@p spans may be null):
- * valid under validateSpanTreeJson with exactly one trace per promoted
- * record, trace id == seq, for the records whose seqs are @p seqs.
+ * Validate an embedded bw.spans/1 document: valid under
+ * validateSpanTreeJson with exactly one trace per promoted record,
+ * trace id == seq, for the records whose seqs are @p seqs.
  */
-Status validateFlightSpans(const Json *spans, const std::set<int64_t> &seqs);
+Status validateFlightSpans(const Json &spans, const std::set<int64_t> &seqs);
 
 /**
- * Validate a flightJson() document: schema tag, required integer
- * members, validateFlightRecordJson() on each promoted record, records
- * ascending by seq, and validateFlightSpans() on the embedded spans
- * document. Returns OK or InvalidArgument naming the first violation.
+ * Validate a flightJson() document: BW_FLIGHT_DOC_FIELDS,
+ * validateFlightRecordJson() on each promoted record, records ascending
+ * by seq, and validateFlightSpans() on the embedded spans document.
+ * Returns OK or InvalidArgument naming the first violation.
  */
 Status validateFlightJson(const Json &doc);
 

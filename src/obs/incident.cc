@@ -5,12 +5,6 @@
 namespace bw {
 namespace obs {
 
-namespace {
-
-constexpr const char *kSchema = "bw.incident/1";
-
-} // namespace
-
 const char *
 incidentPhaseName(IncidentPhase p)
 {
@@ -57,158 +51,65 @@ IncidentLog::event(uint64_t id, IncidentPhase phase, uint64_t t_us)
     inc.events.push_back({phase, t_us});
 }
 
-void
-IncidentLog::addAffected(uint64_t id)
-{
-    ++at(id).affected;
-}
-
-void
-IncidentLog::setReload(uint64_t id, uint64_t tiles, uint64_t us)
-{
-    Incident &inc = at(id);
-    inc.reloadTiles = tiles;
-    inc.reloadUs = us;
-}
-
 Json
 incidentJson(const IncidentLog &log)
 {
-    Json doc = Json::object();
-    doc.set("schema", kSchema);
-    doc.set("faults", static_cast<uint64_t>(log.faults()));
-    Json arr = Json::array();
+    Json list = Json::array();
     for (const Incident &inc : log.incidents()) {
-        Json j = Json::object();
-        j.set("id", inc.id);
-        j.set("class", inc.cls);
-        j.set("shard", inc.shard);
-        j.set("group", inc.group);
-        j.set("affected", inc.affected);
-        j.set("reload_tiles", inc.reloadTiles);
-        j.set("reload_us", inc.reloadUs);
-        j.set("mttr_us", inc.mttrUs());
-        Json evs = Json::array();
-        for (const IncidentEvent &e : inc.events) {
-            Json ej = Json::object();
-            ej.set("phase", incidentPhaseName(e.phase));
-            ej.set("t_us", e.tUs);
-            evs.push(std::move(ej));
-        }
-        j.set("events", std::move(evs));
-        arr.push(std::move(j));
+        Json events = Json::array();
+        for (const IncidentEvent &e : inc.events)
+            events.push(BW_FIELDS_JSON(BW_INCIDENT_EVENT_FIELDS, e));
+        list.push(BW_FIELDS_JSON(BW_INCIDENT_FIELDS, inc, std::move(events)));
     }
-    doc.set("incidents", std::move(arr));
-    return doc;
+    return BW_FIELDS_JSON(BW_INCIDENT_DOC_FIELDS,
+                          static_cast<uint64_t>(log.faults()),
+                          std::move(list));
 }
-
-namespace {
-
-Status
-failIncident(size_t idx, const std::string &why)
-{
-    return Status::invalidArgument(
-        detail::format("incident %zu: %s", idx, why.c_str()));
-}
-
-bool
-knownPhase(const std::string &name)
-{
-    for (int p = 0;
-         p < static_cast<int>(IncidentPhase::NumIncidentPhases); ++p) {
-        if (name == incidentPhaseName(static_cast<IncidentPhase>(p)))
-            return true;
-    }
-    return false;
-}
-
-} // namespace
 
 Status
 validateIncidentJson(const Json &doc)
 {
-    if (doc.type() != Json::Type::Object)
-        return Status::invalidArgument(
-            "incident document is not an object");
-    const Json *schema = doc.find("schema");
-    if (!schema || schema->type() != Json::Type::String ||
-        schema->asString() != kSchema) {
-        return Status::invalidArgument(
-            std::string("incident document schema is not '") + kSchema +
-            "'");
-    }
-    const Json *faults = doc.find("faults");
-    if (!faults || faults->type() != Json::Type::Int ||
-        faults->asInt() < 0)
-        return Status::invalidArgument(
-            "incident document missing non-negative integer 'faults'");
-    const Json *incidents = doc.find("incidents");
-    if (!incidents || incidents->type() != Json::Type::Array)
-        return Status::invalidArgument(
-            "incident document has no incidents array");
-    if (static_cast<uint64_t>(faults->asInt()) != incidents->size())
+    Status st = BW_CHECK_FIELDS(doc, BW_INCIDENT_DOC_FIELDS, _, _);
+    if (!st.ok())
+        return prefixed("incident document", st);
+    const Json &incidents = *doc.find("incidents");
+    if (static_cast<uint64_t>(doc.find("faults")->asInt()) !=
+        incidents.size())
         return Status::invalidArgument(
             "'faults' does not match the incidents array length");
-    for (size_t i = 0; i < incidents->size(); ++i) {
-        const Json &inc = incidents->at(i);
-        if (inc.type() != Json::Type::Object)
-            return failIncident(i, "not an object");
-        for (const char *key : {"class", "shard", "group"}) {
-            const Json *v = inc.find(key);
-            if (!v || v->type() != Json::Type::String ||
-                v->asString().empty())
-                return failIncident(
-                    i, detail::format("missing string '%s'", key));
-        }
-        for (const char *key :
-             {"id", "affected", "reload_tiles", "reload_us", "mttr_us"}) {
-            const Json *v = inc.find(key);
-            if (!v || v->type() != Json::Type::Int || v->asInt() < 0)
-                return failIncident(
-                    i, detail::format("missing non-negative integer '%s'",
-                                      key));
-        }
-        const Json *events = inc.find("events");
-        if (!events || events->type() != Json::Type::Array ||
-            events->size() == 0)
-            return failIncident(i, "missing non-empty events array");
+    for (size_t i = 0; i < incidents.size(); ++i) {
+        const Json &inc = incidents.at(i);
+        auto fail = [i](const std::string &why) {
+            return Status::invalidArgument(
+                detail::format("incident %zu: %s", i, why.c_str()));
+        };
+        st = BW_CHECK_FIELDS(inc, BW_INCIDENT_FIELDS, _, _);
+        if (!st.ok())
+            return fail(st.message());
+        const Json &events = *inc.find("events");
+        if (events.size() == 0)
+            return fail("no events");
         int64_t prev = -1;
-        for (size_t e = 0; e < events->size(); ++e) {
-            const Json &ev = events->at(e);
-            if (ev.type() != Json::Type::Object)
-                return failIncident(i, "event is not an object");
-            const Json *phase = ev.find("phase");
-            if (!phase || phase->type() != Json::Type::String ||
-                !knownPhase(phase->asString()))
-                return failIncident(
-                    i, detail::format("event %zu has unknown phase", e));
-            const Json *t = ev.find("t_us");
-            if (!t || t->type() != Json::Type::Int || t->asInt() < 0)
-                return failIncident(
-                    i, detail::format(
-                           "event %zu missing non-negative t_us", e));
-            if (t->asInt() < prev)
-                return failIncident(
-                    i, detail::format(
-                           "event %zu stamp runs backwards in virtual "
-                           "time",
-                           e));
-            prev = t->asInt();
+        for (size_t e = 0; e < events.size(); ++e) {
+            st = BW_CHECK_FIELDS(events.at(e), BW_INCIDENT_EVENT_FIELDS, _);
+            if (!st.ok())
+                return fail(detail::format("event %zu: ", e) + st.message());
+            int64_t t = events.at(e).find("t_us")->asInt();
+            if (t < prev)
+                return fail(detail::format(
+                    "event %zu stamp runs backwards in virtual time", e));
+            prev = t;
         }
-        if (events->at(0).find("phase")->asString() != "fault_injected")
-            return failIncident(i,
-                                "first phase is not fault_injected");
-        const std::string terminal =
-            events->at(events->size() - 1).find("phase")->asString();
+        const Json &first = events.at(0), &last = events.at(events.size() - 1);
+        if (first.find("phase")->asString() != "fault_injected")
+            return fail("first phase is not fault_injected");
+        const std::string &terminal = last.find("phase")->asString();
         if (terminal != "recovered" && terminal != "evicted")
-            return failIncident(
-                i, "terminal phase is not recovered or evicted (fault "
-                   "left unresolved)");
-        int64_t mttr = events->at(events->size() - 1).find("t_us")->asInt() -
-                       events->at(0).find("t_us")->asInt();
-        if (inc.find("mttr_us")->asInt() != mttr)
-            return failIncident(
-                i, "mttr_us does not equal the first-to-last stamp gap");
+            return fail("terminal phase is not recovered or evicted (fault "
+                        "left unresolved)");
+        if (inc.find("mttr_us")->asInt() !=
+            last.find("t_us")->asInt() - first.find("t_us")->asInt())
+            return fail("mttr_us does not equal the first-to-last stamp gap");
     }
     return Status();
 }

@@ -32,9 +32,12 @@
 
 #include "common/json.h"
 #include "common/status.h"
+#include "obs/fields.h"
 
 namespace bw {
 namespace obs {
+
+inline constexpr const char *kIncidentSchema = "bw.incident/1";
 
 /** Lifecycle phases of one incident, in canonical order. Not every
  *  incident visits every phase: a slow-replica fault is never evicted
@@ -51,12 +54,22 @@ enum class IncidentPhase : uint8_t
 
 const char *incidentPhaseName(IncidentPhase p);
 
+namespace field {
+inline constexpr FieldType PhaseName = Name([](const std::string &s) {
+    return knownName(s, incidentPhaseName, IncidentPhase::NumIncidentPhases);
+});
+} // namespace field
+
 /** One phase stamp of an incident timeline. */
 struct IncidentEvent
 {
     IncidentPhase phase = IncidentPhase::FaultInjected;
     uint64_t tUs = 0; //!< virtual-time stamp, microseconds
 };
+
+#define BW_INCIDENT_EVENT_FIELDS(N, e)                                   \
+    N("phase", incidentPhaseName(e.phase), PhaseName, always)            \
+    N("t_us", e.tUs, Uint, always)
 
 /** One fault's full story: identity, phase timeline, blast radius. */
 struct Incident
@@ -83,6 +96,23 @@ struct Incident
     uint64_t mttrUs() const { return closedUs() - openedUs(); }
 };
 
+#define BW_INCIDENT_FIELDS(N, inc, events)                               \
+    N("id", inc.id, Uint, always)                                        \
+    N("class", inc.cls, Str, always)                                     \
+    N("shard", inc.shard, Str, always)                                   \
+    N("group", inc.group, Str, always)                                   \
+    N("affected", inc.affected, Uint, always)                            \
+    N("reload_tiles", inc.reloadTiles, Uint, always)                     \
+    N("reload_us", inc.reloadUs, Uint, always)                           \
+    N("mttr_us", inc.mttrUs(), Uint, always)                             \
+    N("events", events, Arr, always)
+
+/// The bw.incident/1 document.
+#define BW_INCIDENT_DOC_FIELDS(N, faults, incidents)                     \
+    N("schema", obs::kIncidentSchema, Tag(obs::kIncidentSchema), always) \
+    N("faults", faults, Uint, always)                                    \
+    N("incidents", incidents, Arr, always)
+
 /**
  * Append-only incident journal. Not thread-safe: the cluster records
  * incidents from its single-threaded replay loop (live serving takes
@@ -101,10 +131,14 @@ class IncidentLog
     void event(uint64_t id, IncidentPhase phase, uint64_t t_us);
 
     /** Count one request caught by incident @p id's fault window. */
-    void addAffected(uint64_t id);
+    void addAffected(uint64_t id) { ++at(id).affected; }
 
     /** Record the re-warm charge of incident @p id (crash faults). */
-    void setReload(uint64_t id, uint64_t tiles, uint64_t us);
+    void setReload(uint64_t id, uint64_t tiles, uint64_t us)
+    {
+        at(id).reloadTiles = tiles;
+        at(id).reloadUs = us;
+    }
 
     const std::vector<Incident> &incidents() const { return log_; }
     size_t faults() const { return log_.size(); }
@@ -119,19 +153,18 @@ class IncidentLog
 };
 
 /**
- * The log as a bw.incident/1 document: {schema, faults, incidents:
- * [{id, class, shard, group, affected, reload_tiles, reload_us,
- * mttr_us, events: [{phase, t_us}]}]}. Deterministic for a
+ * The log as a bw.incident/1 document (BW_INCIDENT_DOC_FIELDS, one
+ * BW_INCIDENT_FIELDS entry per incident). Deterministic for a
  * deterministic log.
  */
 Json incidentJson(const IncidentLog &log);
 
 /**
- * Structural validator for a bw.incident/1 document: schema tag, every
- * incident's first phase is fault_injected, phase names are known,
- * stamps are monotonically non-decreasing, the terminal phase is
- * recovered or evicted (every fault is paired with a resolution), and
- * mttr_us equals the first-to-last stamp gap. Returns OK or
+ * Structural validator for a bw.incident/1 document: the field tables,
+ * faults equal to the incident count, every incident's first phase is
+ * fault_injected, stamps are monotonically non-decreasing, the
+ * terminal phase is recovered or evicted (every fault is paired with a
+ * resolution), and mttr_us equals the first-to-last stamp gap. Returns OK or
  * InvalidArgument naming the first violation.
  */
 Status validateIncidentJson(const Json &doc);

@@ -13,8 +13,6 @@ namespace obs {
 
 namespace {
 
-constexpr const char *kSchema = "bw.spans/1";
-
 constexpr auto spanOrder = [](const SpanRecord &a, const SpanRecord &b) {
     return a.trace != b.trace ? a.trace < b.trace : a.id < b.id;
 };
@@ -120,26 +118,25 @@ recordChainSpans(SpanTracer &tracer, TraceId trace, SpanId execute,
         std::min<size_t>(chains.size(), tracer.options().maxChainSpans);
     for (size_t i = 0; i < take; ++i) {
         const ChainProfile &p = chains[i];
-        SpanRecord s;
-        s.trace = trace;
-        s.id = static_cast<SpanId>(execute + 1 + i);
-        s.parent = execute;
-        s.kind = SpanKind::Chain;
-        s.chainKind = p.kind;
-        s.index = static_cast<uint32_t>(i);
-        s.chainId = p.chain;
-        s.startCycle = p.dispatchStart;
-        s.endCycle = p.done;
-        s.startUs = map_cycle(p.dispatchStart);
-        s.endUs = std::max(map_cycle(p.done), s.startUs);
+        uint64_t start = map_cycle(p.dispatchStart);
         ChainCycles cc = chainCycles(p);
-        s.dispatchCycles = cc.dispatch;
-        s.decodeCycles = cc.decode;
-        s.dataStallCycles = p.dataStall;
-        s.inputStallCycles = p.inputStall;
-        s.structStallCycles = p.structStall;
-        s.computeCycles = cc.compute;
-        tracer.record(s);
+        tracer.record({.trace = trace,
+                       .id = static_cast<SpanId>(execute + 1 + i),
+                       .parent = execute,
+                       .kind = SpanKind::Chain,
+                       .chainKind = p.kind,
+                       .index = static_cast<uint32_t>(i),
+                       .chainId = p.chain,
+                       .startUs = start,
+                       .endUs = std::max(map_cycle(p.done), start),
+                       .startCycle = p.dispatchStart,
+                       .endCycle = p.done,
+                       .dispatchCycles = cc.dispatch,
+                       .decodeCycles = cc.decode,
+                       .dataStallCycles = p.dataStall,
+                       .inputStallCycles = p.inputStall,
+                       .structStallCycles = p.structStall,
+                       .computeCycles = cc.compute});
     }
 }
 
@@ -158,51 +155,29 @@ recordAttemptSpans(SpanTracer &tracer, const FlightRecord &fr,
     if (fr.cls != FlightClass::Ok)
         chains = nullptr;
     SpanOutcome outcome = flightClassOutcome(fr.cls);
-    SpanRecord r;
-    r.trace = trace;
-    r.id = parent + 1;
-    r.parent = parent;
-    r.kind = SpanKind::Request;
-    r.outcome = outcome;
-    r.startUs = fr.admitUs;
-    r.endUs = fr.doneUs;
-    tracer.record(r);
-
-    SpanRecord q;
-    q.trace = trace;
-    q.id = parent + 2;
-    q.parent = r.id;
-    q.kind = SpanKind::QueueWait;
-    q.startUs = fr.admitUs;
-    q.endUs = fr.dequeueUs;
-    tracer.record(q);
+    const SpanId request = parent + 1, execute = parent + 4;
+    tracer.record({.trace = trace, .id = request, .parent = parent,
+                   .kind = SpanKind::Request, .outcome = outcome,
+                   .startUs = fr.admitUs, .endUs = fr.doneUs});
+    tracer.record({.trace = trace, .id = parent + 2, .parent = request,
+                   .kind = SpanKind::QueueWait, .startUs = fr.admitUs,
+                   .endUs = fr.dequeueUs});
 
     // Errored requests consumed service; only never-served outcomes
     // (expired in queue, rejected, cancelled) stop at queue_wait.
     if (outcome != SpanOutcome::Ok && outcome != SpanOutcome::Error)
         return; // never reached service: queue_wait is the story
 
-    SpanRecord d;
-    d.trace = trace;
-    d.id = parent + 3;
-    d.parent = r.id;
-    d.kind = SpanKind::Dispatch;
-    d.startUs = fr.dequeueUs;
-    d.endUs = fr.serviceUs;
-    tracer.record(d);
-
-    SpanRecord e;
-    e.trace = trace;
-    e.id = parent + 4;
-    e.parent = r.id;
-    e.kind = SpanKind::Execute;
-    e.index = fr.replica;
-    e.chainCount = chains ? static_cast<uint32_t>(chains->size()) : 0;
-    e.startUs = fr.serviceUs;
-    e.endUs = fr.doneUs;
-    tracer.record(e);
+    tracer.record({.trace = trace, .id = parent + 3, .parent = request,
+                   .kind = SpanKind::Dispatch, .startUs = fr.dequeueUs,
+                   .endUs = fr.serviceUs});
+    tracer.record(
+        {.trace = trace, .id = execute, .parent = request,
+         .kind = SpanKind::Execute, .index = fr.replica,
+         .chainCount = chains ? static_cast<uint32_t>(chains->size()) : 0,
+         .startUs = fr.serviceUs, .endUs = fr.doneUs});
     if (chains)
-        recordChainSpans(tracer, trace, e.id, fr.serviceUs, fr.doneUs,
+        recordChainSpans(tracer, trace, execute, fr.serviceUs, fr.doneUs,
                          *chains, total_cycles);
 }
 
@@ -211,18 +186,11 @@ recordRouteSpan(SpanTracer &tracer, const RouteSpan &rs)
 {
     if (rs.trace == 0)
         return 0;
-    SpanRecord r;
-    r.trace = rs.trace;
-    r.id = 1;
-    r.parent = 0;
-    r.kind = SpanKind::Route;
-    r.outcome = rs.outcome;
-    r.index = rs.engine;
-    r.chainId = rs.model;
-    r.startUs = rs.admitUs;
-    r.endUs = rs.doneUs;
-    tracer.record(r);
-    return r.id;
+    tracer.record({.trace = rs.trace, .id = 1, .parent = 0,
+                   .kind = SpanKind::Route, .outcome = rs.outcome,
+                   .index = rs.engine, .chainId = rs.model,
+                   .startUs = rs.admitUs, .endUs = rs.doneUs});
+    return 1;
 }
 
 // --- Span-tree JSON export ---
@@ -240,54 +208,29 @@ spanName(const SpanRecord &s)
 }
 
 Json
-spanNode(const SpanRecord &s, const std::vector<const SpanRecord *> &kids)
+stallsJson(const SpanRecord &s)
 {
-    Json n = Json::object();
-    n.set("name", spanName(s));
-    n.set("id", s.id);
-    n.set("start_us", s.startUs);
-    n.set("end_us", s.endUs);
-    n.set("dur_us", s.endUs - s.startUs);
+    return BW_FIELDS_JSON(BW_CHAIN_STALL_FIELDS, s);
+}
+
+/// @p s's node over its @p kids rendered children.
+Json
+spanNode(const SpanRecord &s, size_t kids, Json children)
+{
+    Json out = Json::object();
+    BW_SPAN_NODE_FIELDS(BW_FIELD_SET, s)
     switch (s.kind) {
-      case SpanKind::Request:
-        n.set("outcome", spanOutcomeName(s.outcome));
-        break;
-      case SpanKind::Route:
-        n.set("outcome", spanOutcomeName(s.outcome));
-        n.set("engine", s.index);
-        n.set("model", s.chainId);
-        break;
-      case SpanKind::Hedge:
-        n.set("outcome", spanOutcomeName(s.outcome));
-        n.set("engine", s.chainId);
-        break;
+      case SpanKind::Request: BW_REQUEST_SPAN_FIELDS(BW_FIELD_SET, s) break;
+      case SpanKind::Route: BW_ROUTE_SPAN_FIELDS(BW_FIELD_SET, s) break;
+      case SpanKind::Hedge: BW_HEDGE_SPAN_FIELDS(BW_FIELD_SET, s) break;
       case SpanKind::Execute:
-        n.set("replica", s.index);
-        if (s.chainCount > 0) {
-            n.set("chains", s.chainCount);
-            if (s.chainCount > kids.size())
-                n.set("chains_truncated", true);
-        }
+        BW_EXECUTE_SPAN_FIELDS(BW_FIELD_SET, s, kids)
         break;
-      case SpanKind::Chain: {
-        n.set("chain", s.chainId);
-        n.set("kind", std::string(1, s.chainKind ? s.chainKind : '?'));
-        n.set("start_cycle", s.startCycle);
-        n.set("end_cycle", s.endCycle);
-        Json st = Json::object();
-        st.set("dispatch", s.dispatchCycles);
-        st.set("decode", s.decodeCycles);
-        st.set("data", s.dataStallCycles);
-        st.set("input", s.inputStallCycles);
-        st.set("struct", s.structStallCycles);
-        st.set("compute", s.computeCycles);
-        n.set("stalls", std::move(st));
-        break;
-      }
-      default:
-        break;
+      case SpanKind::Chain: BW_CHAIN_SPAN_FIELDS(BW_FIELD_SET, s) break;
+      default: break;
     }
-    return n;
+    BW_SPAN_CHILDREN_FIELDS(BW_FIELD_SET, std::move(children))
+    return out;
 }
 
 /**
@@ -334,12 +277,11 @@ traceTree(const std::vector<const SpanRecord *> &ordered, size_t i,
 
     // Render the tree depth-first without recursion limits to worry
     // about: the tree is at most 3 deep by construction. Completed
-    // children collect in their parent's frame and join its node once,
-    // as its last key, when the parent completes.
+    // children collect in their parent's frame; a node is rendered,
+    // children last, once its subtree completes.
     struct Frame
     {
         const SpanRecord *span;
-        Json node;
         size_t next = 0;
         Json children = Json::array();
     };
@@ -349,21 +291,18 @@ traceTree(const std::vector<const SpanRecord *> &ordered, size_t i,
         auto it = kids.find(id);
         return it == kids.end() ? none : it->second;
     };
-    stack.push_back({root, spanNode(*root, kids_of(root->id))});
+    stack.push_back({root});
     ++*exported;
     Json root_node;
     while (!stack.empty()) {
         Frame &f = stack.back();
         auto &children = kids_of(f.span->id);
         if (f.next < children.size()) {
-            const SpanRecord *c = children[f.next++];
-            stack.push_back({c, spanNode(*c, kids_of(c->id))});
+            stack.push_back({children[f.next++]});
             ++*exported;
             continue;
         }
-        Json done = std::move(f.node);
-        if (f.children.size() > 0)
-            done.set("children", std::move(f.children));
+        Json done = spanNode(*f.span, children.size(), std::move(f.children));
         stack.pop_back();
         if (stack.empty()) {
             root_node = std::move(done);
@@ -371,13 +310,8 @@ traceTree(const std::vector<const SpanRecord *> &ordered, size_t i,
         }
         stack.back().children.push(std::move(done));
     }
-
-    Json tr = Json::object();
-    tr.set("trace", root->trace);
-    if (lost_parent)
-        tr.set("incomplete", true);
-    tr.set("root", std::move(root_node));
-    return tr;
+    return BW_FIELDS_JSON(BW_SPAN_TRACE_FIELDS, root->trace, lost_parent,
+                          std::move(root_node));
 }
 
 } // namespace
@@ -419,14 +353,8 @@ forEachSpanTree(const std::vector<SpanRecord> &spans,
 Json
 spanTreeDoc(Json traces, const SpanTreeCounts &counts, uint64_t dropped)
 {
-    Json doc = Json::object();
-    doc.set("schema", kSchema);
-    doc.set("spans", counts.spans);
-    doc.set("dropped", dropped);
-    if (counts.incomplete > 0)
-        doc.set("incomplete_traces", counts.incomplete);
-    doc.set("traces", std::move(traces));
-    return doc;
+    return BW_FIELDS_JSON(BW_SPAN_DOC_FIELDS, counts, dropped,
+                          std::move(traces));
 }
 
 Json
@@ -462,58 +390,81 @@ failSpan(TraceId trace, const std::string &why)
         why.c_str()));
 }
 
+/// The kind a node's name gives ("chain[3]" is a Chain), or
+/// NumSpanKinds for an unknown name.
+SpanKind
+kindOfName(const std::string &name)
+{
+    std::string base = name.substr(0, name.find('['));
+    int k = 0;
+    while (k < static_cast<int>(SpanKind::NumSpanKinds) &&
+           base != spanKindName(static_cast<SpanKind>(k)))
+        ++k;
+    return static_cast<SpanKind>(k);
+}
+
+/// A node's members of its own kind (BW_*_SPAN_FIELDS).
+Status
+checkKindFields(const Json &node, SpanKind kind)
+{
+    switch (kind) {
+      case SpanKind::Request:
+        return BW_CHECK_FIELDS(node, BW_REQUEST_SPAN_FIELDS, _);
+      case SpanKind::Route:
+        return BW_CHECK_FIELDS(node, BW_ROUTE_SPAN_FIELDS, _);
+      case SpanKind::Hedge:
+        return BW_CHECK_FIELDS(node, BW_HEDGE_SPAN_FIELDS, _);
+      case SpanKind::Execute:
+        return BW_CHECK_FIELDS(node, BW_EXECUTE_SPAN_FIELDS, _, _);
+      case SpanKind::Chain: {
+        Status st = BW_CHECK_FIELDS(node, BW_CHAIN_SPAN_FIELDS, _);
+        return st.ok() ? prefixed("stalls",
+                                  BW_CHECK_FIELDS(*node.find("stalls"),
+                                                  BW_CHAIN_STALL_FIELDS, _))
+                       : st;
+      }
+      case SpanKind::NumSpanKinds:
+        return Status::invalidArgument("unknown span kind");
+      default:
+        return Status();
+    }
+}
+
 Status
 validateSpan(const Json &node, TraceId trace, bool is_root,
              const Json *parent,
              std::unordered_set<int64_t> &ids)
 {
-    if (node.type() != Json::Type::Object)
-        return failSpan(trace, "span is not an object");
-    const Json *name = node.find("name");
-    if (!name || name->type() != Json::Type::String ||
-        name->asString().empty())
-        return failSpan(trace, "span missing name");
-    if (is_root && name->asString() != "request" &&
-        name->asString() != "route")
+    Status st = BW_CHECK_FIELDS(node, BW_SPAN_NODE_FIELDS, _);
+    if (!st.ok())
+        return failSpan(trace, "span: " + st.message());
+    const std::string &name = node.find("name")->asString();
+    SpanKind kind = kindOfName(name);
+    st = checkKindFields(node, kind);
+    if (st.ok())
+        st = BW_CHECK_FIELDS(node, BW_SPAN_CHILDREN_FIELDS, _);
+    if (!st.ok())
+        return failSpan(trace, "span '" + name + "': " + st.message());
+    if (is_root && kind != SpanKind::Request && kind != SpanKind::Route)
         return failSpan(trace,
                         "root span is not named 'request' or 'route'");
-    const Json *id = node.find("id");
-    if (!id || id->type() != Json::Type::Int || id->asInt() <= 0)
-        return failSpan(trace, "span '" + name->asString() +
-                                   "' missing positive integer id");
-    if (!ids.insert(id->asInt()).second)
+    auto at = [&node](const char *key) { return node.find(key)->asInt(); };
+    if (!ids.insert(at("id")).second)
         return failSpan(trace, "duplicate span id " +
-                                   std::to_string(id->asInt()));
-    const Json *start = node.find("start_us");
-    const Json *end = node.find("end_us");
-    const Json *dur = node.find("dur_us");
-    if (!start || start->type() != Json::Type::Int || !end ||
-        end->type() != Json::Type::Int || !dur ||
-        dur->type() != Json::Type::Int) {
-        return failSpan(trace, "span '" + name->asString() +
-                                   "' missing integer start_us/end_us/"
-                                   "dur_us");
-    }
-    if (end->asInt() < start->asInt())
+                                   std::to_string(at("id")));
+    if (at("end_us") < at("start_us"))
         return failSpan(trace,
-                        "span '" + name->asString() + "' ends before it "
-                        "starts");
-    if (dur->asInt() != end->asInt() - start->asInt())
-        return failSpan(trace, "span '" + name->asString() +
+                        "span '" + name + "' ends before it starts");
+    if (at("dur_us") != at("end_us") - at("start_us"))
+        return failSpan(trace, "span '" + name +
                                    "' dur_us != end_us - start_us");
-    if (parent) {
-        int64_t ps = parent->find("start_us")->asInt();
-        int64_t pe = parent->find("end_us")->asInt();
-        if (start->asInt() < ps || end->asInt() > pe)
-            return failSpan(trace, "span '" + name->asString() +
-                                       "' escapes its parent interval");
-    }
+    if (parent && (at("start_us") < parent->find("start_us")->asInt() ||
+                   at("end_us") > parent->find("end_us")->asInt()))
+        return failSpan(trace, "span '" + name +
+                                   "' escapes its parent interval");
     if (const Json *children = node.find("children")) {
-        if (children->type() != Json::Type::Array)
-            return failSpan(trace, "children is not an array");
         for (size_t i = 0; i < children->size(); ++i) {
-            Status st = validateSpan(children->at(i), trace, false,
-                                     &node, ids);
+            st = validateSpan(children->at(i), trace, false, &node, ids);
             if (!st.ok())
                 return st;
         }
@@ -526,39 +477,24 @@ validateSpan(const Json &node, TraceId trace, bool is_root,
 Status
 validateSpanTrace(const Json &tr)
 {
-    if (tr.type() != Json::Type::Object)
-        return Status::invalidArgument("trace entry is not an object");
-    const Json *tid = tr.find("trace");
-    if (!tid || tid->type() != Json::Type::Int || tid->asInt() <= 0)
-        return Status::invalidArgument(
-            "trace entry missing positive integer trace id");
-    const Json *root = tr.find("root");
-    if (!root)
-        return failSpan(static_cast<TraceId>(tid->asInt()),
-                        "trace entry missing root span");
+    Status st = BW_CHECK_FIELDS(tr, BW_SPAN_TRACE_FIELDS, _, _, _);
+    if (!st.ok())
+        return prefixed("trace entry", st);
     std::unordered_set<int64_t> ids;
-    return validateSpan(*root, static_cast<TraceId>(tid->asInt()), true,
-                        nullptr, ids);
+    return validateSpan(*tr.find("root"),
+                        static_cast<TraceId>(tr.find("trace")->asInt()),
+                        true, nullptr, ids);
 }
 
 Status
 validateSpanTreeJson(const Json &doc)
 {
-    if (doc.type() != Json::Type::Object)
-        return Status::invalidArgument("span document is not an object");
-    const Json *schema = doc.find("schema");
-    if (!schema || schema->type() != Json::Type::String ||
-        schema->asString() != kSchema) {
-        return Status::invalidArgument(
-            std::string("span document schema is not '") + kSchema +
-            "'");
-    }
-    const Json *traces = doc.find("traces");
-    if (!traces || traces->type() != Json::Type::Array)
-        return Status::invalidArgument(
-            "span document has no traces array");
-    for (size_t i = 0; i < traces->size(); ++i) {
-        Status st = validateSpanTrace(traces->at(i));
+    Status st = BW_CHECK_FIELDS(doc, BW_SPAN_DOC_FIELDS, _, _, _);
+    if (!st.ok())
+        return prefixed("span document", st);
+    const Json &traces = *doc.find("traces");
+    for (size_t i = 0; i < traces.size(); ++i) {
+        st = validateSpanTrace(traces.at(i));
         if (!st.ok())
             return st;
     }
@@ -581,16 +517,11 @@ pushAsyncPair(Json &events, TraceId trace, const std::string &name,
     b.set("id", std::to_string(trace));
     b.set("ts", start_us);
     b.set("pid", 0);
+    Json e = b; // the end event: the same members but phase and stamp
+    e.set("ph", "e");
+    e.set("ts", end_us);
     b.set("args", std::move(args));
     events.push(std::move(b));
-
-    Json e = Json::object();
-    e.set("name", name);
-    e.set("cat", "bw.span");
-    e.set("ph", "e");
-    e.set("id", std::to_string(trace));
-    e.set("ts", end_us);
-    e.set("pid", 0);
     events.push(std::move(e));
 }
 

@@ -49,10 +49,13 @@
 #include "common/shard_ring.h"
 #include "common/status.h"
 #include "common/units.h"
+#include "obs/fields.h"
 #include "obs/trace.h"
 
 namespace bw {
 namespace obs {
+
+inline constexpr const char *kSpansSchema = "bw.spans/1";
 
 using TraceId = uint64_t;
 using SpanId = uint32_t;
@@ -83,6 +86,13 @@ enum class SpanOutcome : uint8_t
 };
 
 const char *spanOutcomeName(SpanOutcome o);
+
+namespace field {
+inline constexpr FieldType SpanOutcomeName = Name([](const std::string &s) {
+    return knownName(s, spanOutcomeName,
+                     static_cast<SpanOutcome>(int(SpanOutcome::Error) + 1));
+});
+} // namespace field
 
 /**
  * Trace context carried on a queued request. Propagated explicitly —
@@ -128,6 +138,43 @@ struct SpanRecord
     Cycles structStallCycles = 0;
     Cycles computeCycles = 0; //!< remainder: useful work
 };
+
+/// Every span node's members, then its kind's own, then its children.
+#define BW_SPAN_NODE_FIELDS(N, s)                                        \
+    N("name", spanName(s), Str, always)                                  \
+    N("id", s.id, Pos, always)                                           \
+    N("start_us", s.startUs, Uint, always)                               \
+    N("end_us", s.endUs, Uint, always)                                   \
+    N("dur_us", s.endUs - s.startUs, Uint, always)
+#define BW_REQUEST_SPAN_FIELDS(N, s)                                     \
+    N("outcome", spanOutcomeName(s.outcome), SpanOutcomeName, always)
+#define BW_ROUTE_SPAN_FIELDS(N, s)                                       \
+    BW_REQUEST_SPAN_FIELDS(N, s)                                         \
+    N("engine", s.index, Uint, always)                                   \
+    N("model", s.chainId, Uint, always)
+#define BW_HEDGE_SPAN_FIELDS(N, s)                                       \
+    BW_REQUEST_SPAN_FIELDS(N, s)                                         \
+    N("engine", s.chainId, Uint, always)
+#define BW_EXECUTE_SPAN_FIELDS(N, s, kids)                               \
+    N("replica", s.index, Uint, always)                                  \
+    N("chains", s.chainCount, Pos, when(s.chainCount > 0))               \
+    N("chains_truncated", true, Bool, when(s.chainCount > kids))
+#define BW_CHAIN_SPAN_FIELDS(N, s)                                       \
+    N("chain", s.chainId, Uint, always)                                  \
+    N("kind", std::string(1, s.chainKind ? s.chainKind : '?'), Str,      \
+      always)                                                            \
+    N("start_cycle", s.startCycle, Uint, always)                         \
+    N("end_cycle", s.endCycle, Uint, always)                             \
+    N("stalls", stallsJson(s), Obj, always)
+#define BW_CHAIN_STALL_FIELDS(N, s)                                      \
+    N("dispatch", s.dispatchCycles, Uint, always)                        \
+    N("decode", s.decodeCycles, Uint, always)                            \
+    N("data", s.dataStallCycles, Uint, always)                           \
+    N("input", s.inputStallCycles, Uint, always)                         \
+    N("struct", s.structStallCycles, Uint, always)                       \
+    N("compute", s.computeCycles, Uint, always)
+#define BW_SPAN_CHILDREN_FIELDS(N, children)                             \
+    N("children", children, Arr, when(children.size() > 0))
 
 /** SpanTracer configuration. */
 struct SpanTracerOptions
@@ -252,6 +299,25 @@ struct SpanTreeCounts
     uint64_t incomplete = 0; //!< rootless traces, left out
 };
 
+/// One traces[i] entry of a bw.spans/1 document (a bw.spanstream/1 row).
+#define BW_SPAN_TRACE_FIELDS(N, trace, incomplete, root)                 \
+    N("trace", trace, Pos, always)                                       \
+    N("incomplete", true, Bool, when(incomplete))                        \
+    N("root", root, Obj, always)
+
+/// Tallies of a bw.spans/1 document and the bw.spanstream/1 trailer.
+#define BW_SPAN_TALLY_FIELDS(N, counts, dropped)                         \
+    N("spans", counts.spans, Uint, always)                               \
+    N("dropped", dropped, Uint, always)                                  \
+    N("incomplete_traces", counts.incomplete, Pos,                       \
+      when(counts.incomplete > 0))
+
+/// The bw.spans/1 document.
+#define BW_SPAN_DOC_FIELDS(N, counts, dropped, traces)                   \
+    N("schema", obs::kSpansSchema, Tag(obs::kSpansSchema), always)       \
+    BW_SPAN_TALLY_FIELDS(N, counts, dropped)                             \
+    N("traces", traces, Arr, always)
+
 /**
  * The one span-tree formatter: group @p spans (any order) by trace and
  * hand each rooted trace, ascending by trace id, to @p emit as the
@@ -286,17 +352,17 @@ Json spanTreeJson(const SpanTracer &tracer);
 
 /**
  * Validate one traces[i] object of a bw.spans/1 document (or one
- * bw.spanstream/1 row): positive integer trace id, a request- or
- * route-named root, ids unique within the trace, end >= start, dur
- * consistent, every child interval inside its parent. Returns OK or
- * InvalidArgument naming the first violation.
+ * bw.spanstream/1 row): BW_SPAN_TRACE_FIELDS, every node's fields by
+ * its kind (named by the node), a request- or route-named root, ids
+ * unique within the trace, end >= start, dur consistent, every child
+ * interval inside its parent. Returns OK or InvalidArgument naming the
+ * first violation.
  */
 Status validateSpanTrace(const Json &trace);
 
 /**
  * Validate a spanTreeJson() document against the bw.spans/1 schema:
- * the schema tag, a traces array, and validateSpanTrace() on each
- * entry (the latter rooted at the cluster front door's route span).
+ * BW_SPAN_DOC_FIELDS and validateSpanTrace() on each entry.
  */
 Status validateSpanTreeJson(const Json &doc);
 

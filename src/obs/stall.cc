@@ -23,20 +23,13 @@ Components
 chainComponents(const ChainProfile &p)
 {
     ChainCycles cc = chainCycles(p);
-    Components c;
-    c.key[0] = "dispatch";
-    c.weight[0] = cc.dispatch;
-    c.key[1] = "decode";
-    c.weight[1] = cc.decode;
-    c.key[2] = std::string("data_hazard:") + memIdMnemonic(p.dataStallMem);
-    c.weight[2] = p.dataStall;
-    c.key[3] = "input_wait:netq";
-    c.weight[3] = p.inputStall;
-    c.key[4] = std::string("structural:") + resClassName(p.structRes);
-    c.weight[4] = p.structStall;
-    c.key[5] = "compute";
-    c.weight[5] = cc.compute;
-    return c;
+    return {{"dispatch", "decode",
+             std::string("data_hazard:") + memIdMnemonic(p.dataStallMem),
+             "input_wait:netq",
+             std::string("structural:") + resClassName(p.structRes),
+             "compute"},
+            {cc.dispatch, cc.decode, p.dataStall, p.inputStall,
+             p.structStall, cc.compute}};
 }
 
 } // namespace

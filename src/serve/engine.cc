@@ -40,7 +40,7 @@ StatsCollector::recordCompleted(const Response &r, double admit_s,
     latenciesMs_.push_back(r.latencyMs);
     queueWaitsMs_.push_back(r.queueMs);
     serviceMs_.push_back(r.serviceMs);
-    ++completed_;
+    ++outcomes_[static_cast<size_t>(obs::FlightClass::Ok)];
     if (!sawRequest_ || admit_s < firstAdmitS_)
         firstAdmitS_ = admit_s;
     if (!sawRequest_ || done_s > lastDoneS_)
@@ -49,93 +49,55 @@ StatsCollector::recordCompleted(const Response &r, double admit_s,
 }
 
 void
-StatsCollector::recordRejected()
+StatsCollector::record(obs::FlightClass outcome)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    ++rejected_;
-}
-
-void
-StatsCollector::recordExpired()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    ++expired_;
-}
-
-void
-StatsCollector::recordCancelled()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    ++cancelled_;
+    ++outcomes_[static_cast<size_t>(outcome)];
 }
 
 ServeStats
 StatsCollector::snapshot() const
 {
+    uint64_t completed = count(obs::FlightClass::Ok);
     std::lock_guard<std::mutex> lk(mu_);
     ServeStats s;
     std::vector<double> sorted = latenciesMs_;
     summarizeLatencies(s, sorted);
     double span = lastDoneS_ - firstAdmitS_;
     s.throughputRps =
-        span > 0 ? static_cast<double>(completed_) / span : 0.0;
+        span > 0 ? static_cast<double>(completed) / span : 0.0;
     return s;
 }
 
 uint64_t
-StatsCollector::completed() const
+StatsCollector::count(obs::FlightClass outcome) const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return completed_;
-}
-
-uint64_t
-StatsCollector::rejected() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return rejected_;
-}
-
-uint64_t
-StatsCollector::expired() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return expired_;
-}
-
-uint64_t
-StatsCollector::cancelled() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return cancelled_;
+    return outcomes_[static_cast<size_t>(outcome)];
 }
 
 Json
 StatsCollector::toJson() const
 {
     Json j = snapshot().toJson();
+    j.set("rejected", count(obs::FlightClass::Rejected));
+    j.set("expired", count(obs::FlightClass::DeadlineExpired));
+    j.set("cancelled", count(obs::FlightClass::Cancelled));
     std::lock_guard<std::mutex> lk(mu_);
-    j.set("rejected", rejected_);
-    j.set("expired", expired_);
-    j.set("cancelled", cancelled_);
     std::vector<double> waits = queueWaitsMs_;
     std::sort(waits.begin(), waits.end());
-    double sum = 0;
-    for (double w : waits)
-        sum += w;
-    j.set("mean_queue_ms",
-          waits.empty() ? 0.0 : sum / static_cast<double>(waits.size()));
+    auto mean = [](const std::vector<double> &v) {
+        double sum = 0;
+        for (double x : v)
+            sum += x;
+        return v.empty() ? 0.0 : sum / static_cast<double>(v.size());
+    };
+    j.set("mean_queue_ms", mean(waits));
     LatencyQuantiles wq = quantilesSorted(waits);
     j.set("p50_queue_ms", wq.p50);
     j.set("p95_queue_ms", wq.p95);
     j.set("p99_queue_ms", wq.p99);
-    sum = 0;
-    for (double s : serviceMs_)
-        sum += s;
-    j.set("mean_service_ms",
-          serviceMs_.empty()
-              ? 0.0
-              : sum / static_cast<double>(serviceMs_.size()));
+    j.set("mean_service_ms", mean(serviceMs_));
     return j;
 }
 
@@ -349,7 +311,7 @@ Engine::enqueue(Pending p)
             // promotion key) but never a request id — span trace ids
             // stay dense over admitted requests only.
             uint64_t seq = nextSeq_++;
-            collector_.recordRejected();
+            collector_.record(obs::FlightClass::Rejected);
             if (live_)
                 live_->rejected->inc();
             Status st = Status::queueFull(detail::format(
@@ -444,7 +406,7 @@ Engine::serveOne(unsigned index, FuncMachine *machine, Pending p,
         r.status = Status::deadlineExceeded(detail::format(
             "request waited %.3f ms in queue, deadline %.3f ms", r.queueMs,
             p.deadlineMs));
-        collector_.recordExpired();
+        collector_.record(obs::FlightClass::DeadlineExpired);
         if (live_)
             live_->expired->inc();
     } else {
@@ -557,7 +519,7 @@ Engine::shutdown()
         r.status = Status::cancelled("engine shut down before service");
         r.queueMs = (now_s - p.admitS) * 1e3;
         r.latencyMs = r.queueMs + opts_.networkMs;
-        collector_.recordCancelled();
+        collector_.record(obs::FlightClass::Cancelled);
         if (live_)
             live_->cancelled->inc();
         // A cancelled request keeps its flight record; only served and
@@ -907,7 +869,7 @@ Engine::replay(const std::vector<double> &arrivals_s, unsigned steps)
         ++attempt; // flight key: rejected arrivals consume one too
         shard.prune(a);
         if (!shard.admits(a)) {
-            collector_.recordRejected();
+            collector_.record(obs::FlightClass::Rejected);
             recordAttempt(AttemptRecord(attempt, 0,
                                         obs::FlightClass::Rejected, false,
                                         0, steps, a, a, a, a, 0.0,
@@ -924,7 +886,8 @@ Engine::replay(const std::vector<double> &arrivals_s, unsigned steps)
             last_done = std::max(last_done, st.doneS);
             latencies.push_back(st.latencyMs);
         } else {
-            collector_.recordExpired(); // expires at dequeue; no service
+            // Expires at dequeue; no service.
+            collector_.record(obs::FlightClass::DeadlineExpired);
         }
         // Virtual time dequeues straight into service: the dispatch
         // span is zero-width at the service start.

@@ -31,6 +31,7 @@
 #ifndef BW_SERVE_ENGINE_H
 #define BW_SERVE_ENGINE_H
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -250,19 +251,16 @@ class StatsCollector
 {
   public:
     /** @p admit_s / @p done_s are seconds on the engine's clock (used
-     *  for the throughput window). */
+     *  for the throughput window). Counts one Ok outcome. */
     void recordCompleted(const Response &r, double admit_s, double done_s);
-    void recordRejected();
-    void recordExpired();
-    void recordCancelled();
+    /** Count one unserved outcome (rejected, expired, cancelled). */
+    void record(obs::FlightClass outcome);
 
     /** Latency summary of completed requests so far. */
     ServeStats snapshot() const;
 
-    uint64_t completed() const;
-    uint64_t rejected() const;
-    uint64_t expired() const;
-    uint64_t cancelled() const;
+    /** Requests that ended with @p outcome (Ok = completed). */
+    uint64_t count(obs::FlightClass outcome) const;
 
     /** snapshot() plus rejection/expiry counters and queue-wait
      *  percentiles, in the repo's toJson() convention. */
@@ -273,10 +271,9 @@ class StatsCollector
     std::vector<double> latenciesMs_;
     std::vector<double> queueWaitsMs_;
     std::vector<double> serviceMs_;
-    uint64_t completed_ = 0;
-    uint64_t rejected_ = 0;
-    uint64_t expired_ = 0;
-    uint64_t cancelled_ = 0;
+    std::array<uint64_t, static_cast<size_t>(
+                             obs::FlightClass::NumFlightClasses)>
+        outcomes_{};
     double firstAdmitS_ = 0;
     double lastDoneS_ = 0;
     bool sawRequest_ = false;

@@ -9,12 +9,6 @@
 namespace bw {
 namespace serve {
 
-namespace {
-
-constexpr const char *kSchema = "bw.slo/1";
-
-} // namespace
-
 std::vector<SloClassSpec>
 SloOptions::defaultClasses()
 {
@@ -70,14 +64,14 @@ finishWindow(SloWindowEval &ev, double objective)
 void
 finishClassEval(SloClassEval &ev, const SloOptions &opts)
 {
-    finishWindow(ev.latencyFast, opts.latencyObjective);
-    finishWindow(ev.latencySlow, opts.latencyObjective);
-    finishWindow(ev.availFast, opts.availabilityObjective);
-    finishWindow(ev.availSlow, opts.availabilityObjective);
-    ev.latencyFiring = ev.latencyFast.burnRate > opts.pageBurnRate &&
-                       ev.latencySlow.burnRate > opts.pageBurnRate;
-    ev.availabilityFiring = ev.availFast.burnRate > opts.pageBurnRate &&
-                            ev.availSlow.burnRate > opts.pageBurnRate;
+    for (auto [sli, objective] :
+         {std::pair{&ev.latency, opts.latencyObjective},
+          {&ev.availability, opts.availabilityObjective}}) {
+        finishWindow(sli->fast, objective);
+        finishWindow(sli->slow, objective);
+        sli->firing = sli->fast.burnRate > opts.pageBurnRate &&
+                      sli->slow.burnRate > opts.pageBurnRate;
+    }
 }
 
 SloBuckets::SloBuckets(const SloOptions &opts)
@@ -158,10 +152,10 @@ SloBuckets::evaluate(const SloOptions &opts) const
             ev.requests = cs.requests;
             ev.latencyBreaches = cs.latencyBreaches;
             ev.availabilityBreaches = cs.availabilityBreaches;
-            ev.latencyFast = evalWindow(cs, opts.fastWindowUs, true);
-            ev.latencySlow = evalWindow(cs, opts.slowWindowUs, true);
-            ev.availFast = evalWindow(cs, opts.fastWindowUs, false);
-            ev.availSlow = evalWindow(cs, opts.slowWindowUs, false);
+            ev.latency.fast = evalWindow(cs, opts.fastWindowUs, true);
+            ev.latency.slow = evalWindow(cs, opts.slowWindowUs, true);
+            ev.availability.fast = evalWindow(cs, opts.fastWindowUs, false);
+            ev.availability.slow = evalWindow(cs, opts.slowWindowUs, false);
         }
         finishClassEval(ev, opts);
     }
@@ -297,65 +291,41 @@ SloMonitor::restore(SloBuckets buckets)
 namespace {
 
 Json
-windowJson(const SloWindowEval &ev)
+windowJson(const SloWindowEval &w)
 {
-    Json j = Json::object();
-    j.set("good", ev.good);
-    j.set("bad", ev.bad);
-    j.set("bad_fraction", ev.badFraction);
-    j.set("burn_rate", ev.burnRate);
-    return j;
+    return BW_FIELDS_JSON(BW_SLO_WINDOW_FIELDS, w);
+}
+
+Json
+sliJson(const SloSliEval &sli)
+{
+    return BW_FIELDS_JSON(BW_SLO_SLI_FIELDS, sli);
+}
+
+Json
+objectivesJson(const SloOptions &opts)
+{
+    return BW_FIELDS_JSON(BW_SLO_OBJECTIVE_FIELDS, opts);
+}
+
+Json
+windowsJson(const SloOptions &opts)
+{
+    return BW_FIELDS_JSON(BW_SLO_WINDOWS_FIELDS, opts);
 }
 
 } // namespace
 
 Json
-sloHeaderJson(const SloOptions &opts, uint64_t evaluated_at_us)
-{
-    Json doc = Json::object();
-    doc.set("schema", kSchema);
-    Json obj = Json::object();
-    obj.set("latency", opts.latencyObjective);
-    obj.set("availability", opts.availabilityObjective);
-    doc.set("objectives", std::move(obj));
-    Json win = Json::object();
-    win.set("fast_us", opts.fastWindowUs);
-    win.set("slow_us", opts.slowWindowUs);
-    win.set("bucket_us", opts.bucketUs);
-    doc.set("windows", std::move(win));
-    doc.set("page_burn_rate", opts.pageBurnRate);
-    doc.set("evaluated_at_us", evaluated_at_us);
-    return doc;
-}
-
-Json
-sloClassesJson(const SloOptions &opts,
-               const std::vector<SloClassEval> &evals)
+sloDocJson(const SloOptions &opts, uint64_t evaluated_at_us,
+           const std::vector<SloClassEval> &evals, uint64_t shards)
 {
     Json classes = Json::array();
-    for (size_t c = 0; c < evals.size(); ++c) {
-        const SloClassEval &ev = evals[c];
-        Json j = Json::object();
-        j.set("name", ev.name);
-        if (opts.classes[c].maxDeadlineMs > 0)
-            j.set("max_deadline_ms", opts.classes[c].maxDeadlineMs);
-        j.set("latency_target_ms", opts.classes[c].latencyTargetMs);
-        j.set("requests", ev.requests);
-        j.set("latency_breaches", ev.latencyBreaches);
-        j.set("availability_breaches", ev.availabilityBreaches);
-        Json lat = Json::object();
-        lat.set("fast", windowJson(ev.latencyFast));
-        lat.set("slow", windowJson(ev.latencySlow));
-        lat.set("firing", ev.latencyFiring);
-        j.set("latency", std::move(lat));
-        Json avail = Json::object();
-        avail.set("fast", windowJson(ev.availFast));
-        avail.set("slow", windowJson(ev.availSlow));
-        avail.set("firing", ev.availabilityFiring);
-        j.set("availability", std::move(avail));
-        classes.push(std::move(j));
-    }
-    return classes;
+    for (size_t c = 0; c < evals.size(); ++c)
+        classes.push(
+            BW_FIELDS_JSON(BW_SLO_CLASS_FIELDS, opts.classes[c], evals[c]));
+    return BW_FIELDS_JSON(BW_SLO_DOC_FIELDS, opts, evaluated_at_us, shards,
+                          std::move(classes));
 }
 
 Json
@@ -371,45 +341,32 @@ SloMonitor::sloJson() const
 
     // Refresh the bound burn-rate gauges from this evaluation (the
     // scrape path lands here via the /slo.json handler).
+    auto gauges = [this](const std::string &cls, const char *slo,
+                         const SloSliEval &sli) {
+        for (auto [window, w] :
+             {std::pair{"fast", &sli.fast}, {"slow", &sli.slow}}) {
+            registry_
+                ->gauge("bw_slo_burn_rate",
+                        "SLO burn rate over the trailing window (1.0 = "
+                        "budget consumed exactly at the sustainable rate)",
+                        {{"class", cls}, {"slo", slo}, {"window", window}})
+                .set(w->burnRate);
+        }
+        registry_
+            ->gauge("bw_slo_firing",
+                    "1 when both window burn rates exceed the page "
+                    "threshold",
+                    {{"class", cls}, {"slo", slo}})
+            .set(sli.firing ? 1.0 : 0.0);
+    };
     for (const SloClassEval &ev : evals) {
         if (!registry_)
             break;
-        const struct
-        {
-            const char *slo;
-            const SloWindowEval &fast, &slow;
-            bool firing;
-        } slis[] = {
-            {"latency", ev.latencyFast, ev.latencySlow, ev.latencyFiring},
-            {"availability", ev.availFast, ev.availSlow,
-             ev.availabilityFiring}};
-        for (const auto &sli : slis) {
-            for (const auto &[window, w] :
-                 {std::pair<const char *, const SloWindowEval *>{
-                      "fast", &sli.fast},
-                  {"slow", &sli.slow}}) {
-                registry_
-                    ->gauge("bw_slo_burn_rate",
-                            "SLO burn rate over the trailing window "
-                            "(1.0 = budget consumed exactly at the "
-                            "sustainable rate)",
-                            {{"class", ev.name},
-                             {"slo", sli.slo},
-                             {"window", window}})
-                    .set(w->burnRate);
-            }
-            registry_
-                ->gauge("bw_slo_firing",
-                        "1 when both window burn rates exceed the page "
-                        "threshold",
-                        {{"class", ev.name}, {"slo", sli.slo}})
-                .set(sli.firing ? 1.0 : 0.0);
-        }
+        gauges(ev.name, "latency", ev.latency);
+        gauges(ev.name, "availability", ev.availability);
     }
 
-    Json doc = sloHeaderJson(opts_, high_us);
-    doc.set("classes", sloClassesJson(opts_, evals));
-    return doc;
+    return sloDocJson(opts_, high_us, evals);
 }
 
 // --- Validation ---
@@ -422,70 +379,49 @@ failSlo(const std::string &why)
     return Status::invalidArgument("slo document: " + why);
 }
 
-/// Shape-check one window member and read its counts into @p ev.
+/// Check SLI member @p key of class entry @p cls and its two windows,
+/// reading the windows' counts into @p sli.
 Status
-readWindowEval(const Json *w, const std::string &where, SloWindowEval *ev)
+readSli(const Json &cls, const char *key, SloSliEval *sli)
 {
-    if (!w || w->type() != Json::Type::Object)
-        return failSlo(where + " is not an object");
-    const Json *good = w->find("good");
-    const Json *bad = w->find("bad");
-    if (!good || good->type() != Json::Type::Int || good->asInt() < 0 ||
-        !bad || bad->type() != Json::Type::Int || bad->asInt() < 0)
-        return failSlo(where + " missing non-negative good/bad counts");
-    const Json *frac = w->find("bad_fraction");
-    const Json *burn = w->find("burn_rate");
-    if (!frac || !frac->isNumber() || !burn || !burn->isNumber())
-        return failSlo(where + " missing bad_fraction/burn_rate");
-    ev->good = static_cast<uint64_t>(good->asInt());
-    ev->bad = static_cast<uint64_t>(bad->asInt());
-    return Status();
+    const Json &j = *cls.find(key);
+    Status st = obs::prefixed(key, BW_CHECK_FIELDS(j, BW_SLO_SLI_FIELDS, _));
+    for (auto [name, w] :
+         {std::pair{"fast", &sli->fast}, {"slow", &sli->slow}}) {
+        if (!st.ok())
+            return st;
+        const Json &wj = *j.find(name);
+        st = obs::prefixed(std::string(key) + "." + name,
+                           BW_CHECK_FIELDS(wj, BW_SLO_WINDOW_FIELDS, _));
+        if (st.ok()) {
+            w->good = static_cast<uint64_t>(wj.find("good")->asInt());
+            w->bad = static_cast<uint64_t>(wj.find("bad")->asInt());
+        }
+    }
+    return st;
 }
 
-/// Shape-check one SLI member and read both windows' counts.
+/// Compare checked SLI member @p key's derived members with @p sli,
+/// finished from its counts (exact: %.17g round-trips).
 Status
-readSli(const Json *sli, const std::string &where, SloWindowEval *fast,
-        SloWindowEval *slow)
+checkDerivedSli(const Json &cls, const char *key, const SloSliEval &sli)
 {
-    if (!sli || sli->type() != Json::Type::Object)
-        return failSlo(where + " is not an object");
-    Status st = readWindowEval(sli->find("fast"), where + ".fast", fast);
-    if (!st.ok())
-        return st;
-    st = readWindowEval(sli->find("slow"), where + ".slow", slow);
-    if (!st.ok())
-        return st;
-    const Json *firing = sli->find("firing");
-    if (!firing || firing->type() != Json::Type::Bool)
-        return failSlo(where + " missing boolean firing");
-    return Status();
-}
-
-/// Compare a shape-checked SLI member's derived members with the
-/// finishClassEval results for its counts (exact: %.17g round-trips).
-Status
-checkDerivedSli(const Json &sli, const std::string &where,
-                const SloWindowEval &fast, const SloWindowEval &slow,
-                bool firing)
-{
-    const struct
-    {
-        const char *name;
-        const SloWindowEval *ev;
-    } windows[] = {{"fast", &fast}, {"slow", &slow}};
-    for (const auto &w : windows) {
-        const Json &j = *sli.find(w.name);
-        if (j.find("bad_fraction")->asDouble() != w.ev->badFraction)
-            return failSlo(where + "." + w.name +
+    const Json &j = *cls.find(key);
+    std::string where = cls.find("name")->asString() + "." + key;
+    for (auto [name, w] :
+         {std::pair{"fast", &sli.fast}, {"slow", &sli.slow}}) {
+        const Json &wj = *j.find(name);
+        if (wj.find("bad_fraction")->asDouble() != w->badFraction)
+            return failSlo(where + "." + name +
                            " bad_fraction is not bad / (good + bad)");
-        if (j.find("burn_rate")->asDouble() != w.ev->burnRate)
-            return failSlo(where + "." + w.name +
+        if (wj.find("burn_rate")->asDouble() != w->burnRate)
+            return failSlo(where + "." + name +
                            " burn_rate is not bad_fraction / "
                            "(1 - objective)");
     }
-    if (sli.find("firing")->asBool() != firing)
-        return failSlo(where + " firing disagrees with the two burn "
-                               "rates and page_burn_rate");
+    if (j.find("firing")->asBool() != sli.firing)
+        return failSlo(where + " firing disagrees with the two burn rates "
+                               "and page_burn_rate");
     return Status();
 }
 
@@ -494,82 +430,41 @@ checkDerivedSli(const Json &sli, const std::string &where,
 Status
 validateSloJson(const Json &doc)
 {
-    if (doc.type() != Json::Type::Object)
-        return failSlo("not an object");
-    const Json *schema = doc.find("schema");
-    if (!schema || schema->type() != Json::Type::String ||
-        schema->asString() != kSchema)
-        return failSlo(std::string("schema is not '") + kSchema + "'");
-    const Json *objectives = doc.find("objectives");
-    if (!objectives || objectives->type() != Json::Type::Object)
-        return failSlo("missing objectives object");
-    for (const char *key : {"latency", "availability"}) {
-        const Json *o = objectives->find(key);
-        if (!o || !o->isNumber() || o->asDouble() <= 0 ||
-            o->asDouble() >= 1)
-            return failSlo(std::string("objective '") + key +
-                           "' not in (0, 1)");
-    }
-    SloOptions opts;
-    opts.latencyObjective = objectives->find("latency")->asDouble();
-    opts.availabilityObjective =
-        objectives->find("availability")->asDouble();
-    const Json *page = doc.find("page_burn_rate");
-    if (!page || !page->isNumber() || page->asDouble() <= 0)
-        return failSlo("missing positive page_burn_rate");
-    opts.pageBurnRate = page->asDouble();
-    const Json *windows = doc.find("windows");
-    if (!windows || windows->type() != Json::Type::Object)
-        return failSlo("missing windows object");
-    const Json *fast = windows->find("fast_us");
-    const Json *slow = windows->find("slow_us");
-    if (!fast || fast->type() != Json::Type::Int || fast->asInt() <= 0 ||
-        !slow || slow->type() != Json::Type::Int || slow->asInt() <= 0)
-        return failSlo("windows missing positive fast_us/slow_us");
-    if (slow->asInt() < fast->asInt())
+    Status st = BW_CHECK_FIELDS(doc, BW_SLO_DOC_FIELDS, _, _, _, _);
+    if (st.ok())
+        st = obs::prefixed("objectives",
+                      BW_CHECK_FIELDS(*doc.find("objectives"),
+                                      BW_SLO_OBJECTIVE_FIELDS, _));
+    if (st.ok())
+        st = obs::prefixed("windows", BW_CHECK_FIELDS(*doc.find("windows"),
+                                                 BW_SLO_WINDOWS_FIELDS, _));
+    if (!st.ok())
+        return failSlo(st.message());
+    const Json &windows = *doc.find("windows");
+    if (windows.find("slow_us")->asInt() < windows.find("fast_us")->asInt())
         return failSlo("slow window shorter than fast window");
-    const Json *classes = doc.find("classes");
-    if (!classes || classes->type() != Json::Type::Array ||
-        classes->size() == 0)
-        return failSlo("missing non-empty classes array");
-    for (size_t i = 0; i < classes->size(); ++i) {
-        const Json &c = classes->at(i);
-        if (c.type() != Json::Type::Object)
-            return failSlo("class entry is not an object");
-        const Json *name = c.find("name");
-        if (!name || name->type() != Json::Type::String ||
-            name->asString().empty())
-            return failSlo("class entry missing name");
-        const std::string &cls = name->asString();
-        const Json *target = c.find("latency_target_ms");
-        if (!target || !target->isNumber() || target->asDouble() <= 0)
-            return failSlo("class '" + cls +
-                           "' missing positive latency_target_ms");
-        for (const char *key :
-             {"requests", "latency_breaches", "availability_breaches"}) {
-            const Json *v = c.find(key);
-            if (!v || v->type() != Json::Type::Int || v->asInt() < 0)
-                return failSlo("class '" + cls + "' missing "
-                               "non-negative integer '" + key + "'");
-        }
-        const Json *lat = c.find("latency");
-        const Json *avail = c.find("availability");
+    SloOptions opts;
+    opts.latencyObjective = doc.find("objectives")->find("latency")->asDouble();
+    opts.availabilityObjective =
+        doc.find("objectives")->find("availability")->asDouble();
+    opts.pageBurnRate = doc.find("page_burn_rate")->asDouble();
+    const Json &classes = *doc.find("classes");
+    if (classes.size() == 0)
+        return failSlo("no classes");
+    for (size_t i = 0; i < classes.size(); ++i) {
+        const Json &c = classes.at(i);
         SloClassEval ev;
-        Status st = readSli(lat, cls + ".latency", &ev.latencyFast,
-                            &ev.latencySlow);
+        st = BW_CHECK_FIELDS(c, BW_SLO_CLASS_FIELDS, _, _);
+        if (st.ok())
+            st = readSli(c, "latency", &ev.latency);
+        if (st.ok())
+            st = readSli(c, "availability", &ev.availability);
         if (!st.ok())
-            return st;
-        st = readSli(avail, cls + ".availability", &ev.availFast,
-                     &ev.availSlow);
-        if (!st.ok())
-            return st;
+            return failSlo(detail::format("class %zu: ", i) + st.message());
         finishClassEval(ev, opts);
-        st = checkDerivedSli(*lat, cls + ".latency", ev.latencyFast,
-                             ev.latencySlow, ev.latencyFiring);
-        if (!st.ok())
-            return st;
-        st = checkDerivedSli(*avail, cls + ".availability", ev.availFast,
-                             ev.availSlow, ev.availabilityFiring);
+        st = checkDerivedSli(c, "latency", ev.latency);
+        if (st.ok())
+            st = checkDerivedSli(c, "availability", ev.availability);
         if (!st.ok())
             return st;
     }

@@ -42,9 +42,12 @@
 #include "common/json.h"
 #include "common/status.h"
 #include "metrics/metrics.h"
+#include "obs/fields.h"
 
 namespace bw {
 namespace serve {
+
+inline constexpr const char *kSloSchema = "bw.slo/1";
 
 /** One deadline class and its SLO targets. */
 struct SloClassSpec
@@ -108,6 +111,13 @@ struct SloWindowEval
     double burnRate = 0;    //!< badFraction / (1 - objective)
 };
 
+/** One SLI's two trailing windows and its multi-window alert. */
+struct SloSliEval
+{
+    SloWindowEval fast, slow;
+    bool firing = false; //!< both windows burn above pageBurnRate
+};
+
 /** One class's full evaluation (both SLIs, both windows). */
 struct SloClassEval
 {
@@ -115,10 +125,7 @@ struct SloClassEval
     uint64_t requests = 0;             //!< lifetime submissions
     uint64_t latencyBreaches = 0;      //!< lifetime latency misses
     uint64_t availabilityBreaches = 0; //!< lifetime unserved requests
-    SloWindowEval latencyFast, latencySlow;
-    SloWindowEval availFast, availSlow;
-    bool latencyFiring = false;
-    bool availabilityFiring = false;
+    SloSliEval latency, availability;
 };
 
 /**
@@ -130,14 +137,52 @@ struct SloClassEval
  */
 void finishClassEval(SloClassEval &ev, const SloOptions &opts);
 
-/** The bw.slo/1 members that precede the classes array: schema,
- *  objectives, windows, page_burn_rate and evaluated_at_us. */
-Json sloHeaderJson(const SloOptions &opts, uint64_t evaluated_at_us);
+/// The bw.slo/1 document; shards is written by the fleet rollup only.
+#define BW_SLO_DOC_FIELDS(N, opts, at_us, shards, classes)               \
+    N("schema", serve::kSloSchema, Tag(serve::kSloSchema), always)       \
+    N("objectives", objectivesJson(opts), Obj, always)                   \
+    N("windows", windowsJson(opts), Obj, always)                         \
+    N("page_burn_rate", opts.pageBurnRate, PosNum, always)               \
+    N("evaluated_at_us", at_us, Uint, always)                            \
+    N("shards", shards, Pos, when(shards > 0))                           \
+    N("classes", classes, Arr, always)
+#define BW_SLO_OBJECTIVE_FIELDS(N, opts)                                 \
+    N("latency", opts.latencyObjective, Frac, always)                    \
+    N("availability", opts.availabilityObjective, Frac, always)
+#define BW_SLO_WINDOWS_FIELDS(N, opts)                                   \
+    N("fast_us", opts.fastWindowUs, Pos, always)                         \
+    N("slow_us", opts.slowWindowUs, Pos, always)                         \
+    N("bucket_us", opts.bucketUs, Pos, always)
 
-/** The bw.slo/1 classes array: one member per opts.classes entry, from
- *  the matching finished evaluation in @p evals. */
-Json sloClassesJson(const SloOptions &opts,
-                    const std::vector<SloClassEval> &evals);
+/// One classes[i] entry: class @p spec's evaluation @p ev.
+#define BW_SLO_CLASS_FIELDS(N, spec, ev)                                 \
+    N("name", ev.name, Str, always)                                      \
+    N("max_deadline_ms", spec.maxDeadlineMs, PosNum,                     \
+      when(spec.maxDeadlineMs > 0))                                      \
+    N("latency_target_ms", spec.latencyTargetMs, PosNum, always)         \
+    N("requests", ev.requests, Uint, always)                             \
+    N("latency_breaches", ev.latencyBreaches, Uint, always)              \
+    N("availability_breaches", ev.availabilityBreaches, Uint, always)    \
+    N("latency", sliJson(ev.latency), Obj, always)                       \
+    N("availability", sliJson(ev.availability), Obj, always)
+#define BW_SLO_SLI_FIELDS(N, sli)                                        \
+    N("fast", windowJson(sli.fast), Obj, always)                         \
+    N("slow", windowJson(sli.slow), Obj, always)                         \
+    N("firing", sli.firing, Bool, always)
+#define BW_SLO_WINDOW_FIELDS(N, w)                                       \
+    N("good", w.good, Uint, always)                                      \
+    N("bad", w.bad, Uint, always)                                        \
+    N("bad_fraction", w.badFraction, Num, always)                        \
+    N("burn_rate", w.burnRate, Num, always)
+
+/**
+ * The bw.slo/1 document (BW_SLO_DOC_FIELDS) evaluated at
+ * @p evaluated_at_us: one classes entry per opts.classes entry, from the
+ * matching finished evaluation in @p evals. A nonzero @p shards is
+ * written after evaluated_at_us (the fleet rollup).
+ */
+Json sloDocJson(const SloOptions &opts, uint64_t evaluated_at_us,
+                const std::vector<SloClassEval> &evals, uint64_t shards = 0);
 
 /**
  * The recorded state of one SLO monitor, with no lock: per-class bucket
@@ -295,12 +340,11 @@ class SloMonitor
 };
 
 /**
- * Validate a sloJson() document against the bw.slo/1 schema: required
- * members and types, objectives in (0, 1), a positive page_burn_rate,
- * at least one class, and window evaluations with non-negative counts
- * whose bad_fraction, burn_rate and firing members equal what
- * finishClassEval derives from those counts. Returns OK or
- * InvalidArgument naming the first violation.
+ * Validate a sloJson() document against the bw.slo/1 schema: the
+ * BW_SLO_*_FIELDS tables, a slow window no shorter than the fast one, at
+ * least one class, and bad_fraction, burn_rate and firing members equal
+ * to what finishClassEval derives from each window's counts. Returns OK
+ * or InvalidArgument naming the first violation.
  */
 Status validateSloJson(const Json &doc);
 

@@ -386,7 +386,7 @@ TEST(Router, AllEvictedReportsUnavailable)
         for (auto &l : loads)
             l.healthy = false;
         EXPECT_EQ(r.route(1, 0, "m", 0, loads), -2);
-        EXPECT_EQ(r.unavailable(), 1u);
+        EXPECT_EQ(r.tally().unavailable, 1u);
         Status st = validateRouteJson(r.decisionsJson());
         EXPECT_TRUE(st.ok()) << st.toString();
     }

@@ -300,11 +300,11 @@ TEST(Router, SloAwareShedsByClassOrder)
     EXPECT_GE(r.route(4, 0, "m", 1, mid), 0);
     EXPECT_EQ(r.route(5, 0, "m", 2, mid), -1);
 
-    EXPECT_EQ(r.shed(), 3u);
-    ASSERT_EQ(r.shedByClass().size(), 3u);
-    EXPECT_EQ(r.shedByClass()[0], 0u);
-    EXPECT_EQ(r.shedByClass()[1], 1u);
-    EXPECT_EQ(r.shedByClass()[2], 2u);
+    EXPECT_EQ(r.tally().shed, 3u);
+    ASSERT_EQ(r.tally().shedByClass.size(), 3u);
+    EXPECT_EQ(r.tally().shedByClass[0], 0u);
+    EXPECT_EQ(r.tally().shedByClass[1], 1u);
+    EXPECT_EQ(r.tally().shedByClass[2], 2u);
 }
 
 TEST(Router, DecisionLogDeterministicAndClearable)
@@ -336,11 +336,11 @@ TEST(Router, DecisionLogDeterministicAndClearable)
     ASSERT_TRUE(da.find("schema"));
     EXPECT_EQ(da.find("schema")->asString(), "bw.route/1");
     EXPECT_EQ(static_cast<uint64_t>(da.find("decisions")->size()),
-              a.routed() + a.shed());
+              a.tally().routed + a.tally().shed);
 
     a.clear();
-    EXPECT_EQ(a.routed(), 0u);
-    EXPECT_EQ(a.shed(), 0u);
+    EXPECT_EQ(a.tally().routed, 0u);
+    EXPECT_EQ(a.tally().shed, 0u);
     EXPECT_EQ(a.decisions().size(), 0u);
     drive(a);
     EXPECT_EQ(a.decisionsJson().dump(), b.decisionsJson().dump());
@@ -630,8 +630,8 @@ TEST(Cluster, SingleEngineDegeneratesToEngineReplay)
     EXPECT_EQ(ef.value().dump(), c.engineFlightJson(0).dump());
     EXPECT_EQ(refSlo.sloJson().dump(), c.engineSloJson(0).dump());
     // And every routed decision targeted the only engine.
-    EXPECT_EQ(c.router().shed(), 0u);
-    EXPECT_EQ(c.router().routed(), trace.size());
+    EXPECT_EQ(c.router().tally().shed, 0u);
+    EXPECT_EQ(c.router().tally().routed, trace.size());
 }
 
 TEST(Cluster, WeightCacheThrashChargesReloads)

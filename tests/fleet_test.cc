@@ -211,9 +211,9 @@ TEST(FleetRegistry, SloRollupEvaluatesEachShardAtItsOwnHighWaterMark)
     EXPECT_EQ(roll.find("shards")->asInt(), 2);
 
     std::vector<serve::SloClassEval> ea = a.snapshot(), eb = b.snapshot();
-    ASSERT_EQ(ea[0].availFast.bad, 10u);
-    ASSERT_EQ(eb[0].availFast.bad, 0u);
-    ASSERT_EQ(eb[0].availSlow.bad, 10u);
+    ASSERT_EQ(ea[0].availability.fast.bad, 10u);
+    ASSERT_EQ(eb[0].availability.fast.bad, 0u);
+    ASSERT_EQ(eb[0].availability.slow.bad, 10u);
     const Json *rc = roll.find("classes");
     ASSERT_EQ(rc->size(), ea.size());
     for (size_t c = 0; c < ea.size(); ++c) {
@@ -222,10 +222,12 @@ TEST(FleetRegistry, SloRollupEvaluatesEachShardAtItsOwnHighWaterMark)
             const char *sli, *window;
             const serve::SloWindowEval &a, &b;
         } windows[] = {
-            {"latency", "fast", ea[c].latencyFast, eb[c].latencyFast},
-            {"latency", "slow", ea[c].latencySlow, eb[c].latencySlow},
-            {"availability", "fast", ea[c].availFast, eb[c].availFast},
-            {"availability", "slow", ea[c].availSlow, eb[c].availSlow},
+            {"latency", "fast", ea[c].latency.fast, eb[c].latency.fast},
+            {"latency", "slow", ea[c].latency.slow, eb[c].latency.slow},
+            {"availability", "fast", ea[c].availability.fast,
+             eb[c].availability.fast},
+            {"availability", "slow", ea[c].availability.slow,
+             eb[c].availability.slow},
         };
         for (const auto &w : windows) {
             const Json &j = *rc->at(c).find(w.sli)->find(w.window);
@@ -357,9 +359,9 @@ TEST(RouteStream, TrailerCountsUnavailableRowsAsTheRouterDoes)
         router.route(++seq, 0, "m", 1, down); // -2: nothing healthy
         router.route(++seq, 0, "m", 2, down);
     }
-    ASSERT_EQ(router.routed(), 3u);
-    ASSERT_EQ(router.shed(), 3u);
-    ASSERT_EQ(router.unavailable(), 6u);
+    ASSERT_EQ(router.tally().routed, 3u);
+    ASSERT_EQ(router.tally().shed, 3u);
+    ASSERT_EQ(router.tally().unavailable, 6u);
     EXPECT_TRUE(w.finish());
     EXPECT_EQ(w.rows(), seq);
 
@@ -372,10 +374,10 @@ TEST(RouteStream, TrailerCountsUnavailableRowsAsTheRouterDoes)
     EXPECT_EQ(trailer.find("unavailable")->asInt(), 6);
     const Json *by_class = trailer.find("shed_by_class");
     ASSERT_NE(by_class, nullptr);
-    ASSERT_EQ(by_class->size(), router.shedByClass().size());
+    ASSERT_EQ(by_class->size(), router.tally().shedByClass.size());
     for (size_t c = 0; c < by_class->size(); ++c)
         EXPECT_EQ(static_cast<uint64_t>(by_class->at(c).asInt()),
-                  router.shedByClass()[c]);
+                  router.tally().shedByClass[c]);
     std::istringstream in(out);
     Status st = obs::validateRouteStreamJson(in);
     EXPECT_TRUE(st.ok()) << st.toString();

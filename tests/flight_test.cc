@@ -268,10 +268,10 @@ TEST(Slo, MultiWindowBurnRequiresBothWindowsFiring)
         stale.record(4000 * s, 5.0, 1.0, true);
     auto evals = stale.snapshot();
     ASSERT_EQ(evals.size(), 3u);
-    EXPECT_GT(evals[0].availSlow.burnRate,
+    EXPECT_GT(evals[0].availability.slow.burnRate,
               stale.options().pageBurnRate);
-    EXPECT_EQ(evals[0].availFast.bad, 0u);
-    EXPECT_FALSE(evals[0].availabilityFiring);
+    EXPECT_EQ(evals[0].availability.fast.bad, 0u);
+    EXPECT_FALSE(evals[0].availability.firing);
     EXPECT_EQ(evals[0].requests, 100u);
     EXPECT_EQ(evals[0].availabilityBreaches, 50u);
 
@@ -281,7 +281,7 @@ TEST(Slo, MultiWindowBurnRequiresBothWindowsFiring)
         hot.record(3900 * s, 5.0, 0.0, false);
     for (int i = 0; i < 50; ++i)
         hot.record(4000 * s, 5.0, 1.0, true);
-    EXPECT_TRUE(hot.snapshot()[0].availabilityFiring);
+    EXPECT_TRUE(hot.snapshot()[0].availability.firing);
 }
 
 TEST(Slo, LatencySliCountsOnlyServedRequests)
@@ -294,7 +294,7 @@ TEST(Slo, LatencySliCountsOnlyServedRequests)
     mon.record(3000000, 5.0, 0.0, false);
     auto evals = mon.snapshot();
     EXPECT_EQ(evals[0].latencyBreaches, 1u);
-    EXPECT_EQ(evals[0].latencyFast.good + evals[0].latencyFast.bad, 2u);
+    EXPECT_EQ(evals[0].latency.fast.good + evals[0].latency.fast.bad, 2u);
     EXPECT_EQ(evals[0].availabilityBreaches, 1u);
     EXPECT_EQ(sloRequests(mon), 3u);
 }
@@ -308,16 +308,16 @@ TEST(Slo, ARecordAtTimeZeroCountsInBothWindows)
     mon.record(0, 5.0, 0.0, false);
     EXPECT_EQ(mon.highWaterUs(), 0u);
     auto evals = mon.snapshot();
-    EXPECT_EQ(evals[0].latencyFast.good, 1u);
-    EXPECT_EQ(evals[0].latencySlow.good, 1u);
-    EXPECT_EQ(evals[0].availFast.good, 1u);
-    EXPECT_EQ(evals[0].availFast.bad, 1u);
-    EXPECT_EQ(evals[0].availSlow.good, 1u);
-    EXPECT_EQ(evals[0].availSlow.bad, 1u);
+    EXPECT_EQ(evals[0].latency.fast.good, 1u);
+    EXPECT_EQ(evals[0].latency.slow.good, 1u);
+    EXPECT_EQ(evals[0].availability.fast.good, 1u);
+    EXPECT_EQ(evals[0].availability.fast.bad, 1u);
+    EXPECT_EQ(evals[0].availability.slow.good, 1u);
+    EXPECT_EQ(evals[0].availability.slow.bad, 1u);
 
     mon.clear();
     EXPECT_EQ(mon.highWaterUs(), 0u);
-    EXPECT_EQ(mon.snapshot()[0].availSlow.good, 0u);
+    EXPECT_EQ(mon.snapshot()[0].availability.slow.good, 0u);
 }
 
 TEST(Slo, SloJsonDeterministicValidAndBindsMetrics)
@@ -448,8 +448,10 @@ TEST(EngineFlight, ReplayExportsByteIdenticalUnderRejectsAndExpiries)
     engine.replay(arrivals);
     // The stats collector accumulates across runs; snapshot this run's
     // counts before replaying again.
-    const uint64_t run_rejected = engine.collector().rejected();
-    const uint64_t run_expired = engine.collector().expired();
+    const uint64_t run_rejected =
+        engine.collector().count(obs::FlightClass::Rejected);
+    const uint64_t run_expired =
+        engine.collector().count(obs::FlightClass::DeadlineExpired);
     ASSERT_GT(run_rejected, 0u);
     ASSERT_GT(run_expired, 0u);
     Expected<Json> f1 = engine.flightJson();
@@ -552,7 +554,7 @@ TEST(EngineFlight, PromotesExpiryThatHeadSamplingDropped)
     opts.flightRecorder = &flight;
     serve::Engine engine(opts);
     engine.replay(arrivals);
-    ASSERT_GT(engine.collector().expired(), 0u);
+    ASSERT_GT(engine.collector().count(obs::FlightClass::DeadlineExpired), 0u);
 
     // The head-sampled export holds exactly the one kept trace.
     Json spans = obs::spanTreeJson(tracer);

@@ -857,7 +857,7 @@ TEST(EngineMetrics, CountersAgreeWithStatsCollector)
     EXPECT_EQ(reg.counter("bw_serve_completed_total", "").value(),
               kTotal);
     EXPECT_EQ(reg.counter("bw_serve_rejected_total", "").value(),
-              engine.collector().rejected());
+              engine.collector().count(obs::FlightClass::Rejected));
     EXPECT_DOUBLE_EQ(reg.gauge("bw_serve_queue_depth", "").value(), 0.0);
     EXPECT_DOUBLE_EQ(reg.gauge("bw_serve_inflight", "").value(), 0.0);
 

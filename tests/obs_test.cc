@@ -613,6 +613,7 @@ TEST(SpanTreeJson, ValidatorRejectsViolations)
 
     auto mk = [](const char *root_body) {
         return Json::parse(std::string("{\"schema\":\"bw.spans/1\","
+                                       "\"spans\":2,\"dropped\":0,"
                                        "\"traces\":[{\"trace\":1,"
                                        "\"root\":") +
                            root_body + "}]}");
@@ -624,28 +625,30 @@ TEST(SpanTreeJson, ValidatorRejectsViolations)
                      .ok());
     // dur inconsistent with start/end.
     EXPECT_FALSE(obs::validateSpanTreeJson(
-                     mk("{\"name\":\"request\",\"id\":1,"
-                        "\"start_us\":0,\"end_us\":5,\"dur_us\":4}"))
+                     mk("{\"name\":\"request\",\"outcome\":\"ok\","
+                        "\"id\":1,\"start_us\":0,\"end_us\":5,"
+                        "\"dur_us\":4}"))
                      .ok());
     // Child escapes its parent interval.
     Status escape = obs::validateSpanTreeJson(
-        mk("{\"name\":\"request\",\"id\":1,\"start_us\":10,"
-           "\"end_us\":20,\"dur_us\":10,\"children\":["
+        mk("{\"name\":\"request\",\"outcome\":\"ok\",\"id\":1,"
+           "\"start_us\":10,\"end_us\":20,\"dur_us\":10,\"children\":["
            "{\"name\":\"queue_wait\",\"id\":2,\"start_us\":5,"
            "\"end_us\":15,\"dur_us\":10}]}"));
     EXPECT_FALSE(escape.ok());
     EXPECT_NE(escape.message().find("escapes"), std::string::npos);
     // Duplicate ids within a trace.
     EXPECT_FALSE(obs::validateSpanTreeJson(
-                     mk("{\"name\":\"request\",\"id\":1,\"start_us\":0,"
-                        "\"end_us\":9,\"dur_us\":9,\"children\":["
+                     mk("{\"name\":\"request\",\"outcome\":\"ok\","
+                        "\"id\":1,\"start_us\":0,\"end_us\":9,"
+                        "\"dur_us\":9,\"children\":["
                         "{\"name\":\"queue_wait\",\"id\":1,"
                         "\"start_us\":0,\"end_us\":1,\"dur_us\":1}]}"))
                      .ok());
     // The canonical empty export passes.
     EXPECT_TRUE(obs::validateSpanTreeJson(
-                    Json::parse("{\"schema\":\"bw.spans/1\","
-                                "\"traces\":[]}"))
+                    Json::parse("{\"schema\":\"bw.spans/1\",\"spans\":0,"
+                                "\"dropped\":0,\"traces\":[]}"))
                     .ok());
 }
 

@@ -265,9 +265,10 @@ TEST(Engine, ConcurrentSubmitStress)
     engine.drain();
 
     EXPECT_EQ(ok_count.load(), kThreads * kPerThread);
-    EXPECT_EQ(engine.collector().completed(), kThreads * kPerThread);
+    EXPECT_EQ(engine.collector().count(obs::FlightClass::Ok),
+              kThreads * kPerThread);
     EXPECT_EQ(engine.stats().requests, kThreads * kPerThread);
-    EXPECT_EQ(engine.collector().rejected(), 0u);
+    EXPECT_EQ(engine.collector().count(obs::FlightClass::Rejected), 0u);
 }
 
 TEST(Engine, QueueFullRejectsAtDepth)
@@ -312,7 +313,7 @@ TEST(Engine, QueueFullRejectsAtDepth)
     auto rejected = engine.submit(serve::Request::timed(1));
     ASSERT_FALSE(rejected.ok());
     EXPECT_EQ(rejected.status().code(), StatusCode::QueueFull);
-    EXPECT_EQ(engine.collector().rejected(), 1u);
+    EXPECT_EQ(engine.collector().count(obs::FlightClass::Rejected), 1u);
 
     {
         std::lock_guard<std::mutex> lk(mu);
@@ -336,7 +337,7 @@ TEST(Engine, QueueFullRejectsAtDepth)
     // returned before any submission is admitted.
     for (size_t i = 1; i < rs.size(); ++i)
         EXPECT_LE(rs[i - 1].queueMs, rs[i].queueMs) << i;
-    EXPECT_EQ(engine.collector().completed(), 4u);
+    EXPECT_EQ(engine.collector().count(obs::FlightClass::Ok), 4u);
 }
 
 TEST(Engine, DeadlineExpiresOnDequeue)
@@ -357,8 +358,8 @@ TEST(Engine, DeadlineExpiresOnDequeue)
     EXPECT_GE(r.queueMs, 5.0); // waited out the head-of-line request
     EXPECT_TRUE(r.outputs.empty());
     EXPECT_TRUE(head.take().get().status.ok());
-    EXPECT_EQ(engine.collector().expired(), 1u);
-    EXPECT_EQ(engine.collector().completed(), 1u);
+    EXPECT_EQ(engine.collector().count(obs::FlightClass::DeadlineExpired), 1u);
+    EXPECT_EQ(engine.collector().count(obs::FlightClass::Ok), 1u);
 }
 
 TEST(Engine, DrainCompletesEverythingThenRefusesWork)
@@ -381,14 +382,14 @@ TEST(Engine, DrainCompletesEverythingThenRefusesWork)
                   std::future_status::ready);
         EXPECT_TRUE(f.get().status.ok());
     }
-    EXPECT_EQ(engine.collector().completed(), 6u);
+    EXPECT_EQ(engine.collector().count(obs::FlightClass::Ok), 6u);
 
     auto late = engine.submit(serve::Request::timed(1));
     ASSERT_FALSE(late.ok());
     EXPECT_EQ(late.status().code(), StatusCode::Unavailable);
 
     engine.shutdown(); // drain-then-shutdown is a clean sequence
-    EXPECT_EQ(engine.collector().cancelled(), 0u);
+    EXPECT_EQ(engine.collector().count(obs::FlightClass::Cancelled), 0u);
 }
 
 TEST(Engine, ShutdownCancelsQueuedRequests)
@@ -410,7 +411,7 @@ TEST(Engine, ShutdownCancelsQueuedRequests)
     EXPECT_TRUE(a.take().get().status.ok());
     EXPECT_EQ(b.take().get().status.code(), StatusCode::Cancelled);
     EXPECT_EQ(c.take().get().status.code(), StatusCode::Cancelled);
-    EXPECT_EQ(engine.collector().cancelled(), 2u);
+    EXPECT_EQ(engine.collector().count(obs::FlightClass::Cancelled), 2u);
 }
 
 TEST(Engine, OptionsFromEnvOverrides)
@@ -484,8 +485,8 @@ TEST(Replay, AdmissionControlRejectsUnderOverload)
     opts.queueDepth = 4;
     serve::Engine engine(opts);
     ServeStats s = engine.replay(arrivals);
-    EXPECT_GT(engine.collector().rejected(), 0u);
-    EXPECT_EQ(s.requests + engine.collector().rejected(),
+    EXPECT_GT(engine.collector().count(obs::FlightClass::Rejected), 0u);
+    EXPECT_EQ(s.requests + engine.collector().count(obs::FlightClass::Rejected),
               arrivals.size());
     // The queue bound caps head-of-line wait at depth * service.
     EXPECT_LT(s.maxLatencyMs, (4 + 1) * 1.0 + 1.0);
@@ -502,8 +503,9 @@ TEST(Replay, DeadlinesExpireOnDequeue)
     opts.defaultDeadlineMs = 2.0;
     serve::Engine engine(opts);
     ServeStats s = engine.replay(arrivals);
-    EXPECT_GT(engine.collector().expired(), 0u);
-    EXPECT_EQ(s.requests + engine.collector().expired(),
+    EXPECT_GT(engine.collector().count(obs::FlightClass::DeadlineExpired), 0u);
+    EXPECT_EQ(s.requests +
+                  engine.collector().count(obs::FlightClass::DeadlineExpired),
               arrivals.size());
 }
 
