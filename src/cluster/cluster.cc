@@ -19,15 +19,17 @@ using serve::toUs;
 
 namespace {
 
-/// Cache key: model, fidelity and group are small, steps dominates.
+/// Chain-profile cache key: model and group are small, steps dominates.
 uint64_t
-svcKey(uint32_t model, size_t group, unsigned steps,
-       timing::Fidelity fidelity = timing::Fidelity::CycleAccurate)
+chainKey(uint32_t model, size_t group, unsigned steps)
 {
     return (static_cast<uint64_t>(model) << 44) |
-           (static_cast<uint64_t>(fidelity) << 40) |
            (static_cast<uint64_t>(group) << 32) | steps;
 }
+
+/// Timing fidelities a price-table slot distinguishes.
+constexpr size_t kFidelities =
+    static_cast<size_t>(timing::Fidelity::Cached) + 1;
 
 } // namespace
 
@@ -433,20 +435,49 @@ Cluster::modelServiceMs(uint32_t model, size_t group, unsigned steps)
     return price(model, group, steps, opts_.fidelity).ms;
 }
 
-const Cluster::Price &
+double
+Cluster::modelServiceMs(uint32_t model, size_t group, unsigned steps,
+                        timing::Fidelity fidelity)
+{
+    return price(model, group, steps, fidelity).ms;
+}
+
+// This file spends GCC's unit-wide inlining budget long before the
+// replay path, so the per-request steps that must inline into
+// replayOne say so: the price lookup, the shard measure, the weight
+// touch, the attempt and its settlement. Inlined, they measurably
+// sped up replay; the hedged path inlines the attempt twice.
+
+[[gnu::always_inline]] inline Cluster::Price
 Cluster::price(uint32_t model, size_t group, unsigned steps,
                timing::Fidelity fidelity)
 {
-    auto [it, fresh] =
-        priceCache_.try_emplace(svcKey(model, group, steps, fidelity));
-    if (fresh) {
-        it->second.tiles = modelTiles(model, group); // checks the id
-        const ModelEntry &e = models_[model];
-        it->second.ms = e.timed ? e.timedMs
-                                : e.sessions[group]->serviceMs(steps,
-                                                               fidelity);
-    }
-    return it->second;
+    size_t slot =
+        (static_cast<size_t>(model) * opts_.groups.size() + group) *
+            kFidelities +
+        static_cast<size_t>(fidelity);
+    if (slot < prices_.size() && steps < prices_[slot].size() &&
+        prices_[slot][steps].ms >= 0)
+        return prices_[slot][steps];
+    return priceFresh(slot, model, group, steps, fidelity);
+}
+
+Cluster::Price
+Cluster::priceFresh(size_t slot, uint32_t model, size_t group,
+                    unsigned steps, timing::Fidelity fidelity)
+{
+    Price p;
+    p.tiles = modelTiles(model, group); // checks the id
+    const ModelEntry &e = models_[model];
+    p.ms = e.timed ? e.timedMs
+                   : e.sessions[group]->serviceMs(steps, fidelity);
+    if (slot >= prices_.size())
+        prices_.resize(slot + 1);
+    std::vector<Price> &by_steps = prices_[slot];
+    if (steps >= by_steps.size())
+        by_steps.resize(static_cast<size_t>(steps) + 1, Price{-1.0, 0});
+    by_steps[steps] = p;
+    return p;
 }
 
 double
@@ -517,17 +548,23 @@ Cluster::warm(Shard &s)
         s.cache.preload(m, modelTiles(m, s.group));
 }
 
+[[gnu::always_inline]] inline EngineLoad
+Cluster::virtualLoad(const Shard &s, double now_s)
+{
+    EngineLoad l;
+    l.queued = s.queue.queued(now_s);
+    l.inflight = s.queue.inflight(now_s);
+    l.queueCapacity = s.queue.queueDepth();
+    l.healthy = s.healthy;
+    return l;
+}
+
 const std::vector<EngineLoad> &
 Cluster::virtualLoads(double now_s)
 {
     loads_.resize(shards_.size());
-    for (size_t i = 0; i < shards_.size(); ++i) {
-        const Shard &s = *shards_[i];
-        loads_[i].queued = s.queue.queued(now_s);
-        loads_[i].inflight = s.queue.inflight(now_s);
-        loads_[i].queueCapacity = s.queue.queueDepth();
-        loads_[i].healthy = s.healthy;
-    }
+    for (size_t i = 0; i < shards_.size(); ++i)
+        loads_[i] = virtualLoad(*shards_[i], now_s);
     return loads_;
 }
 
@@ -809,7 +846,7 @@ Cluster::applyTransition(const ChaosTransition &tr)
             warm(s);
         uint64_t tiles = rewarmTiles_[tr.shard];
         double ms = rewarmMs_[tr.shard];
-        uint64_t us = static_cast<uint64_t>(std::llround(ms * 1e3));
+        uint64_t us = serve::roundUs(ms * 1e3);
         s.report.reloadedTiles += tiles;
         s.report.reloadMsTotal += ms;
         s.reloadUs += us;
@@ -867,11 +904,17 @@ Cluster::replayOne(const ClusterRequest &req, ReplayPass &rp)
         static_cast<uint32_t>(clsMonitor_.classOf(req.deadlineMs));
     double a = req.arrivalS;
     advanceChaos(a);
-    for (auto &sp : shards_)
-        sp->queue.prune(a);
+    // One pass over the shards: drop each start log's past, then
+    // measure it at the arrival.
+    loads_.resize(shards_.size());
+    for (size_t i = 0; i < shards_.size(); ++i) {
+        Shard &s = *shards_[i];
+        s.queue.prune(a);
+        loads_[i] = virtualLoad(s, a);
+    }
 
-    int32_t target = router_->route(rp.seq, req.model, me.name, cls,
-                                    virtualLoads(a));
+    int32_t target =
+        router_->route(rp.seq, req.model, me.name, cls, loads_);
     if (target < 0) {
         if (target == -2) {
             ++cs.unavailable; // eviction took every shard: not a shed
@@ -923,7 +966,7 @@ Cluster::replayOne(const ClusterRequest &req, ReplayPass &rp)
     }
 }
 
-Cluster::WeightCharge
+[[gnu::always_inline]] inline Cluster::WeightCharge
 Cluster::touchWeights(size_t shard, uint32_t model, uint64_t tiles)
 {
     Shard &s = *shards_[shard];
@@ -934,13 +977,13 @@ Cluster::touchWeights(size_t shard, uint32_t model, uint64_t tiles)
     // The DRAM traffic happens even if the attempt later loses a hedge
     // race — reload charges are never rolled back.
     c.ms = reloadMs(s.group, c.touch.loadedTiles);
-    c.us = static_cast<uint64_t>(std::llround(c.ms * 1e3));
+    c.us = serve::roundUs(c.ms * 1e3);
     s.report.reloadedTiles += c.touch.loadedTiles;
     s.report.reloadMsTotal += c.ms;
     return c;
 }
 
-Cluster::Attempt
+[[gnu::always_inline]] inline Cluster::Attempt
 Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
                     ReplayPass &rp)
 {
@@ -1002,7 +1045,7 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
         return at;
     }
     // One lookup prices the attempt: service time and weight tiles.
-    const Price &pr = price(req.model, s.group, req.steps, opts_.fidelity);
+    Price pr = price(req.model, s.group, req.steps, opts_.fidelity);
     WeightCharge wc = touchWeights(shard, req.model, pr.tiles);
     s.reloadUs += wc.us;
     double model_ms = pr.ms;
@@ -1023,7 +1066,7 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
     return at;
 }
 
-void
+[[gnu::always_inline]] inline void
 Cluster::settle(const Attempt &w, serve::AttemptRecord rec,
                 const ClusterRequest &req, uint32_t cls, ReplayPass &rp)
 {
@@ -1079,7 +1122,7 @@ Cluster::recordAttemptTree(obs::TraceId trace,
     // Compiled models have chain profiles; flat-service ones do not.
     if (!e.timed) {
         auto [it, fresh] =
-            chainCache_.try_emplace(svcKey(req.model, group, req.steps));
+            chainCache_.try_emplace(chainKey(req.model, group, req.steps));
         if (fresh) {
             auto chains =
                 std::make_shared<std::vector<obs::ChainProfile>>();
@@ -1351,8 +1394,8 @@ void
 Cluster::auditCheck(uint64_t seq, uint32_t model, size_t group,
                     unsigned steps, double fast_ms)
 {
-    double exact_ms =
-        price(model, group, steps, timing::Fidelity::CycleAccurate).ms;
+    double exact_ms = modelServiceMs(model, group, steps,
+                                     timing::Fidelity::CycleAccurate);
     ++auditChecks_;
     if (auditChecksC_)
         auditChecksC_->inc();

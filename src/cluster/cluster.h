@@ -272,6 +272,10 @@ class Cluster
     /** Simulated single-request service milliseconds for @p model on
      *  @p group's configuration at @p steps timesteps (cached). */
     double modelServiceMs(uint32_t model, size_t group, unsigned steps);
+    /** The same under timing tier @p fidelity (the fidelity audit
+     *  re-prices under CycleAccurate). */
+    double modelServiceMs(uint32_t model, size_t group, unsigned steps,
+                          timing::Fidelity fidelity);
 
     /** Milliseconds to stream @p tiles weight tiles from DRAM on
      *  @p group's configuration (TimingParams cycles at clockMhz). */
@@ -534,8 +538,11 @@ class Cluster
 
     /** Count, gauge and (warmStart) preload a new model. */
     uint32_t registerModel(ModelEntry e);
-    /** Every shard's virtual-time load at @p now_s (a reused buffer,
-     *  valid until the next call). */
+    /** Shard @p s's virtual-time load at @p now_s. */
+    static EngineLoad virtualLoad(const Shard &s, double now_s);
+    /** Every shard's virtual-time load at @p now_s, with no pruning (a
+     *  reused buffer, valid until the next call): the hedge's view at
+     *  its future dispatch time. */
     const std::vector<EngineLoad> &virtualLoads(double now_s);
     std::vector<EngineLoad> liveLoads() const;
     /** Preload every registered model on @p s (warmStart). */
@@ -663,9 +670,12 @@ class Cluster
         uint64_t tiles = 0; //!< weight footprint (modelTiles)
     };
     /** The price of @p model on @p group at @p steps and @p fidelity,
-     *  cached per (model, group, steps, fidelity): one lookup. */
-    const Price &price(uint32_t model, size_t group, unsigned steps,
-                       timing::Fidelity fidelity);
+     *  from the dense price table: two indexings once priced. */
+    Price price(uint32_t model, size_t group, unsigned steps,
+                timing::Fidelity fidelity);
+    /** Fill price-table slot @p slot at @p steps (the cold path). */
+    Price priceFresh(size_t slot, uint32_t model, size_t group,
+                     unsigned steps, timing::Fidelity fidelity);
     /** Sampled fast-vs-cycle-accurate comparison (replay completed
      *  path). */
     void auditCheck(uint64_t seq, uint32_t model, size_t group,
@@ -684,14 +694,16 @@ class Cluster
     metrics::Gauge *enginesGauge_ = nullptr;
     metrics::Gauge *modelsGauge_ = nullptr;
 
-    /** (model, group, steps, fidelity) -> service ms and tiles. */
-    std::unordered_map<uint64_t, Price> priceCache_;
+    /** Service ms and tiles by slot (model, group, fidelity) — slot
+     *  (model * groups + group) * kFidelities + fidelity — then by
+     *  steps; an entry with ms < 0 is not priced yet. */
+    std::vector<std::vector<Price>> prices_;
 
     /** (model, group, steps) -> the profiled timing run whose chains
      *  become chain[i] span leaves. */
     std::unordered_map<uint64_t, timing::ProfiledRun> chainCache_;
 
-    std::vector<EngineLoad> loads_; //!< virtualLoads() buffer
+    std::vector<EngineLoad> loads_; //!< per-arrival router loads buffer
 
     /** The fleet federation plane (cluster registry + every shard). */
     obs::FleetRegistry fleet_;

@@ -30,12 +30,14 @@
 #ifndef BW_CLUSTER_ROUTER_H
 #define BW_CLUSTER_ROUTER_H
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
+#include "common/logging.h"
 #include "common/status.h"
 #include "obs/route.h"
 
@@ -187,6 +189,88 @@ class Router
     uint64_t logDropped_ = 0;
     std::function<void(const RouteDecision &)> sink_;
 };
+
+// route() runs once per replayed request: the decision and every
+// load-reading policy are inline, so only consistent_hash's ring walk
+// (a hash of the model name) is a call. It is always_inline because
+// cluster.cc has no inlining budget left by the time it reaches
+// replayOne.
+
+inline double
+Router::shedThreshold(uint32_t cls) const
+{
+    return shedAt_[std::min<size_t>(cls, shedAt_.size() - 1)];
+}
+
+inline int32_t
+Router::leastLoaded(const std::vector<EngineLoad> &loads) const
+{
+    uint64_t best = UINT64_MAX;
+    int32_t pick = -2; // no healthy engine
+    for (size_t e = 0; e < loads.size(); ++e) {
+        if (!loads[e].healthy)
+            continue; // evicted shards take no new work
+        uint64_t occ = loads[e].queued + loads[e].inflight;
+        if (occ < best) { // strict: ties go to the lowest index
+            best = occ;
+            pick = static_cast<int32_t>(e);
+        }
+    }
+    return pick;
+}
+
+[[gnu::always_inline]] inline int32_t
+Router::route(uint64_t seq, uint32_t model,
+              const std::string &model_name, uint32_t cls,
+              const std::vector<EngineLoad> &loads)
+{
+    BW_ASSERT(loads.size() == engines_,
+              "router got %zu engine loads, expected %u", loads.size(),
+              engines_);
+    int32_t engine = -1;
+    switch (opts_.policy) {
+    case RoutePolicy::ConsistentHash:
+        engine = ringWalk(model_name, loads);
+        break;
+    case RoutePolicy::LeastLoaded:
+        engine = leastLoaded(loads);
+        break;
+    case RoutePolicy::SloAware: {
+        // Occupancy over the healthy set only: an evicted shard's
+        // capacity is gone, so its empty queue must not mask pressure.
+        uint64_t queued = 0, capacity = 0;
+        bool anyHealthy = false;
+        for (const EngineLoad &l : loads) {
+            if (!l.healthy)
+                continue;
+            anyHealthy = true;
+            queued += l.queued;
+            capacity += std::max<uint64_t>(l.queueCapacity, 1);
+        }
+        if (!anyHealthy) {
+            engine = -2;
+            break;
+        }
+        double occupancy =
+            static_cast<double>(queued) / static_cast<double>(capacity);
+        if (occupancy >= shedThreshold(cls))
+            engine = -1; // front-door shed: this class yields its slot
+        else
+            engine = leastLoaded(loads);
+        break;
+    }
+    }
+
+    tally_.add(engine, cls);
+    RouteDecision decision{seq, model, cls, engine};
+    if (sink_)
+        sink_(decision); // streaming export sees every decision
+    if (log_.size() < opts_.logCapacity)
+        log_.push_back(decision);
+    else
+        ++logDropped_;
+    return engine;
+}
 
 /**
  * Structural validator for a bw.route/1 document (decisionsJson):

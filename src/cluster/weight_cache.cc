@@ -1,5 +1,7 @@
 #include "cluster/weight_cache.h"
 
+#include "common/logging.h"
+
 namespace bw {
 namespace cluster {
 
@@ -8,71 +10,23 @@ WeightCache::WeightCache(uint64_t capacity_tiles)
 {
 }
 
-bool
-WeightCache::evictFor(uint64_t tiles)
-{
-    if (capacity_ == 0)
-        return true; // unbounded
-    if (tiles > capacity_)
-        return false; // can never be resident
-    while (used_ + tiles > capacity_ && !lru_.empty()) {
-        const Entry &victim = lru_.back();
-        used_ -= victim.tiles;
-        index_.erase(victim.model);
-        lru_.pop_back();
-        ++evictions_;
-    }
-    return used_ + tiles <= capacity_;
-}
-
 void
-WeightCache::insert(uint32_t model, uint64_t tiles)
+WeightCache::grow(uint32_t model)
 {
-    lru_.push_front(Entry{model, tiles});
-    index_[model] = lru_.begin();
-    used_ += tiles;
-}
-
-WeightTouch
-WeightCache::touch(uint32_t model, uint64_t tiles)
-{
-    WeightTouch t;
-    if (tiles == 0) { // nothing to load; always a free hit
-        t.hit = true;
-        ++hits_;
-        return t;
-    }
-    auto it = index_.find(model);
-    if (it != index_.end()) {
-        t.hit = true;
-        ++hits_;
-        lru_.splice(lru_.begin(), lru_, it->second); // refresh MRU
-        return t;
-    }
-    ++misses_;
-    t.loadedTiles = tiles;
-    uint64_t ev0 = evictions_;
-    if (evictFor(tiles))
-        insert(model, tiles);
-    t.evictions = static_cast<unsigned>(evictions_ - ev0);
-    return t;
+    BW_ASSERT(model != kNil, "weight cache: model id %u is reserved",
+              model);
+    nodes_.resize(static_cast<size_t>(model) + 1);
 }
 
 bool
 WeightCache::preload(uint32_t model, uint64_t tiles)
 {
-    if (tiles == 0 || index_.count(model))
+    if (tiles == 0 || resident(model))
         return true;
     if (capacity_ != 0 && used_ + tiles > capacity_)
         return false; // warm start never evicts
     insert(model, tiles);
     return true;
-}
-
-bool
-WeightCache::resident(uint32_t model) const
-{
-    return index_.count(model) != 0;
 }
 
 void
@@ -87,8 +41,10 @@ WeightCache::clear()
 void
 WeightCache::invalidate()
 {
-    lru_.clear();
-    index_.clear();
+    for (uint32_t m = mru_; m != kNil; m = nodes_[m].next)
+        nodes_[m].tiles = 0;
+    mru_ = lru_ = kNil;
+    residents_ = 0;
     used_ = 0;
 }
 
@@ -102,10 +58,10 @@ WeightCache::toJson() const
     j.set("misses", misses_);
     j.set("evictions", evictions_);
     Json res = Json::array();
-    for (const Entry &e : lru_) {
+    for (uint32_t m = mru_; m != kNil; m = nodes_[m].next) {
         Json r = Json::object();
-        r.set("model", e.model);
-        r.set("tiles", e.tiles);
+        r.set("model", m);
+        r.set("tiles", nodes_[m].tiles);
         res.push(std::move(r));
     }
     j.set("resident", std::move(res));

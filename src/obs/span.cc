@@ -71,17 +71,6 @@ SpanTracer::SpanTracer(SpanTracerOptions opts)
     opts_.shardCapacity = ring_.capacity();
 }
 
-TraceContext
-SpanTracer::admit(uint64_t seq) const
-{
-    TraceContext ctx;
-    if (opts_.sampleEvery > 0 && seq > 0 &&
-        (seq - 1) % opts_.sampleEvery == 0) {
-        ctx.trace = seq;
-    }
-    return ctx;
-}
-
 std::vector<SpanRecord>
 SpanTracer::collect() const
 {

@@ -221,7 +221,14 @@ class SpanTracer
      * sequence number @p seq (1-based). Returns a context whose trace
      * id equals @p seq when sampled, 0 otherwise.
      */
-    TraceContext admit(uint64_t seq) const;
+    TraceContext admit(uint64_t seq) const
+    {
+        TraceContext ctx;
+        if (opts_.sampleEvery > 0 && seq > 0 &&
+            (seq - 1) % opts_.sampleEvery == 0)
+            ctx.trace = seq;
+        return ctx;
+    }
 
     /** Record one span (see class comment). */
     void record(const SpanRecord &s) { ring_.record(s); }

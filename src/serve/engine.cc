@@ -439,8 +439,7 @@ Engine::serveOne(unsigned index, FuncMachine *machine, Pending p,
         emitTrace(obs::EventKind::Service, obs::ResClass::ServeWorker,
                   static_cast<uint16_t>(index), p.id, dequeue_s, done_s);
         if (live_) {
-            live_->replicaBusyUs[index]->add(static_cast<uint64_t>(
-                std::llround((done_s - dequeue_s) * 1e6)));
+            live_->replicaBusyUs[index]->add(toUs(done_s - dequeue_s));
         }
     }
     r.latencyMs = r.queueMs + r.serviceMs + opts_.networkMs;

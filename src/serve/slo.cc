@@ -86,40 +86,6 @@ SloBuckets::SloBuckets(const SloOptions &opts)
     }
 }
 
-SloBuckets::Sample
-SloBuckets::record(size_t cls, uint64_t t_us, double latency_ms,
-                   bool available)
-{
-    ClassState &cs = classes_[cls];
-    if (t_us < cs.curLoUs || t_us >= cs.curHiUs) {
-        // Into another bucket: the only path that divides.
-        uint64_t bucket = t_us / bucketUs_;
-        cs.curSlot = static_cast<size_t>(bucket % cs.ring.size());
-        cs.curLoUs = bucket * bucketUs_;
-        cs.curHiUs = cs.curLoUs + bucketUs_;
-        if (cs.tag[cs.curSlot] != bucket) {
-            cs.ring[cs.curSlot] = Bucket{};
-            cs.tag[cs.curSlot] = bucket;
-        }
-    }
-    Bucket &b = cs.ring[cs.curSlot];
-    ++cs.requests;
-    highWaterUs_ = std::max(highWaterUs_, t_us);
-    if (!available) {
-        ++b.availBad;
-        ++cs.availabilityBreaches;
-        return Sample::Unavailable;
-    }
-    ++b.availGood;
-    if (latency_ms <= cs.latencyTargetMs) {
-        ++b.latGood;
-        return Sample::Good;
-    }
-    ++b.latBad;
-    ++cs.latencyBreaches;
-    return Sample::LatencyBreach;
-}
-
 SloWindowEval
 SloBuckets::evalWindow(const ClassState &cs, uint64_t window_us,
                        bool latency) const
@@ -208,22 +174,6 @@ SloMonitor::bindMetrics(metrics::Registry *registry)
                 "errored, cancelled)",
                 labels)});
     }
-}
-
-size_t
-SloMonitor::classOf(double deadline_ms) const
-{
-    size_t catch_all = opts_.classes.size() - 1;
-    for (size_t c = 0; c < opts_.classes.size(); ++c) {
-        double bound = opts_.classes[c].maxDeadlineMs;
-        if (bound <= 0) {
-            catch_all = c; // explicit catch-all
-            continue;
-        }
-        if (deadline_ms > 0 && deadline_ms <= bound)
-            return c;
-    }
-    return catch_all;
 }
 
 void

@@ -29,6 +29,14 @@
  * from seconds once, here) and its SLO sample. Its span tree is
  * written by obs::recordAttemptSpans from the same record. A replay
  * pass writes records and samples through one OutcomeSink.
+ *
+ * Everything a replayed request runs here is inline in this header:
+ * the queue measure (queued's ascending fast path, inflight), prune,
+ * reserve and the log push, serve(), the record constructor and its
+ * stamp rounding (roundHalfAway, which is std::llround without the
+ * call). Out of line are only what the per-request path rarely
+ * reaches: the upper_bound probe of an unsorted (hedged) log, cancel
+ * and ring growth.
  */
 
 #ifndef BW_SERVE_VIRTUAL_SHARD_H
@@ -46,14 +54,40 @@
 namespace bw {
 namespace serve {
 
-/** Seconds -> whole microseconds (rounded; 0 for non-positive input):
- *  the one conversion behind every engine and cluster record stamp. */
-inline uint64_t
+/**
+ * std::llround(@p x), bit for bit, inline: the nearest integer with
+ * halves rounded away from zero. Truncation is exact below 2^63 in
+ * magnitude, and so is the fraction it leaves, so comparing that
+ * fraction with one half rounds exactly as llround does; the call
+ * through the C library remains only for |x| >= 2^63 and NaN, where
+ * llround's own result (or domain error) is kept. It and the two
+ * stamp helpers below are always_inline: an AttemptRecord takes five
+ * stamps per request, and GCC otherwise left a call per stamp.
+ */
+[[gnu::always_inline]] inline long long
+roundHalfAway(double x)
+{
+    if (!(x > -0x1p63 && x < 0x1p63))
+        return std::llround(x);
+    long long i = static_cast<long long>(x);
+    double frac = x - static_cast<double>(i);
+    return frac >= 0.5 ? i + 1 : frac <= -0.5 ? i - 1 : i;
+}
+
+/** Whole microseconds from @p us (roundHalfAway; 0 for non-positive
+ *  input): the one rounding rule behind every record stamp. */
+[[gnu::always_inline]] inline uint64_t
+roundUs(double us)
+{
+    return us > 0 ? static_cast<uint64_t>(roundHalfAway(us)) : 0;
+}
+
+/** Seconds -> whole microseconds (roundUs): the one conversion behind
+ *  every engine and cluster record stamp. */
+[[gnu::always_inline]] inline uint64_t
 toUs(double seconds)
 {
-    return seconds > 0
-               ? static_cast<uint64_t>(std::llround(seconds * 1e6))
-               : 0;
+    return roundUs(seconds * 1e6);
 }
 
 /** Queue state of one virtual-time shard (see the file comment). */
@@ -74,7 +108,15 @@ class VirtualShard
 
     /** Admitted requests not yet dequeued at @p t: O(1) for a query
      *  no earlier than the last prune() while the log is ascending. */
-    size_t queued(double t) const;
+    size_t queued(double t) const
+    {
+        // An ascending log holds only starts after t once t precedes
+        // its front, which is every query at the time of the last
+        // prune().
+        if (ascending_ && (size_ == 0 || t < at(0)))
+            return size_;
+        return queuedUnsorted(t);
+    }
 
     /** Whether the start log is known to be ascending. Starts logged
      *  under one arrival clock are; a hedge's later start can break
@@ -82,7 +124,12 @@ class VirtualShard
     bool ascending() const { return ascending_ || size_ == 0; }
 
     /** Replicas still busy at @p t. */
-    uint64_t inflight(double t) const;
+    uint64_t inflight(double t) const
+    {
+        return static_cast<uint64_t>(
+            std::count_if(freeS_.begin(), freeS_.end(),
+                          [t](double f) { return f > t; }));
+    }
 
     /** Whether a request arriving at @p t finds room in the queue. */
     bool admits(double t) const { return queued(t) < depth_; }
@@ -93,7 +140,17 @@ class VirtualShard
      * and that start is logged. The replica's free time is unchanged
      * until finish().
      */
-    Reservation reserve(double ready_s);
+    Reservation reserve(double ready_s)
+    {
+        Reservation r;
+        r.replica = static_cast<size_t>(
+            std::min_element(freeS_.begin(), freeS_.end()) -
+            freeS_.begin());
+        r.prevFreeS = freeS_[r.replica];
+        r.startS = std::max(ready_s, r.prevFreeS);
+        push(r.startS);
+        return r;
+    }
 
     /** The reserved replica is busy until @p done_s. */
     void finish(const Reservation &r, double done_s)
@@ -108,7 +165,16 @@ class VirtualShard
     /** Drop logged starts at or before @p now_s from the front. Call
      *  with the current arrival time only — later queries must not
      *  look back before @p now_s. */
-    void prune(double now_s);
+    void prune(double now_s)
+    {
+        // Starts at or before now are exactly what queued(t) counts as
+        // dequeued for any t >= now, so dropping them changes no
+        // answer.
+        while (size_ > 0 && at(0) <= now_s) {
+            head_ = (head_ + 1) & mask_;
+            --size_;
+        }
+    }
 
     /** Whether a request that arrived at @p arrival_s and dequeues at
      *  @p start_s has outwaited @p deadline_ms (0 = no deadline). */
@@ -143,7 +209,20 @@ class VirtualShard
 
   private:
     double at(size_t i) const { return log_[(head_ + i) & mask_]; }
-    void push(double start_s);
+    /** queued() over a log that may be out of order (a hedged start):
+     *  std::upper_bound's probe sequence, out of line. */
+    size_t queuedUnsorted(double t) const;
+    void push(double start_s)
+    {
+        ascending_ =
+            ascending() && (size_ == 0 || start_s >= at(size_ - 1));
+        if (size_ == log_.size())
+            grow();
+        log_[(head_ + size_) & mask_] = start_s;
+        ++size_;
+    }
+    /** Double the ring, unrolled to start at index 0. */
+    void grow();
 
     std::vector<double> freeS_; //!< per-replica next-free time
     size_t depth_ = 1;
@@ -171,7 +250,8 @@ struct AttemptRecord : obs::FlightRecord
     /** Stamps from seconds: each boundary becomes whole microseconds
      *  (toUs) once, clamped to the one before it, so admit <= dequeue
      *  <= service <= done and the span children partition the request
-     *  span exactly; latencyUs is latencyMs rounded likewise. */
+     *  span exactly; latencyUs is latencyMs rounded likewise
+     *  (roundUs). */
     AttemptRecord(uint64_t seq, uint64_t id, obs::FlightClass cls,
                   bool sampled, uint32_t replica, uint32_t steps,
                   double admit_s, double dequeue_s, double service_s,
@@ -275,9 +355,7 @@ inline AttemptRecord::AttemptRecord(uint64_t seq, uint64_t id,
     dequeueUs = std::max(toUs(dequeue_s), admitUs);
     serviceUs = std::max(toUs(service_s), dequeueUs);
     doneUs = std::max(toUs(done_s), serviceUs);
-    latencyUs = latency_ms > 0
-                    ? static_cast<uint64_t>(std::llround(latency_ms * 1e3))
-                    : 0;
+    latencyUs = roundUs(latency_ms * 1e3);
 }
 
 } // namespace serve

@@ -7,8 +7,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <list>
 #include <map>
 #include <thread>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
@@ -224,6 +226,195 @@ TEST(WeightCache, PreloadWarmStart)
     EXPECT_FALSE(c.resident(1));
     EXPECT_EQ(c.misses(), 0u);
     EXPECT_TRUE(c.touch(0, 60).hit);
+}
+
+namespace {
+
+/// The std::list + std::unordered_map LRU that WeightCache's intrusive
+/// list replaced, kept as the differential oracle: the same hit, miss
+/// and eviction rules and the same MRU-first document.
+class ListLru
+{
+  public:
+    explicit ListLru(uint64_t capacity) : capacity_(capacity) {}
+
+    WeightTouch
+    touch(uint32_t model, uint64_t tiles)
+    {
+        WeightTouch t;
+        if (tiles == 0) {
+            t.hit = true;
+            ++hits_;
+            return t;
+        }
+        auto it = index_.find(model);
+        if (it != index_.end()) {
+            t.hit = true;
+            ++hits_;
+            lru_.splice(lru_.begin(), lru_, it->second);
+            return t;
+        }
+        ++misses_;
+        t.loadedTiles = tiles;
+        uint64_t ev0 = evictions_;
+        if (evictFor(tiles))
+            insert(model, tiles);
+        t.evictions = static_cast<unsigned>(evictions_ - ev0);
+        return t;
+    }
+
+    bool
+    preload(uint32_t model, uint64_t tiles)
+    {
+        if (tiles == 0 || index_.count(model))
+            return true;
+        if (capacity_ != 0 && used_ + tiles > capacity_)
+            return false;
+        insert(model, tiles);
+        return true;
+    }
+
+    void
+    invalidate()
+    {
+        lru_.clear();
+        index_.clear();
+        used_ = 0;
+    }
+
+    void
+    clear()
+    {
+        invalidate();
+        hits_ = misses_ = evictions_ = 0;
+    }
+
+    bool resident(uint32_t model) const { return index_.count(model) != 0; }
+    size_t residents() const { return lru_.size(); }
+    uint64_t used() const { return used_; }
+    uint64_t hits() const { return hits_; }
+    uint64_t misses() const { return misses_; }
+    uint64_t evictions() const { return evictions_; }
+
+    Json
+    toJson() const
+    {
+        Json j = Json::object();
+        j.set("capacity_tiles", capacity_);
+        j.set("used_tiles", used_);
+        j.set("hits", hits_);
+        j.set("misses", misses_);
+        j.set("evictions", evictions_);
+        Json res = Json::array();
+        for (const auto &[model, tiles] : lru_) {
+            Json r = Json::object();
+            r.set("model", model);
+            r.set("tiles", tiles);
+            res.push(std::move(r));
+        }
+        j.set("resident", std::move(res));
+        return j;
+    }
+
+  private:
+    using Entry = std::pair<uint32_t, uint64_t>;
+
+    bool
+    evictFor(uint64_t tiles)
+    {
+        if (capacity_ == 0)
+            return true;
+        if (tiles > capacity_)
+            return false;
+        while (used_ + tiles > capacity_ && !lru_.empty()) {
+            used_ -= lru_.back().second;
+            index_.erase(lru_.back().first);
+            lru_.pop_back();
+            ++evictions_;
+        }
+        return used_ + tiles <= capacity_;
+    }
+
+    void
+    insert(uint32_t model, uint64_t tiles)
+    {
+        lru_.emplace_front(model, tiles);
+        index_[model] = lru_.begin();
+        used_ += tiles;
+    }
+
+    uint64_t capacity_;
+    uint64_t used_ = 0, hits_ = 0, misses_ = 0, evictions_ = 0;
+    std::list<Entry> lru_;
+    std::unordered_map<uint32_t, std::list<Entry>::iterator> index_;
+};
+
+} // namespace
+
+TEST(WeightCache, MatchesListLruOracle)
+{
+    // Seeded random touch / preload / invalidate / clear sequences over
+    // unbounded, tight and roomy capacities, zero-tile and oversized
+    // footprints and non-contiguous model ids: every outcome, counter
+    // and document must equal the list + map LRU's.
+    const std::vector<uint32_t> ids = {0, 1, 2, 5, 9, 17, 64, 300, 4097};
+    uint64_t evicted = 0, oversized = 0, refreshed = 0;
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+        Rng rng(seed);
+        const uint64_t caps[] = {0, 40, 100, 400};
+        uint64_t cap = caps[seed % 4];
+        WeightCache c(cap);
+        ListLru ref(cap);
+        // Each id has a usual footprint (0 = zero-tile model); a touch
+        // occasionally brings another.
+        std::vector<uint64_t> tiles(ids.size());
+        for (uint64_t &t : tiles)
+            t = static_cast<uint64_t>(rng.integer(0, 4)) == 0
+                    ? 0
+                    : static_cast<uint64_t>(rng.integer(1, 120));
+        for (int step = 0; step < 3000; ++step) {
+            size_t k = static_cast<size_t>(
+                rng.integer(0, static_cast<int64_t>(ids.size()) - 1));
+            uint32_t m = ids[k];
+            uint64_t t = rng.integer(0, 19) == 0
+                             ? static_cast<uint64_t>(rng.integer(0, 500))
+                             : tiles[k];
+            int64_t op = rng.integer(0, 99);
+            std::string where = "seed " + std::to_string(seed) +
+                                " step " + std::to_string(step);
+            if (op < 80) {
+                bool was_resident = ref.resident(m);
+                WeightTouch got = c.touch(m, t);
+                WeightTouch want = ref.touch(m, t);
+                ASSERT_EQ(got.hit, want.hit) << where;
+                ASSERT_EQ(got.loadedTiles, want.loadedTiles) << where;
+                ASSERT_EQ(got.evictions, want.evictions) << where;
+                evicted += want.evictions;
+                oversized += cap != 0 && t > cap;
+                refreshed += was_resident && t != 0;
+            } else if (op < 92) {
+                ASSERT_EQ(c.preload(m, t), ref.preload(m, t)) << where;
+            } else if (op < 97) {
+                c.invalidate();
+                ref.invalidate();
+            } else {
+                c.clear();
+                ref.clear();
+            }
+            ASSERT_EQ(c.hits(), ref.hits()) << where;
+            ASSERT_EQ(c.misses(), ref.misses()) << where;
+            ASSERT_EQ(c.evictions(), ref.evictions()) << where;
+            ASSERT_EQ(c.residents(), ref.residents()) << where;
+            ASSERT_EQ(c.usedTiles(), ref.used()) << where;
+            for (uint32_t id : ids)
+                ASSERT_EQ(c.resident(id), ref.resident(id)) << where;
+            ASSERT_EQ(c.toJson().dump(), ref.toJson().dump()) << where;
+        }
+    }
+    // The sequences reached every path the oracle compares.
+    EXPECT_GT(evicted, 100u);
+    EXPECT_GT(oversized, 10u);
+    EXPECT_GT(refreshed, 1000u);
 }
 
 // --- Router ---
@@ -850,6 +1041,56 @@ TEST(Cluster, CompiledModelsDifferPerGroup)
     double s1 = c.modelServiceMs(id.value(), 1, 1);
     EXPECT_GT(s0, 0.0);
     EXPECT_GT(s1, s0); // the S5 part is slower than the S10 part
+}
+
+TEST(Cluster, PriceTableMatchesSessionServiceMs)
+{
+    // Every (model, group, fidelity, steps) key has its own entry in
+    // the dense price table: a compiled and a timed model, both groups,
+    // the fast tier the cluster runs and the cycle-accurate tier its
+    // audit re-prices under, queried in an interleaved order and again
+    // from the filled table, each equal to the session's own price.
+    ClusterOptions co = smallClusterOptions();
+    co.fidelity = timing::Fidelity::Fast;
+    Cluster c(co);
+    Rng rng(5);
+    GirGraph g = makeGru(randomGruWeights(96, 96, rng));
+    Expected<uint32_t> compiled = c.addModel("gru96", g);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().toString();
+    uint32_t timed = c.addTimedModel("flat", 1.25, 40);
+    std::vector<std::unique_ptr<Session>> ref;
+    for (const ReplicaGroupSpec &grp : co.groups)
+        ref.push_back(
+            std::make_unique<Session>(Session::compile(g, grp.config)));
+
+    const timing::Fidelity tiers[] = {timing::Fidelity::Fast,
+                                      timing::Fidelity::CycleAccurate};
+    const unsigned steps[] = {7, 1, 25, 3, 2};
+    for (int pass = 0; pass < 2; ++pass) {
+        for (unsigned st : steps) {
+            for (size_t grp = 0; grp < co.groups.size(); ++grp) {
+                for (timing::Fidelity f : tiers) {
+                    std::string key = "steps " + std::to_string(st) +
+                                      " group " + std::to_string(grp) +
+                                      " " + timing::fidelityName(f);
+                    EXPECT_EQ(c.modelServiceMs(compiled.value(), grp, st, f),
+                              ref[grp]->serviceMs(st, f))
+                        << key;
+                    EXPECT_EQ(c.modelServiceMs(timed, grp, st, f), 1.25)
+                        << key;
+                }
+                // The three-argument form prices under the cluster's
+                // own tier.
+                EXPECT_EQ(c.modelServiceMs(compiled.value(), grp, st),
+                          ref[grp]->serviceMs(st, timing::Fidelity::Fast));
+            }
+        }
+    }
+    // Keys that differ only in steps or only in group price apart.
+    EXPECT_NE(c.modelServiceMs(compiled.value(), 0, 1),
+              c.modelServiceMs(compiled.value(), 0, 25));
+    EXPECT_NE(c.modelServiceMs(compiled.value(), 0, 7),
+              c.modelServiceMs(compiled.value(), 1, 7));
 }
 
 TEST(Cluster, OptionsFromEnv)

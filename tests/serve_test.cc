@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <deque>
+#include <limits>
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
@@ -507,6 +509,68 @@ TEST(Replay, DeadlinesExpireOnDequeue)
     EXPECT_EQ(s.requests +
                   engine.collector().count(obs::FlightClass::DeadlineExpired),
               arrivals.size());
+}
+
+TEST(VirtualShard, RoundHalfAwayIsLlroundBitForBit)
+{
+    // The inline stamp rounding must return exactly what std::llround
+    // does: ties, the double just below one half, the 2^52 boundary
+    // where doubles stop having fractions, and the 2^63 overflow range
+    // (where it defers to llround). Values pass through a volatile so
+    // neither side is folded at compile time.
+    size_t checked = 0, mismatched = 0;
+    auto same = [&](double x) {
+        volatile double v = x;
+        long long got = serve::roundHalfAway(v);
+        long long want = std::llround(v);
+        ++checked;
+        if (got != want) {
+            ++mismatched;
+            ADD_FAILURE() << std::hexfloat << x << ": " << got
+                          << " != llround " << want;
+        }
+    };
+    for (double x : {0.0, -0.0, 0.5, 1.5, 2.5, 3.5, 1e6 + 0.5, 999999.5,
+                     0x1p51 + 0.5, 0x1p52 - 0.5, 0x1p52 - 1.5})
+        for (double sgn : {1.0, -1.0})
+            same(sgn * x);
+    for (double x : {0.5, 1.5, 2.5, 0x1p52 - 0.5})
+        for (double sgn : {1.0, -1.0}) {
+            same(sgn * std::nextafter(x, 0.0));
+            same(sgn * std::nextafter(x, 1e300));
+        }
+    for (double edge : {0x1p52, 0x1p53, 0x1p63, 0x1p64}) {
+        double lo = edge, hi = edge;
+        for (int i = 0; i < 8; ++i) {
+            same(lo);
+            same(hi);
+            same(-lo);
+            same(-hi);
+            lo = std::nextafter(lo, 0.0);
+            hi = std::nextafter(hi, 1e300);
+        }
+    }
+    for (double x : {1e19, 1e300, std::numeric_limits<double>::max(),
+                     std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()})
+        for (double sgn : {1.0, -1.0})
+            same(sgn * x);
+    // 10^6 seeded doubles, log-uniform over [1e-9, 1e13]: every
+    // microsecond stamp and latency a replay can write.
+    Rng rng(63);
+    const double lo = std::log(1e-9), hi = std::log(1e13);
+    for (int i = 0; i < 1000000 && mismatched < 10; ++i)
+        same(std::exp(rng.uniform(lo, hi)));
+    EXPECT_EQ(mismatched, 0u);
+    EXPECT_GT(checked, 1000000u);
+
+    // The stamp helpers built on it: non-positive and NaN give 0.
+    EXPECT_EQ(serve::roundUs(2.5), 3u);
+    EXPECT_EQ(serve::roundUs(0.0), 0u);
+    EXPECT_EQ(serve::roundUs(-7.0), 0u);
+    EXPECT_EQ(serve::roundUs(std::numeric_limits<double>::quiet_NaN()), 0u);
+    EXPECT_EQ(serve::toUs(1.0000005), 1000001u);
+    EXPECT_EQ(serve::toUs(-1e-3), 0u);
 }
 
 TEST(VirtualShard, MatchesAPlainDequeAndUpperBound)
