@@ -23,7 +23,9 @@
  * groups, BW_CLUSTER_POLICY the router policy, BW_CLUSTER_CACHE_TILES
  * the per-engine weight-cache capacity, and BW_CLUSTER_SEED /
  * BW_CLUSTER_RPS / BW_CLUSTER_DURATION_S shape the generated trace.
- * BW_SERVE_* override the per-engine options as everywhere else.
+ * BW_SERVE_* override the per-engine options as everywhere else. A
+ * numeric value that does not parse, or lies outside its option's
+ * range, warns once on stderr and leaves the option as configured.
  * BW_CLUSTER_ROUTE_JSON=<path> writes the router's bw.route/1 decision
  * log, BW_SLO_JSON the cluster-level bw.slo/1 document, BW_SPANS_JSON
  * the route-rooted span trees, BW_FLIGHT_JSON engine 0's bw.flight/1
@@ -41,7 +43,8 @@
  *
  * Chaos plane: BW_CHAOS_RATE > 0 injects a seeded fault schedule
  * (crash / hang / slow / dropped-message, BW_CHAOS_SEED,
- * BW_CHAOS_HORIZON_S) into the Phase-1 replay; BW_HEDGE_MS arms hedged
+ * BW_CHAOS_HORIZON_S; 50 ms mean windows, slow faults x4, partitions
+ * drop half their requests) into the Phase-1 replay; BW_HEDGE_MS arms hedged
  * requests, BW_HEALTH_DETECT_MS sets the detection lag, and
  * BW_FLEET_INCIDENTS_JSON writes the bw.incident/1 timeline document
  * (also served live at /fleet/incidents.json; check with

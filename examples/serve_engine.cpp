@@ -10,7 +10,9 @@
  * paper-validated analytic serving model.
  *
  * Environment: BW_SERVE_REPLICAS, BW_SERVE_QUEUE_DEPTH and
- * BW_SERVE_TIMESCALE override the engine options; BW_STATS_JSON=<path>
+ * BW_SERVE_TIMESCALE override the engine options (a value that is not
+ * a number of the option's kind warns once and is ignored, as for
+ * every numeric BW_* variable); BW_STATS_JSON=<path>
  * writes the stats document; BW_SERVE_TRACE=<path> writes a
  * Perfetto-loadable Chrome trace of queue wait vs. service per worker,
  * overlaid with sampled metric counter tracks.
@@ -38,12 +40,12 @@
  * BW_FLIGHT_SLOWEST_K / BW_FLIGHT_RING tune promotion); anomalies plus
  * the slowest-K per window export via BW_FLIGHT_JSON=<path> with full
  * reconstructed span trees (analyze with bw_spans flight). An SLO
- * burn-rate monitor (BW_SLO_* tune objectives and windows) classifies
- * requests by deadline and serves /slo.json; BW_SLO_JSON=<path> writes
- * the same document. With BW_METRICS_PORT set, Engine::exposeDebug
- * also mounts /debug/queue, /debug/replicas, /debug/config,
- * /debug/errors and /debug/flight, and /healthz turns 503
- * {"draining":true} once the engine drains.
+ * burn-rate monitor (default SloOptions objectives and windows)
+ * classifies requests by deadline and serves /slo.json;
+ * BW_SLO_JSON=<path> writes the same document. With BW_METRICS_PORT
+ * set, Engine::exposeDebug also mounts /debug/queue, /debug/replicas,
+ * /debug/config, /debug/errors and /debug/flight, and /healthz turns
+ * 503 {"draining":true} once the engine drains.
  *
  *   $ ./serve_engine [clients] [requests_per_client]
  *   $ ./serve_engine --help
@@ -104,7 +106,7 @@ main(int argc, char **argv)
 
     // SLO burn-rate monitor: per-deadline-class latency/availability
     // SLIs over fast and slow windows, bw_slo_* metrics + /slo.json.
-    serve::SloMonitor slo(serve::SloOptions::fromEnv());
+    serve::SloMonitor slo(serve::SloOptions{});
     slo.bindMetrics(&registry);
 
     serve::EngineOptions opts;

@@ -1,8 +1,8 @@
 #include "cluster/chaos.h"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/env_doc.h"
 #include "common/logging.h"
 #include "common/rng.h"
 
@@ -24,31 +24,10 @@ faultClassName(FaultClass c)
 ChaosOptions
 ChaosOptions::fromEnv(ChaosOptions base)
 {
-    if (const char *v = std::getenv("BW_CHAOS_SEED")) {
-        if (*v)
-            base.seed = static_cast<uint64_t>(std::strtoull(v, nullptr, 10));
-    }
-    if (const char *v = std::getenv("BW_CHAOS_RATE")) {
-        if (*v)
-            base.faultRate = std::max(0.0, std::atof(v));
-    }
-    if (const char *v = std::getenv("BW_CHAOS_HORIZON_S")) {
-        if (*v)
-            base.horizonS = std::max(0.0, std::atof(v));
-    }
-    if (const char *v = std::getenv("BW_CHAOS_MEAN_S")) {
-        if (*v)
-            base.meanDurationS = std::max(0.0, std::atof(v));
-    }
-    if (const char *v = std::getenv("BW_CHAOS_SLOW_FACTOR")) {
-        if (*v)
-            base.slowFactor = std::max(1.0, std::atof(v));
-    }
-    if (const char *v = std::getenv("BW_CHAOS_DROP_PROB")) {
-        if (*v)
-            base.dropProb =
-                std::min(1.0, std::max(0.0, std::atof(v)));
-    }
+    // A negative rate or horizon disables chaos, as 0 does.
+    envUnsigned("BW_CHAOS_SEED", &base.seed);
+    envDouble("BW_CHAOS_RATE", &base.faultRate);
+    envDouble("BW_CHAOS_HORIZON_S", &base.horizonS);
     return base;
 }
 
@@ -82,9 +61,9 @@ ChaosSchedule::generate(const ChaosOptions &opts, unsigned shards)
         double mean = std::max(1e-6, opts.meanDurationS);
         ev.durationS = rng.exponential(1.0 / mean);
         if (ev.cls == FaultClass::SlowReplica)
-            ev.magnitude = opts.slowFactor;
+            ev.magnitude = kSlowFactor;
         else if (ev.cls == FaultClass::DroppedMessage)
-            ev.magnitude = opts.dropProb;
+            ev.magnitude = kDropProb;
         s.faults_.push_back(ev);
     }
     return s;

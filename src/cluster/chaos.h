@@ -58,6 +58,12 @@ struct FaultEvent
     double magnitude = 0;
 };
 
+/** SlowReplica service-time multiplier of a generated fault. */
+constexpr double kSlowFactor = 4.0;
+
+/** DroppedMessage per-request drop probability of a generated fault. */
+constexpr double kDropProb = 0.5;
+
 /** Seeded schedule generation knobs. */
 struct ChaosOptions
 {
@@ -73,17 +79,10 @@ struct ChaosOptions
     /** Mean fault-window length (exponential). */
     double meanDurationS = 0.05;
 
-    /** SlowReplica service-time multiplier. */
-    double slowFactor = 4.0;
-
-    /** DroppedMessage per-request drop probability. */
-    double dropProb = 0.5;
-
     bool enabled() const { return faultRate > 0 && horizonS > 0; }
 
-    /** Apply BW_CHAOS_SEED, BW_CHAOS_RATE, BW_CHAOS_HORIZON_S,
-     *  BW_CHAOS_MEAN_S, BW_CHAOS_SLOW_FACTOR and BW_CHAOS_DROP_PROB
-     *  on @p base. */
+    /** Apply BW_CHAOS_SEED, BW_CHAOS_RATE and BW_CHAOS_HORIZON_S on
+     *  @p base. */
     static ChaosOptions fromEnv(ChaosOptions base);
     static ChaosOptions fromEnv();
 };

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <exception>
 #include <limits>
 #include <thread>
 
+#include "common/env_doc.h"
 #include "common/logging.h"
 #include "metrics/exposition.h"
 #include "metrics/http_server.h"
@@ -38,7 +38,7 @@ constexpr size_t kFidelities =
 ClusterOptions
 ClusterOptions::fromEnv(ClusterOptions base)
 {
-    if (const char *mix = std::getenv("BW_CLUSTER_MIX")) {
+    if (const char *mix = envText("BW_CLUSTER_MIX")) {
         // "s5:2,a10:1" — preset name and engine count per group. The
         // first existing group's engine options act as the template.
         serve::EngineOptions tmpl = base.groups.empty()
@@ -57,63 +57,50 @@ ClusterOptions::fromEnv(ClusterOptions base)
             if (tok.empty())
                 continue;
             size_t colon = tok.find(':');
-            std::string name = tok.substr(0, colon);
-            unsigned count = 1;
-            if (colon != std::string::npos)
-                count = static_cast<unsigned>(
-                    std::max(1, std::atoi(tok.c_str() + colon + 1)));
             ReplicaGroupSpec g;
-            g.name = name;
-            g.engines = count;
+            g.name = tok.substr(0, colon);
             g.engine = tmpl;
-            if (name == "s5")
+            uint64_t count = 1;
+            bool good = colon == std::string::npos ||
+                        parseUnsigned(tok.c_str() + colon + 1, 0,
+                                      std::numeric_limits<unsigned>::max(),
+                                      &count);
+            if (g.name == "s5")
                 g.config = NpuConfig::bwS5();
-            else if (name == "a10")
+            else if (g.name == "a10")
                 g.config = NpuConfig::bwA10();
-            else if (name == "s10")
+            else if (g.name == "s10")
                 g.config = NpuConfig::bwS10();
-            else {
-                BW_WARN("BW_CLUSTER_MIX: unknown preset '%s' (want s5, "
-                        "a10 or s10); keeping configured groups",
-                        name.c_str());
+            else
+                good = false;
+            if (!good) {
+                BW_WARN("BW_CLUSTER_MIX: bad group '%s' (want s5, a10 or "
+                        "s10 with an optional :count); keeping configured "
+                        "groups",
+                        tok.c_str());
                 ok = false;
                 break;
             }
+            g.engines = static_cast<unsigned>(std::max<uint64_t>(1, count));
             groups.push_back(std::move(g));
         }
         if (ok && !groups.empty())
             base.groups = std::move(groups);
     }
-    if (const char *pol = std::getenv("BW_CLUSTER_POLICY")) {
+    if (const char *pol = envText("BW_CLUSTER_POLICY")) {
         Expected<RoutePolicy> p = routePolicyFromName(pol);
         if (p.ok())
             base.router.policy = p.value();
         else
             BW_WARN("BW_CLUSTER_POLICY: %s", p.status().message().c_str());
     }
-    if (const char *cap = std::getenv("BW_CLUSTER_CACHE_TILES")) {
-        if (*cap)
-            base.weightCacheTiles =
-                static_cast<uint64_t>(std::max(0.0, std::atof(cap)));
-    }
-    if (const char *cap = std::getenv("BW_ROUTE_LOG_MAX")) {
-        if (*cap)
-            base.router.logCapacity = static_cast<size_t>(
-                std::max(0.0, std::atof(cap)));
-    }
-    if (const char *n = std::getenv("BW_AUDIT_SAMPLE")) {
-        if (*n)
-            base.auditEvery =
-                static_cast<uint64_t>(std::max(0.0, std::atof(n)));
-    }
-    if (const char *h = std::getenv("BW_HEDGE_MS")) {
-        if (*h)
-            base.hedgeMs = std::atof(h);
-    }
-    if (const char *d = std::getenv("BW_HEALTH_DETECT_MS")) {
-        if (*d)
-            base.healthDetectMs = std::max(0.0, std::atof(d));
-    }
+    envUnsigned("BW_CLUSTER_CACHE_TILES", &base.weightCacheTiles);
+    envUnsigned("BW_ROUTE_LOG_MAX", &base.router.logCapacity);
+    envUnsigned("BW_AUDIT_SAMPLE", &base.auditEvery);
+    // Negative hedgeMs turns hedging off; a negative detection delay
+    // acts as 0, as every reader of healthDetectMs clamps it.
+    envDouble("BW_HEDGE_MS", &base.hedgeMs);
+    envDouble("BW_HEALTH_DETECT_MS", &base.healthDetectMs);
     base.chaos = ChaosOptions::fromEnv(base.chaos);
     base.fidelity = timing::fidelityFromEnv(base.fidelity);
     return base;
@@ -808,18 +795,16 @@ Cluster::applyTransition(const ChaosTransition &tr)
             break;
         case FaultClass::SlowReplica:
             cc.slow = true;
-            cc.slowFactor = std::max(
-                1.0, f.magnitude > 0 ? f.magnitude
-                                     : opts_.chaos.slowFactor);
+            cc.slowFactor =
+                std::max(1.0, f.magnitude > 0 ? f.magnitude : kSlowFactor);
             setHealthGauge(tr.shard, 1.0);
             break;
         case FaultClass::DroppedMessage:
         default:
             cc.dropping = true;
             cc.dropProb = std::min(
-                1.0, std::max(0.0, f.magnitude > 0
-                                       ? f.magnitude
-                                       : opts_.chaos.dropProb));
+                1.0, std::max(0.0, f.magnitude > 0 ? f.magnitude
+                                                   : kDropProb));
             setHealthGauge(tr.shard, 1.0);
             break;
         }

@@ -9,6 +9,23 @@ namespace cluster {
 
 namespace {
 
+/// Virtual nodes per engine on the consistent-hash ring.
+constexpr unsigned kVirtualNodes = 16;
+
+/// slo_aware shed thresholds, one per deadline class: class c is shed
+/// when cluster queue occupancy reaches at[c]. The most urgent class is
+/// never shed at the front door (occupancy cannot reach 2.0); each
+/// class below it sheds earlier (0.9, 0.7, ... down to 0.5), so under
+/// saturation the tail classes degrade first.
+std::vector<double>
+shedThresholds(size_t classes)
+{
+    std::vector<double> at(classes, 2.0);
+    for (size_t c = 1; c < classes; ++c)
+        at[c] = std::max(0.5, 0.9 - 0.2 * static_cast<double>(c - 1));
+    return at;
+}
+
 /// FNV-1a over a byte string — stable across platforms and runs, which
 /// is what keeps the hash ring (and therefore consistent_hash routing)
 /// reproducible between replays and between builds.
@@ -64,32 +81,15 @@ routePolicyFromName(const std::string &name)
                        name.c_str()));
 }
 
-std::vector<double>
-RouterOptions::defaultShedAt(size_t classes)
-{
-    // The most urgent class is never shed at the front door (occupancy
-    // cannot reach 2.0); each class below it sheds earlier, so under
-    // saturation the tail classes degrade first.
-    std::vector<double> at(classes, 2.0);
-    for (size_t c = 1; c < classes; ++c)
-        at[c] = std::max(0.5, 0.9 - 0.2 * static_cast<double>(c - 1));
-    return at;
-}
-
 Router::Router(RouterOptions opts, unsigned engines, size_t slo_classes)
     : opts_(std::move(opts)),
       engines_(engines > 0 ? engines : 1),
-      tally_(slo_classes)
+      tally_(slo_classes),
+      shedAt_(shedThresholds(tally_.shedByClass.size()))
 {
-    size_t classes = tally_.shedByClass.size();
-    shedAt_ = opts_.shedAt.empty() ? RouterOptions::defaultShedAt(classes)
-                                   : opts_.shedAt;
-    shedAt_.resize(classes, shedAt_.back());
-
-    unsigned vnodes = std::max(1u, opts_.virtualNodes);
-    ring_.reserve(static_cast<size_t>(engines_) * vnodes);
+    ring_.reserve(static_cast<size_t>(engines_) * kVirtualNodes);
     for (uint32_t e = 0; e < engines_; ++e) {
-        for (unsigned v = 0; v < vnodes; ++v) {
+        for (unsigned v = 0; v < kVirtualNodes; ++v) {
             uint64_t h = fnv1aMix(fnv1aMix(14695981039346656037ull, e),
                                   v + 1);
             ring_.push_back(RingPoint{h, e});

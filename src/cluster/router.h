@@ -76,25 +76,9 @@ struct RouterOptions
 {
     RoutePolicy policy = RoutePolicy::LeastLoaded;
 
-    /** Virtual nodes per engine on the consistent-hash ring (more
-     *  nodes, smoother model spread across engines). */
-    unsigned virtualNodes = 16;
-
-    /**
-     * slo_aware shed thresholds, one per deadline class (the
-     * SloMonitor class ladder): class c is shed when cluster queue
-     * occupancy (total queued / total queue capacity) reaches
-     * shedAt[c]. Empty = defaultShedAt(classes): the most urgent class
-     * is never front-door shed (threshold above any occupancy), lower
-     * classes shed at 0.9, 0.7, ... so load degrades tail-first.
-     */
-    std::vector<double> shedAt;
-
     /** Decision-log capacity; older decisions beyond it are dropped
      *  from the log (counters keep counting). */
     size_t logCapacity = 1u << 16;
-
-    static std::vector<double> defaultShedAt(size_t classes);
 };
 
 /** One engine's load as seen by the router at decision time. */
@@ -182,10 +166,13 @@ class Router
 
     RouterOptions opts_;
     unsigned engines_;
-    std::vector<double> shedAt_; //!< resolved per-class thresholds
+    obs::RouteTally tally_;
+    /** slo_aware per-class shed thresholds: class c is shed when
+     *  cluster queue occupancy (total queued / total queue capacity)
+     *  reaches shedAt_[c]. */
+    std::vector<double> shedAt_;
     std::vector<RingPoint> ring_;
     std::vector<RouteDecision> log_;
-    obs::RouteTally tally_;
     uint64_t logDropped_ = 0;
     std::function<void(const RouteDecision &)> sink_;
 };

@@ -12,10 +12,9 @@ namespace cluster {
 TrafficOptions
 TrafficOptions::fromEnv(TrafficOptions base)
 {
-    base.seed = static_cast<uint64_t>(
-        envDouble("BW_CLUSTER_SEED", static_cast<double>(base.seed)));
-    base.baseRps = envDouble("BW_CLUSTER_RPS", base.baseRps);
-    base.durationS = envDouble("BW_CLUSTER_DURATION_S", base.durationS);
+    envUnsigned("BW_CLUSTER_SEED", &base.seed);
+    envDouble("BW_CLUSTER_RPS", &base.baseRps);
+    envDouble("BW_CLUSTER_DURATION_S", &base.durationS);
     return base;
 }
 

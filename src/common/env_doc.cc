@@ -1,38 +1,99 @@
 #include "common/env_doc.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <mutex>
+#include <set>
 #include <sstream>
+
+#include "common/logging.h"
 
 namespace bw {
 
-double
-envDouble(const char *name, double fallback)
+namespace {
+
+/// One BW_WARN for a rejected value, once per variable and value.
+void
+reject(const char *name, const char *text, const std::string &want)
 {
-    const char *v = std::getenv(name);
-    return v && *v ? std::atof(v) : fallback;
+    static std::mutex mu;
+    static std::set<std::string> warned;
+    std::lock_guard<std::mutex> lk(mu);
+    if (warned.insert(std::string(name) + "=" + text).second)
+        BW_WARN("%s=%s ignored (want %s)", name, text, want.c_str());
 }
+
+} // namespace
+
+const char *
+envText(const char *name)
+{
+    return std::getenv(name);
+}
+
+bool
+parseUnsigned(const char *text, uint64_t lo, uint64_t hi, uint64_t *out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(*text)))
+        return false;
+    errno = 0;
+    char *end;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (errno == ERANGE || *end || v < lo || v > hi)
+        return false;
+    *out = v;
+    return true;
+}
+
+void
+envDouble(const char *name, double *field, double lo, double hi)
+{
+    const char *text = envText(name);
+    if (!text || !*text)
+        return;
+    char *end;
+    double v = std::strtod(text, &end);
+    if (!*end && std::isfinite(v) && v >= lo && v <= hi) {
+        *field = v;
+        return;
+    }
+    reject(name, text,
+           lo == -DBL_MAX && hi == DBL_MAX
+               ? std::string("a finite number")
+               : detail::format("a number in [%g, %g]", lo, hi));
+}
+
+namespace detail {
+
+bool
+envUnsigned(const char *name, uint64_t lo, uint64_t hi, uint64_t *out)
+{
+    const char *text = envText(name);
+    if (!text || !*text)
+        return false;
+    if (parseUnsigned(text, lo, hi, out))
+        return true;
+    reject(name, text,
+           format("an integer in [%llu, %llu]",
+                  static_cast<unsigned long long>(lo),
+                  static_cast<unsigned long long>(hi)));
+    return false;
+}
+
+} // namespace detail
 
 const std::vector<EnvVarDoc> &
 envVarDocs()
 {
     static const std::vector<EnvVarDoc> docs = {
-        {"BW_TIMING_TRACE",
-         "Stream a one-line-per-chain text trace from timing::NpuTiming "
-         "to stderr (dispatch/decode/done cycles plus the chain's stall "
-         "breakdown). Set to 'events' to additionally print every "
-         "resource busy interval. A sink attached with setTraceSink() "
-         "takes precedence."},
         {"BW_TIMING_MODE",
          "Timing-fidelity tier wherever a fromEnv()/Session default is "
          "consulted: 'cycle' (exact NpuTiming pipeline model, the "
          "default), 'fast' (event-driven steady-state extrapolation "
          "with exact fallback), or 'cached' (memoized cycle-accurate; "
          "repeat runs replay bit-identically in O(1))."},
-        {"BW_TIMING_FAST_WARMUP",
-         "Exact-simulator warmup iterations for the 'fast' tier before "
-         "steady-state extrapolation kicks in (default 16). Raise it "
-         "for workloads whose pipeline takes longer to reach a "
-         "periodic steady state."},
         {"BW_SCORECARD_JSON",
          "Output path for repro_scorecard's machine-readable artifact "
          "(default BENCH_scorecard.json in the working directory)."},
@@ -102,20 +163,6 @@ envVarDocs()
          "(schema bw.flight/1, embedding one bw.spans/1 tree per "
          "promoted record). Inspect with 'bw_spans flight', check with "
          "'bw_spans validate'."},
-        {"BW_SLO_LATENCY_OBJECTIVE",
-         "Latency SLO objective: target fraction of served requests "
-         "meeting their deadline class's latency target (default "
-         "0.99)."},
-        {"BW_SLO_AVAILABILITY_OBJECTIVE",
-         "Availability SLO objective: target fraction of submissions "
-         "served successfully (default 0.999)."},
-        {"BW_SLO_FAST_WINDOW_S",
-         "Fast burn-rate window in seconds of the feeding clock "
-         "(default 300). The multi-window alert fires only when both "
-         "windows burn above the page threshold."},
-        {"BW_SLO_SLOW_WINDOW_S",
-         "Slow burn-rate window in seconds of the feeding clock "
-         "(default 3600)."},
         {"BW_SLO_JSON",
          "Output path for serve_engine's SLO evaluation document "
          "(schema bw.slo/1): per-class lifetime counters plus "
@@ -208,18 +255,6 @@ envVarDocs()
          "drop decisions (default 1). The schedule is a pure function "
          "of (seed, options, shard count), so two replays under one "
          "seed export byte-identical incident timelines."},
-        {"BW_CHAOS_MEAN_S",
-         "Mean fault-window length in virtual seconds (exponential; "
-         "default 0.05). Crash windows extend by the weight-cache "
-         "re-warm time on top of this."},
-        {"BW_CHAOS_SLOW_FACTOR",
-         "Service-time multiplier applied by slow-replica faults "
-         "(default 4.0, floor 1.0)."},
-        {"BW_CHAOS_DROP_PROB",
-         "Per-request drop probability inside a dropped-message "
-         "(partition) fault window (default 0.5, clamped to [0,1]). "
-         "Which requests drop is a seeded hash of the submission "
-         "sequence number, not an RNG stream."},
         {"BW_HEDGE_MS",
          "Hedged-request latency budget in virtual milliseconds: a "
          "routed request whose primary attempt exceeds this (or fails "

@@ -1,8 +1,8 @@
 #include "obs/flight.h"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/env_doc.h"
 #include "common/logging.h"
 
 namespace bw {
@@ -46,20 +46,13 @@ flightClassOutcome(FlightClass c)
 FlightRecorderOptions
 FlightRecorderOptions::fromEnv(FlightRecorderOptions base)
 {
-    if (const char *v = std::getenv("BW_FLIGHT_WINDOW_MS")) {
-        double ms = std::atof(v);
-        if (ms > 0)
-            base.windowUs = static_cast<uint64_t>(ms * 1e3);
-    }
-    if (const char *v = std::getenv("BW_FLIGHT_SLOWEST_K")) {
-        if (*v)
-            base.slowestK = static_cast<unsigned>(std::atoi(v));
-    }
-    if (const char *v = std::getenv("BW_FLIGHT_RING")) {
-        long n = std::atol(v);
-        if (n > 0)
-            base.shardCapacity = static_cast<size_t>(n);
-    }
+    // 0 keeps the base; the bound keeps windowUs within 64 bits.
+    double ms = 0;
+    envDouble("BW_FLIGHT_WINDOW_MS", &ms, 0, 1.8e16);
+    if (ms > 0)
+        base.windowUs = static_cast<uint64_t>(ms * 1e3);
+    envUnsigned("BW_FLIGHT_SLOWEST_K", &base.slowestK);
+    envUnsigned("BW_FLIGHT_RING", &base.shardCapacity, 1);
     return base;
 }
 

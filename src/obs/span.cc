@@ -1,10 +1,10 @@
 #include "obs/span.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/env_doc.h"
 #include "common/logging.h"
 #include "obs/flight.h"
 
@@ -50,10 +50,7 @@ spanOutcomeName(SpanOutcome o)
 SpanTracerOptions
 SpanTracerOptions::fromEnv(SpanTracerOptions base)
 {
-    if (const char *v = std::getenv("BW_SPAN_SAMPLE")) {
-        if (*v)
-            base.sampleEvery = static_cast<unsigned>(std::atoi(v));
-    }
+    envUnsigned("BW_SPAN_SAMPLE", &base.sampleEvery);
     return base;
 }
 

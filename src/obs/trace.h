@@ -9,8 +9,8 @@
  * DRAM) plus one ChainProfile per retired instruction chain carrying the
  * chain's wait breakdown. Sinks are pluggable: EventTrace ring-buffers
  * events for post-run export (Chrome trace JSON, stall attribution) and
- * TextTraceSink streams human-readable chain lines (the BW_TIMING_TRACE
- * behaviour). Emission is disabled — a single null check — when no sink
+ * TextTraceSink streams human-readable chain lines to a FILE (stderr by
+ * default). Emission is disabled — a single null check — when no sink
  * is attached, and recording never perturbs simulated timing.
  */
 
@@ -193,7 +193,8 @@ class EventTrace : public TraceSink
 
 /**
  * Streaming text sink: prints one line per retired chain (and, when
- * @p verbose, one line per event) — the BW_TIMING_TRACE debugging aid.
+ * @p verbose, one line per event): a debugging aid, attached with
+ * NpuTiming::setTraceSink().
  */
 class TextTraceSink : public TraceSink
 {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/env_doc.h"
 #include "common/logging.h"
@@ -17,15 +16,10 @@ namespace serve {
 EngineOptions
 EngineOptions::fromEnv(EngineOptions base)
 {
-    base.replicas = static_cast<unsigned>(
-        envDouble("BW_SERVE_REPLICAS", base.replicas));
-    base.queueDepth = static_cast<size_t>(
-        envDouble("BW_SERVE_QUEUE_DEPTH",
-                  static_cast<double>(base.queueDepth)));
-    base.timeScale = envDouble("BW_SERVE_TIMESCALE", base.timeScale);
-    base.errorRingCapacity = static_cast<size_t>(
-        envDouble("BW_DEBUG_RING",
-                  static_cast<double>(base.errorRingCapacity)));
+    envUnsigned("BW_SERVE_REPLICAS", &base.replicas);
+    envUnsigned("BW_SERVE_QUEUE_DEPTH", &base.queueDepth);
+    envDouble("BW_SERVE_TIMESCALE", &base.timeScale);
+    envUnsigned("BW_DEBUG_RING", &base.errorRingCapacity);
     base.fidelity = timing::fidelityFromEnv(base.fidelity);
     return base;
 }
@@ -669,7 +663,7 @@ Engine::debugConfigJson() const
     // the README table renders from.
     Json env = Json::object();
     for (const EnvVarDoc &d : envVarDocs()) {
-        if (const char *v = std::getenv(d.name))
+        if (const char *v = envText(d.name))
             env.set(d.name, v);
     }
     j.set("env", std::move(env));

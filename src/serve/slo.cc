@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/env_doc.h"
 #include "common/logging.h"
 
 namespace bw {
@@ -17,32 +16,6 @@ SloOptions::defaultClasses()
         {"standard", 100.0, 50.0},
         {"best_effort", 0.0, 500.0},
     };
-}
-
-SloOptions
-SloOptions::fromEnv(SloOptions base)
-{
-    double lat =
-        envDouble("BW_SLO_LATENCY_OBJECTIVE", base.latencyObjective);
-    if (lat > 0 && lat < 1)
-        base.latencyObjective = lat;
-    double avail = envDouble("BW_SLO_AVAILABILITY_OBJECTIVE",
-                             base.availabilityObjective);
-    if (avail > 0 && avail < 1)
-        base.availabilityObjective = avail;
-    double fast_s = envDouble("BW_SLO_FAST_WINDOW_S", 0);
-    if (fast_s > 0)
-        base.fastWindowUs = static_cast<uint64_t>(fast_s * 1e6);
-    double slow_s = envDouble("BW_SLO_SLOW_WINDOW_S", 0);
-    if (slow_s > 0)
-        base.slowWindowUs = static_cast<uint64_t>(slow_s * 1e6);
-    return base;
-}
-
-SloOptions
-SloOptions::fromEnv()
-{
-    return fromEnv(SloOptions{});
 }
 
 namespace {

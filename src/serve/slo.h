@@ -94,11 +94,6 @@ struct SloOptions
      *  both window burn rates exceed this. */
     double pageBurnRate = 14.4;
 
-    /** Apply BW_SLO_LATENCY_OBJECTIVE, BW_SLO_AVAILABILITY_OBJECTIVE,
-     *  BW_SLO_FAST_WINDOW_S and BW_SLO_SLOW_WINDOW_S on @p base. */
-    static SloOptions fromEnv(SloOptions base);
-    static SloOptions fromEnv();
-
     /** The default three-class ladder (see classes). */
     static std::vector<SloClassSpec> defaultClasses();
 };

@@ -1,8 +1,6 @@
 #include "timing/npu_timing.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/bits.h"
 #include "common/logging.h"
@@ -42,13 +40,6 @@ NpuTiming::NpuTiming(const NpuConfig &cfg)
       mulvrfWrite_(cfg.tileEngines)
 {
     cfg_.validate();
-    // Per-chain timing trace to stderr (debugging aid);
-    // BW_TIMING_TRACE=events additionally prints every busy interval.
-    if (const char *env = std::getenv("BW_TIMING_TRACE")) {
-        envSink_ = std::make_unique<obs::TextTraceSink>(
-            stderr, std::string(env) == "events");
-        sink_ = envSink_.get();
-    }
     dotLatency_ = tp_.mvmMulLatency +
                   ceilLog2(std::max(2u, cfg_.lanes)) *
                       tp_.accumTreeStageLatency +
@@ -58,7 +49,7 @@ NpuTiming::NpuTiming(const NpuConfig &cfg)
 void
 NpuTiming::setTraceSink(obs::TraceSink *sink)
 {
-    sink_ = sink ? sink : envSink_.get();
+    sink_ = sink;
 }
 
 void
@@ -634,8 +625,7 @@ NpuTiming::runProfiled(const Program &prologue, const Program &step,
                        std::vector<obs::ChainProfile> *chains)
 {
     // Swap in a forwarding collector for the duration of the run; the
-    // previously attached sink (or the BW_TIMING_TRACE stderr sink)
-    // keeps receiving everything.
+    // previously attached sink keeps receiving everything.
     obs::TraceSink *saved = sink_;
     ChainCollector collector(saved, chains);
     sink_ = &collector;

@@ -25,7 +25,6 @@
 #define BW_TIMING_NPU_TIMING_H
 
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -64,10 +63,11 @@ class NpuTiming
     void setTileBeats(std::unordered_map<uint32_t, unsigned> beats);
 
     /**
-     * Attach a structured trace sink (non-owning; nullptr detaches and
-     * falls back to the BW_TIMING_TRACE stderr sink, if enabled). The
-     * sink receives one obs::TraceEvent per resource busy interval and
-     * one obs::ChainProfile per retired chain. Tracing is purely
+     * Attach a structured trace sink (non-owning; nullptr detaches):
+     * an obs::EventTrace to export, an obs::TextTraceSink for chain
+     * lines on stderr. The sink receives one obs::TraceEvent per
+     * resource busy interval and one obs::ChainProfile per retired
+     * chain. Tracing is purely
      * observational: simulated cycle counts are identical with any sink
      * attached or none.
      */
@@ -241,8 +241,6 @@ class NpuTiming
     obs::TraceSink *sink_ = nullptr;
     /** Live-metrics registry (null = publishing off). */
     metrics::Registry *metrics_ = nullptr;
-    /** Stderr text sink owned when BW_TIMING_TRACE is set. */
-    std::unique_ptr<obs::TraceSink> envSink_;
     /** Profile of the chain currently executing (valid while tracing). */
     ChainCtx *ctx_ = nullptr;
 };

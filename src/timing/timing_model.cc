@@ -1,8 +1,8 @@
 #include "timing/timing_model.h"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/env_doc.h"
 #include "common/logging.h"
 
 namespace bw {
@@ -42,7 +42,7 @@ parseFidelity(const std::string &s, Fidelity *out)
 Fidelity
 fidelityFromEnv(Fidelity fallback)
 {
-    const char *v = std::getenv("BW_TIMING_MODE");
+    const char *v = envText("BW_TIMING_MODE");
     if (!v || !*v)
         return fallback;
     Fidelity f;
@@ -643,15 +643,8 @@ makeTimingModel(Fidelity f, const NpuConfig &cfg)
     switch (f) {
       case Fidelity::CycleAccurate:
         return std::make_unique<CycleAccurateModel>(cfg);
-      case Fidelity::Fast: {
-        EventDrivenModel::Options opt;
-        if (const char *v = std::getenv("BW_TIMING_FAST_WARMUP")) {
-            long w = std::atol(v);
-            if (w > 0)
-                opt.warmupIterations = static_cast<unsigned>(w);
-        }
-        return std::make_unique<EventDrivenModel>(cfg, opt);
-      }
+      case Fidelity::Fast:
+        return std::make_unique<EventDrivenModel>(cfg);
       case Fidelity::Cached:
         return std::make_unique<MemoTimingModel>(
             std::make_unique<CycleAccurateModel>(cfg));

@@ -177,8 +177,7 @@ class EventDrivenModel : public TimingModel
     {
         /** Exact-simulator iterations before extrapolating. Must cover
          *  pipeline fill plus stablePeriods * maxPeriod steady
-         *  iterations; raise it for workloads with longer warmup.
-         *  BW_TIMING_FAST_WARMUP overrides via makeTimingModel(). */
+         *  iterations; raise it for workloads with longer warmup. */
         unsigned warmupIterations = 16;
         /** Longest iteration period considered (cycle ends may repeat
          *  with period > 1 when resources interleave across steps). */
@@ -319,7 +318,7 @@ class MemoTimingModel : public TimingModel
 
 /**
  * Build a tier: CycleAccurate -> CycleAccurateModel, Fast ->
- * EventDrivenModel (warmup overridable via BW_TIMING_FAST_WARMUP),
+ * EventDrivenModel (default Options),
  * Cached -> MemoTimingModel over a CycleAccurateModel (so hits are
  * bit-identical to ground truth).
  */

@@ -1,13 +1,14 @@
 /**
  * @file
  * Unit tests for the common utilities: bit helpers, units, text tables,
- * stats, logging, the deterministic RNG and the environment-variable
- * documentation.
+ * stats, logging, the deterministic RNG, the checked environment reader
+ * and the environment-variable documentation.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -15,8 +16,12 @@
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cluster/chaos.h"
+#include "cluster/cluster.h"
+#include "cluster/traffic.h"
 #include "common/bits.h"
 #include "common/env_doc.h"
 #include "common/logging.h"
@@ -24,6 +29,9 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "obs/flight.h"
+#include "obs/span.h"
+#include "serve/engine.h"
 
 namespace bw {
 namespace {
@@ -414,17 +422,29 @@ TEST(Rng, GoldenDraws)
 
 // --- Environment-variable documentation ---
 
-/// Every BW_* name passed as a string literal to getenv() or envDouble()
-/// in the .h/.cc/.cpp files under src/, examples/ and bench/.
-std::set<std::string>
+/// The environment reads in the .h/.cc/.cpp files under src/,
+/// examples/ and bench/.
+struct EnvironmentReads
+{
+    /// Every BW_* name passed as a string literal to getenv() or to one
+    /// of env_doc's readers.
+    std::set<std::string> names;
+    /// The files under src/ other than common/env_doc.cc that call
+    /// getenv() themselves.
+    std::set<std::string> srcGetenv;
+};
+
+EnvironmentReads
 environmentReads()
 {
     namespace fs = std::filesystem;
-    std::set<std::string> names;
+    const fs::path root(BW_SOURCE_DIR);
+    EnvironmentReads reads;
     for (const char *dir : {"src", "examples", "bench"}) {
         for (const fs::directory_entry &e :
              fs::recursive_directory_iterator(fs::path(BW_SOURCE_DIR) /
                                               dir)) {
+            std::string rel = e.path().lexically_relative(root).string();
             std::string ext = e.path().extension().string();
             if (!e.is_regular_file() ||
                 (ext != ".h" && ext != ".cc" && ext != ".cpp"))
@@ -432,7 +452,12 @@ environmentReads()
             std::ifstream in(e.path());
             std::string text((std::istreambuf_iterator<char>(in)),
                              std::istreambuf_iterator<char>());
-            for (const char *call : {"getenv(", "envDouble("}) {
+            if (rel.rfind("src/", 0) == 0 &&
+                rel != "src/common/env_doc.cc" &&
+                text.find("getenv(") != std::string::npos)
+                reads.srcGetenv.insert(rel);
+            for (const char *call :
+                 {"getenv(", "envText(", "envUnsigned(", "envDouble("}) {
                 for (size_t at = text.find(call); at != std::string::npos;
                      at = text.find(call, at + 1)) {
                     size_t q = text.find_first_not_of(
@@ -441,12 +466,12 @@ environmentReads()
                         text.compare(q, 4, "\"BW_") != 0)
                         continue;
                     size_t end = text.find('"', q + 1);
-                    names.insert(text.substr(q + 1, end - q - 1));
+                    reads.names.insert(text.substr(q + 1, end - q - 1));
                 }
             }
         }
     }
-    return names;
+    return reads;
 }
 
 /// The BW_* names in the first column of README.md's environment
@@ -478,9 +503,14 @@ readmeVariables()
 
 TEST(EnvDoc, ListMatchesEveryReadAndTheReadmeTable)
 {
-    std::set<std::string> read = environmentReads();
+    EnvironmentReads reads = environmentReads();
+    const std::set<std::string> &read = reads.names;
     std::set<std::string> readme = readmeVariables();
     ASSERT_GT(read.size(), 10u) << "no sources under " << BW_SOURCE_DIR;
+    for (const std::string &file : reads.srcGetenv) {
+        ADD_FAILURE() << file << " calls getenv(); read the environment "
+                      << "through common/env_doc.h instead";
+    }
     std::set<std::string> documented;
     for (const EnvVarDoc &d : envVarDocs()) {
         documented.insert(d.name);
@@ -497,6 +527,240 @@ TEST(EnvDoc, ListMatchesEveryReadAndTheReadmeTable)
         EXPECT_TRUE(documented.count(name))
             << name << " is in README.md's table but not in envVarDocs()";
     }
+}
+
+// --- Checked environment reader ---
+
+/// Sets one environment variable for a scope.
+class ScopedEnv
+{
+  public:
+    ScopedEnv(std::string name, const char *value) : name_(std::move(name))
+    {
+        ::setenv(name_.c_str(), value, 1);
+    }
+    ~ScopedEnv() { ::unsetenv(name_.c_str()); }
+
+    const char *name() const { return name_.c_str(); }
+
+  private:
+    std::string name_;
+};
+
+/// A variable name not read before in this process: the reader warns
+/// once per variable and value, so a repeated test needs a fresh one.
+std::string
+freshName(const char *prefix)
+{
+    static unsigned next = 0;
+    return prefix + std::to_string(next++);
+}
+
+/// Lines of @p text that begin with "warn: ".
+std::vector<std::string>
+warnLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    size_t at = 0;
+    while (at < text.size()) {
+        size_t end = text.find('\n', at);
+        if (end == std::string::npos)
+            end = text.size();
+        if (text.compare(at, 6, "warn: ") == 0)
+            lines.push_back(text.substr(at, end - at));
+        at = end + 1;
+    }
+    return lines;
+}
+
+TEST(EnvReader, ParseUnsignedTakesWholeDecimalIntegersOnly)
+{
+    uint64_t v = 42;
+    const uint64_t max = std::numeric_limits<uint64_t>::max();
+    EXPECT_TRUE(parseUnsigned("0", 0, max, &v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseUnsigned("18446744073709551615", 0, max, &v));
+    EXPECT_EQ(v, max);
+    EXPECT_TRUE(parseUnsigned("9007199254740993", 0, max, &v));
+    EXPECT_EQ(v, 9007199254740993ull);
+    for (const char *bad : {"", "abc", "12abc", "5 ", " 5", "+5", "-5",
+                            "-0", "2.5", "1e3", "1e30",
+                            "18446744073709551616", "nan", "inf"}) {
+        v = 42;
+        EXPECT_FALSE(parseUnsigned(bad, 0, max, &v)) << "'" << bad << "'";
+        EXPECT_EQ(v, 42u) << "'" << bad << "'";
+    }
+    EXPECT_FALSE(parseUnsigned("0", 1, max, &v));
+    EXPECT_FALSE(parseUnsigned("11", 0, 10, &v));
+    EXPECT_TRUE(parseUnsigned("10", 0, 10, &v));
+    EXPECT_EQ(v, 10u);
+}
+
+TEST(EnvReader, UnsignedRejectsEachBadClassAndKeepsTheField)
+{
+    struct Case
+    {
+        const char *text;
+        const char *why;
+    };
+    const Case cases[] = {
+        {"many", "non-numeric"},     {"12abc", "trailing garbage"},
+        {"-5", "negative"},          {"1e30", "outside the type"},
+        {"18446744073709551616", "2^64"}, {"nan", "NaN"},
+        {"inf", "infinity"},         {"4294967296", "outside 32 bits"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.why);
+        ScopedEnv env(freshName("BW_TEST_READER_U"), c.text);
+        unsigned field = 7;
+        testing::internal::CaptureStderr();
+        envUnsigned(env.name(), &field);
+        std::vector<std::string> warns =
+            warnLines(testing::internal::GetCapturedStderr());
+        EXPECT_EQ(field, 7u);
+        ASSERT_EQ(warns.size(), 1u);
+        EXPECT_NE(warns[0].find(env.name()), std::string::npos) << warns[0];
+    }
+    // The same text fits a 64-bit field, and the lower bound holds.
+    ScopedEnv env("BW_TEST_READER_U64", "4294967296");
+    uint64_t wide = 0;
+    envUnsigned("BW_TEST_READER_U64", &wide);
+    EXPECT_EQ(wide, 4294967296ull);
+    size_t ring = 9;
+    envUnsigned("BW_TEST_READER_U64", &ring, 4294967297ull);
+    EXPECT_EQ(ring, 9u);
+}
+
+TEST(EnvReader, DoubleRejectsEachBadClassAndKeepsTheField)
+{
+    for (const char *bad : {"fast", "1.5ms", "nan", "NaN", "inf", "-inf",
+                            "1e400", "11", "-0.5"}) {
+        SCOPED_TRACE(bad);
+        ScopedEnv env(freshName("BW_TEST_READER_D"), bad);
+        double field = 2.5;
+        testing::internal::CaptureStderr();
+        envDouble(env.name(), &field, 0, 10);
+        std::vector<std::string> warns =
+            warnLines(testing::internal::GetCapturedStderr());
+        EXPECT_EQ(field, 2.5);
+        ASSERT_EQ(warns.size(), 1u);
+        EXPECT_NE(warns[0].find(env.name()), std::string::npos) << warns[0];
+    }
+    for (const char *good : {"0", "10", "1e-3", "7.25"}) {
+        ScopedEnv env("BW_TEST_READER_D", good);
+        double field = 2.5;
+        envDouble("BW_TEST_READER_D", &field, 0, 10);
+        EXPECT_EQ(field, std::strtod(good, nullptr)) << good;
+    }
+}
+
+TEST(EnvReader, UnsetOrEmptyKeepsTheFieldSilently)
+{
+    ::unsetenv("BW_TEST_READER_UNSET");
+    ScopedEnv empty("BW_TEST_READER_EMPTY", "");
+    unsigned u = 3;
+    double d = 1.5;
+    testing::internal::CaptureStderr();
+    envUnsigned("BW_TEST_READER_UNSET", &u);
+    envDouble("BW_TEST_READER_UNSET", &d);
+    envUnsigned("BW_TEST_READER_EMPTY", &u);
+    envDouble("BW_TEST_READER_EMPTY", &d);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_EQ(u, 3u);
+    EXPECT_EQ(d, 1.5);
+    EXPECT_EQ(envText("BW_TEST_READER_UNSET"), nullptr);
+    EXPECT_STREQ(envText("BW_TEST_READER_EMPTY"), "");
+}
+
+TEST(EnvReader, WarnsOncePerVariable)
+{
+    ScopedEnv a(freshName("BW_TEST_READER_ONCE_A"), "lots");
+    ScopedEnv b(freshName("BW_TEST_READER_ONCE_B"), "1.0.0");
+    unsigned u = 1;
+    double d = 1;
+    testing::internal::CaptureStderr();
+    for (int i = 0; i < 3; ++i) {
+        envUnsigned(a.name(), &u);
+        envDouble(b.name(), &d);
+    }
+    std::vector<std::string> warns =
+        warnLines(testing::internal::GetCapturedStderr());
+    ASSERT_EQ(warns.size(), 2u);
+    EXPECT_NE(warns[0].find(std::string(a.name()) + "=lots"),
+              std::string::npos)
+        << warns[0];
+    EXPECT_NE(warns[1].find(std::string(b.name()) + "=1.0.0"),
+              std::string::npos)
+        << warns[1];
+}
+
+TEST(EnvReader, FromEnvKeepsTheBaseOnRejectedValues)
+{
+    {
+        // Was static_cast<size_t>(-5.0): undefined behaviour.
+        ScopedEnv env("BW_SERVE_QUEUE_DEPTH", "-5");
+        serve::EngineOptions base;
+        base.queueDepth = 7;
+        EXPECT_EQ(serve::EngineOptions::fromEnv(base).queueDepth, 7u);
+    }
+    {
+        // Was parsed through a double, which rounds to ...992.
+        ScopedEnv env("BW_CLUSTER_SEED", "9007199254740993");
+        EXPECT_EQ(cluster::TrafficOptions::fromEnv().seed,
+                  9007199254740993ull);
+    }
+    {
+        // Was atoi then a cast: 4294967295.
+        ScopedEnv env("BW_SPAN_SAMPLE", "-1");
+        obs::SpanTracerOptions base;
+        base.sampleEvery = 3;
+        EXPECT_EQ(obs::SpanTracerOptions::fromEnv(base).sampleEvery, 3u);
+    }
+    {
+        // Was strtoull, which wraps "-1" to 2^64 - 1.
+        ScopedEnv env("BW_CHAOS_SEED", "-1");
+        cluster::ChaosOptions base;
+        base.seed = 11;
+        EXPECT_EQ(cluster::ChaosOptions::fromEnv(base).seed, 11u);
+    }
+    {
+        // Was atof: 0 rps, a silently empty trace.
+        ScopedEnv env("BW_CLUSTER_RPS", "abc");
+        cluster::TrafficOptions base;
+        base.baseRps = 250;
+        EXPECT_EQ(cluster::TrafficOptions::fromEnv(base).baseRps, 250.0);
+    }
+    {
+        ScopedEnv env("BW_CLUSTER_MIX", "s5:two");
+        cluster::ClusterOptions base;
+        base.groups.resize(1);
+        base.groups[0].name = "kept";
+        std::vector<cluster::ReplicaGroupSpec> groups =
+            cluster::ClusterOptions::fromEnv(base).groups;
+        ASSERT_EQ(groups.size(), 1u);
+        EXPECT_EQ(groups[0].name, "kept");
+    }
+}
+
+TEST(EnvReader, FromEnvKeepsTheMeaningOfEdgeValues)
+{
+    ScopedEnv hedge("BW_HEDGE_MS", "-1");
+    ScopedEnv mix("BW_CLUSTER_MIX", "s5:0,s10:3");
+    cluster::ClusterOptions base;
+    base.hedgeMs = 4;
+    cluster::ClusterOptions co = cluster::ClusterOptions::fromEnv(base);
+    EXPECT_EQ(co.hedgeMs, -1.0); // negative: hedging off
+    ASSERT_EQ(co.groups.size(), 2u);
+    EXPECT_EQ(co.groups[0].engines, 1u); // a count of 0 acts as 1
+    EXPECT_EQ(co.groups[1].engines, 3u);
+
+    ScopedEnv k("BW_FLIGHT_SLOWEST_K", "0");
+    EXPECT_EQ(obs::FlightRecorderOptions::fromEnv().slowestK, 0u);
+    ScopedEnv sample("BW_SPAN_SAMPLE", "0");
+    EXPECT_EQ(obs::SpanTracerOptions::fromEnv().sampleEvery, 0u);
+    // 0 replicas reaches the options; the engine raises it to 1.
+    ScopedEnv replicas("BW_SERVE_REPLICAS", "0");
+    EXPECT_EQ(serve::EngineOptions::fromEnv().replicas, 0u);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <thread>
 
@@ -253,6 +254,37 @@ TEST(NpuTimingTrace, CyclesIdenticalWithAndWithoutTracing)
     traced.setTraceSink(nullptr);
     TimingResult detached = traced.run(prog, 3);
     EXPECT_EQ(detached.totalCycles, off.totalCycles);
+}
+
+TEST(NpuTimingTrace, TextSinkPrintsChainLinesAndEventsWhenVerbose)
+{
+    NpuConfig cfg = smallConfig();
+    Program prog = testProgram();
+    TimingResult off = NpuTiming(cfg).run(prog, 2);
+
+    for (bool verbose : {false, true}) {
+        std::FILE *out = std::tmpfile();
+        ASSERT_NE(out, nullptr);
+        obs::TextTraceSink text(out, verbose);
+        NpuTiming sim(cfg);
+        sim.setTraceSink(&text);
+        EXPECT_EQ(sim.run(prog, 2).totalCycles, off.totalCycles);
+
+        std::rewind(out);
+        unsigned chains = 0, events = 0;
+        char line[512];
+        while (std::fgets(line, sizeof(line), out)) {
+            std::string l(line);
+            chains += l.rfind("trace chain@", 0) == 0;
+            events += l.rfind("trace event ", 0) == 0;
+        }
+        std::fclose(out);
+        EXPECT_EQ(chains, 4u); // 2 chains x 2 iterations
+        if (verbose)
+            EXPECT_GT(events, 0u);
+        else
+            EXPECT_EQ(events, 0u);
+    }
 }
 
 TEST(NpuTimingTrace, StallAttributionSumsToTotalCycles)
